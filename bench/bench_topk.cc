@@ -1,7 +1,8 @@
 // Experiment E7 — top-K expert selection (§II "Results Ranking", §III
 // "how top-K matches are selected based on the ranking function"): cost of
 // the social-impact ranking as the result graph grows and as K varies,
-// against exhaustively ranking everything.
+// against exhaustively ranking everything, plus every alternative metric
+// and the topic-fusion ranking of a compiled "experts about X" query.
 
 #include <benchmark/benchmark.h>
 
@@ -57,6 +58,39 @@ BENCHMARK(BM_TopKMetric)
     ->Arg(static_cast<int>(RankingMetric::kCloseness))
     ->Arg(static_cast<int>(RankingMetric::kDegree))
     ->Arg(static_cast<int>(RankingMetric::kPageRank));
+
+/// A compiled topic query over a labelled follower graph: SA (experience
+/// >= 6) within 2 hops of an SD (experience >= 4), about "graph databases".
+struct PreparedTopic {
+  Graph g;
+  Pattern q;
+  ResultGraph gr;
+  std::vector<std::string> terms;
+};
+
+PreparedTopic PrepareTopic() {
+  gen::TwitterLikeConfig cfg;
+  cfg.labels = gen::TopicExpertiseModel();
+  PatternBuilder b;
+  auto sa = b.Node("SA").Where("experience", CmpOp::kGe, AttrValue(int64_t{6})).Output();
+  auto sd = b.Node("SD").Where("experience", CmpOp::kGe, AttrValue(int64_t{4}));
+  b.Edge(sa, sd, 2);
+  std::vector<std::string> terms = {"graph databases"};
+  Graph g = gen::TwitterLike(cfg);
+  Pattern q = CompileTopicTerms(b.Build().value(), terms);
+  MatchRelation m = ComputeBoundedSimulation(g, q);
+  ResultGraph gr(g, q, m);
+  return PreparedTopic{std::move(g), std::move(q), std::move(gr), std::move(terms)};
+}
+
+void BM_TopKTopicFusion(benchmark::State& state) {
+  static PreparedTopic p = PrepareTopic();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TopKTopicFusion(p.gr, p.q, p.g, p.terms, 10));
+  }
+  state.counters["result_nodes"] = static_cast<double>(p.gr.NumNodes());
+}
+BENCHMARK(BM_TopKTopicFusion)->Unit(benchmark::kMicrosecond);
 
 void TopKTable() {
   Header("E7 top-K expert selection",

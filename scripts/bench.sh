@@ -22,7 +22,7 @@
 #                    from PR 5 on, entries are Release unless explicitly
 #                    overridden.
 #   BENCH_SUITES    space-separated subset of "matching engine service
-#                   storage index replication" (default: all six) — e.g.
+#                   storage index replication topk" (default: all seven) — e.g.
 #                   record an async serving baseline alone with
 #                   BENCH_SUITES=service BENCH_LABEL=pr4 scripts/bench.sh
 set -euo pipefail
@@ -33,7 +33,7 @@ BUILD_DIR=${BENCH_BUILD_DIR:-build}
 LABEL=${BENCH_LABEL:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabelled)}
 MIN_TIME=${BENCH_MIN_TIME:-0.2}
 FILTER=${BENCH_FILTER:-}
-SUITES=${BENCH_SUITES:-"matching engine service storage index replication"}
+SUITES=${BENCH_SUITES:-"matching engine service storage index replication topk"}
 BUILD_TYPE=${BENCH_BUILD_TYPE:-Release}
 
 targets=()

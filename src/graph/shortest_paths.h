@@ -1,7 +1,8 @@
 // Weighted shortest paths. The data graph itself is unweighted (hop
-// distances, see bfs.h); weighted Dijkstra serves the *result graph*, whose
-// edges carry shortest-path lengths, and the social-impact ranking function
-// built on it (paper §II, "Results Ranking").
+// distances, see bfs.h); weighted Dijkstra runs over the *result graph*,
+// whose edges carry shortest-path lengths. Ranking scores result graphs with
+// a batched multi-source BFS (ranking/metrics.h); per-source Dijkstra is the
+// reference its tests compare against.
 
 #ifndef EXPFINDER_GRAPH_SHORTEST_PATHS_H_
 #define EXPFINDER_GRAPH_SHORTEST_PATHS_H_

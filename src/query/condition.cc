@@ -1,7 +1,6 @@
 #include "src/query/condition.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 
 #include "src/graph/graph.h"
@@ -10,20 +9,6 @@
 namespace expfinder {
 
 namespace {
-
-/// Three-way comparison of the lowercased alnum run `run` against an
-/// already-normalized token. Runs are raw slices of the node value, so the
-/// lowercasing the tokenizer would apply happens inline here.
-int CompareLoweredRun(std::string_view run, const std::string& token) {
-  const size_t n = std::min(run.size(), token.size());
-  for (size_t i = 0; i < n; ++i) {
-    const char c =
-        static_cast<char>(std::tolower(static_cast<unsigned char>(run[i])));
-    if (c != token[i]) return c < token[i] ? -1 : 1;
-  }
-  if (run.size() == token.size()) return 0;
-  return run.size() < token.size() ? -1 : 1;
-}
 
 /// True when every token of `need` (sorted, unique, normalized) occurs among
 /// the topic tokens of `s`. Streams the maximal alnum runs of `s` without
@@ -41,31 +26,10 @@ bool HasAllTopicTokens(std::string_view s, const std::vector<std::string>& need)
   const uint64_t all =
       need.size() == 64 ? ~uint64_t{0} : (uint64_t{1} << need.size()) - 1;
   uint64_t matched = 0;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && !std::isalnum(static_cast<unsigned char>(s[i]))) ++i;
-    size_t j = i;
-    while (j < s.size() && std::isalnum(static_cast<unsigned char>(s[j]))) ++j;
-    if (j > i) {
-      const std::string_view run = s.substr(i, j - i);
-      // Tokens are lowercase ASCII alnum, so byte order (how `need` was
-      // sorted) agrees with CompareLoweredRun and binary search applies.
-      size_t lo = 0, hi = need.size();
-      while (lo < hi) {
-        const size_t mid = (lo + hi) / 2;
-        if (CompareLoweredRun(run, need[mid]) > 0) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      if (lo < need.size() && CompareLoweredRun(run, need[lo]) == 0) {
-        matched |= uint64_t{1} << lo;
-        if (matched == all) return true;
-      }
-    }
-    i = j;
-  }
+  ForEachTopicTokenHit(s, need, [&](size_t i) {
+    matched |= uint64_t{1} << i;
+    return matched != all;
+  });
   return matched == all;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "src/graph/graph.h"
 #include "src/util/string_util.h"
@@ -20,33 +21,21 @@ std::vector<double> TopicRelevance(const ResultGraph& gr, const Graph& g,
   std::vector<double> topic(n, 0.0);
   if (n == 0 || query_tokens.empty()) return topic;
   const size_t nt = query_tokens.size();
-  std::vector<std::vector<uint32_t>> tf(n, std::vector<uint32_t>(nt, 0));
+  const std::vector<uint32_t> tf = TopicTermCounts(gr, g, query_tokens);
   std::vector<uint32_t> df(nt, 0);
-  std::vector<std::string> node_tokens;
-  for (uint32_t pos = 0; pos < n; ++pos) {
-    const NodeId v = gr.DataNode(pos);
-    node_tokens.clear();
-    AppendTopicTokens(g.NodeLabelName(v), &node_tokens);
-    for (const auto& [key, value] : g.Attrs(v)) {
-      if (value.is_string()) AppendTopicTokens(value.AsString(), &node_tokens);
-    }
-    for (const std::string& tok : node_tokens) {
-      auto it = std::lower_bound(query_tokens.begin(), query_tokens.end(), tok);
-      if (it != query_tokens.end() && *it == tok) {
-        ++tf[pos][it - query_tokens.begin()];
-      }
-    }
-    for (size_t i = 0; i < nt; ++i) {
-      if (tf[pos][i] > 0) ++df[i];
-    }
+  for (size_t cell = 0; cell < tf.size(); ++cell) {
+    if (tf[cell] > 0) ++df[cell % nt];
+  }
+  std::vector<double> idf(nt);
+  for (size_t i = 0; i < nt; ++i) {
+    idf[i] = std::log(1.0 + static_cast<double>(n) / (1.0 + static_cast<double>(df[i])));
   }
   for (uint32_t pos = 0; pos < n; ++pos) {
+    const uint32_t* row = tf.data() + size_t{pos} * nt;
     double score = 0.0;
     for (size_t i = 0; i < nt; ++i) {
-      if (tf[pos][i] == 0) continue;
-      const double idf =
-          std::log(1.0 + static_cast<double>(n) / (1.0 + static_cast<double>(df[i])));
-      score += (1.0 + std::log(static_cast<double>(tf[pos][i]))) * idf;
+      if (row[i] == 0) continue;
+      score += (1.0 + std::log(static_cast<double>(row[i]))) * idf[i];
     }
     topic[pos] = score;
   }
@@ -62,14 +51,9 @@ std::vector<double> TopicRelevance(const ResultGraph& gr, const Graph& g,
 /// scores pin to 0.
 std::vector<double> StructureGoodness(const ResultGraph& gr, RankingMetric metric) {
   const size_t n = gr.NumNodes();
-  std::vector<double> raw(n);
-  if (metric == RankingMetric::kPageRank) {
-    // Amortize the power iteration across all positions.
-    std::vector<double> pr = ResultGraphPageRank(gr);
-    for (uint32_t pos = 0; pos < n; ++pos) raw[pos] = -pr[pos];
-  } else {
-    for (uint32_t pos = 0; pos < n; ++pos) raw[pos] = MetricScore(gr, pos, metric);
-  }
+  std::vector<uint32_t> all(n);
+  std::iota(all.begin(), all.end(), 0u);
+  const std::vector<double> raw = MetricScores(gr, all, metric);
   double lo = 0.0, hi = 0.0;
   bool any = false;
   for (double s : raw) {
@@ -87,6 +71,26 @@ std::vector<double> StructureGoodness(const ResultGraph& gr, RankingMetric metri
 }
 
 }  // namespace
+
+std::vector<uint32_t> TopicTermCounts(const ResultGraph& gr, const Graph& g,
+                                      const std::vector<std::string>& query_tokens) {
+  const size_t nt = query_tokens.size();
+  std::vector<uint32_t> tf(gr.NumNodes() * nt, 0);
+  if (nt == 0) return tf;
+  for (uint32_t pos = 0; pos < gr.NumNodes(); ++pos) {
+    uint32_t* row = tf.data() + size_t{pos} * nt;
+    auto hit = [row](size_t i) {
+      ++row[i];
+      return true;
+    };
+    const NodeId v = gr.DataNode(pos);
+    ForEachTopicTokenHit(g.NodeLabelName(v), query_tokens, hit);
+    for (const auto& [key, value] : g.Attrs(v)) {
+      if (value.is_string()) ForEachTopicTokenHit(value.AsString(), query_tokens, hit);
+    }
+  }
+  return tf;
+}
 
 Result<std::vector<RankedMatch>> TopKTopicFusion(const ResultGraph& gr,
                                                  const Pattern& q, const Graph& g,

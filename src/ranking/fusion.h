@@ -37,6 +37,14 @@ struct TopicFusionOptions {
   RankingMetric structure_metric = RankingMetric::kSocialImpact;
 };
 
+/// Query-token hit counts of every result node, row-major in one flat
+/// NumNodes() x query_tokens.size() array: entry (pos, i) counts the
+/// occurrences of query_tokens[i] (sorted, unique, normalized) among the
+/// topic tokens of the label and string attributes of gr.DataNode(pos) in
+/// `g` — the term frequencies of fusion's TF-IDF half.
+std::vector<uint32_t> TopicTermCounts(const ResultGraph& gr, const Graph& g,
+                                      const std::vector<std::string>& query_tokens);
+
 /// The K best matches of Q's output node under fused topic + structure
 /// scoring, best-first. `g` must be the data graph the result graph was
 /// built over (its attributes feed the TF-IDF half); `terms` are the

@@ -1,47 +1,19 @@
 #include "src/ranking/social_impact.h"
 
-#include <algorithm>
-#include <cmath>
+#include <limits>
 
-#include "src/graph/shortest_paths.h"
+#include "src/ranking/metrics.h"
+#include "src/ranking/topk.h"
 
 namespace expfinder {
 
 double SocialImpactScore(const ResultGraph& gr, uint32_t pos) {
-  std::vector<double> fwd = DijkstraFrom(gr.Out(), pos);
-  std::vector<double> bwd = DijkstraFrom(gr.In(), pos);
-  double sum = 0.0;
-  size_t peers = 0;
-  for (uint32_t i = 0; i < gr.NumNodes(); ++i) {
-    if (i == pos) continue;
-    bool connected = false;
-    if (std::isfinite(fwd[i])) {
-      sum += fwd[i];  // v's descendants: dist(v, u')
-      connected = true;
-    }
-    if (std::isfinite(bwd[i])) {
-      sum += bwd[i];  // v's ancestors: dist(u, v)
-      connected = true;
-    }
-    if (connected) ++peers;
-  }
-  if (peers == 0) return InfiniteDistance();
-  return sum / static_cast<double>(peers);
+  return MetricScore(gr, pos, RankingMetric::kSocialImpact);
 }
 
 Result<std::vector<RankedMatch>> RankAllMatches(const ResultGraph& gr,
                                                 const Pattern& q) {
-  auto output = q.output_node();
-  if (!output) return Status::InvalidArgument("pattern has no output node");
-  std::vector<RankedMatch> ranked;
-  for (uint32_t pos : gr.MatchesOf(*output)) {
-    ranked.push_back({gr.DataNode(pos), SocialImpactScore(gr, pos)});
-  }
-  std::sort(ranked.begin(), ranked.end(), [](const RankedMatch& a, const RankedMatch& b) {
-    if (a.score != b.score) return a.score < b.score;
-    return a.node < b.node;
-  });
-  return ranked;
+  return TopKMatches(gr, q, std::numeric_limits<size_t>::max());
 }
 
 }  // namespace expfinder

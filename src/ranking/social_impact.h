@@ -34,7 +34,8 @@ struct RankedMatch {
 };
 
 /// f(u_o, v) for the match at result position `pos`. Matches with no
-/// reachable/reaching peers (|V'_r| = 0) rank last: +infinity.
+/// reachable/reaching peers (|V'_r| = 0) rank last: +infinity. Scoring many
+/// positions goes through MetricScores (metrics.h), 64 sources per pass.
 double SocialImpactScore(const ResultGraph& gr, uint32_t pos);
 
 /// Scores of every match of the output node, sorted ascending (ties by node

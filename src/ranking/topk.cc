@@ -1,29 +1,31 @@
 #include "src/ranking/topk.h"
 
-#include <algorithm>
 #include <queue>
 
 namespace expfinder {
 
 namespace {
 
-/// Shared bounded-heap selection once scores are computable per position.
-template <typename ScoreFn>
+/// Bounded-heap selection over the output node's matches, all scored in one
+/// MetricScores call.
 Result<std::vector<RankedMatch>> SelectTopK(const ResultGraph& gr, const Pattern& q,
-                                            size_t k, ScoreFn&& score_of) {
+                                            size_t k, RankingMetric metric) {
   auto output = q.output_node();
   if (!output) return Status::InvalidArgument("pattern has no output node");
+  if (k == 0) return std::vector<RankedMatch>{};
+  const std::vector<uint32_t>& matches = gr.MatchesOf(*output);
+  const std::vector<double> scores = MetricScores(gr, matches, metric);
   auto worse = [](const RankedMatch& a, const RankedMatch& b) {
     if (a.score != b.score) return a.score < b.score;
     return a.node < b.node;  // larger id = worse on ties
   };
   // Max-heap of the best k seen so far (top = worst of the kept).
   std::priority_queue<RankedMatch, std::vector<RankedMatch>, decltype(worse)> heap(worse);
-  for (uint32_t pos : gr.MatchesOf(*output)) {
-    RankedMatch m{gr.DataNode(pos), score_of(pos)};
+  for (size_t i = 0; i < matches.size(); ++i) {
+    RankedMatch m{gr.DataNode(matches[i]), scores[i]};
     if (heap.size() < k) {
       heap.push(m);
-    } else if (k > 0 && worse(m, heap.top())) {
+    } else if (worse(m, heap.top())) {
       heap.pop();
       heap.push(m);
     }
@@ -40,8 +42,7 @@ Result<std::vector<RankedMatch>> SelectTopK(const ResultGraph& gr, const Pattern
 
 Result<std::vector<RankedMatch>> TopKMatches(const ResultGraph& gr, const Pattern& q,
                                              size_t k) {
-  return SelectTopK(gr, q, k,
-                    [&](uint32_t pos) { return SocialImpactScore(gr, pos); });
+  return SelectTopK(gr, q, k, RankingMetric::kSocialImpact);
 }
 
 Result<std::vector<RankedMatch>> TopKMatchesWith(const ResultGraph& gr,
@@ -52,13 +53,7 @@ Result<std::vector<RankedMatch>> TopKMatchesWith(const ResultGraph& gr,
         "topic-fusion needs the query's topic terms and the data graph; rank "
         "through TopKTopicFusion (service: set QueryRequest::topic_terms)");
   }
-  if (metric == RankingMetric::kPageRank) {
-    // Amortize the power iteration across all matches.
-    std::vector<double> pr = ResultGraphPageRank(gr);
-    return SelectTopK(gr, q, k, [&](uint32_t pos) { return -pr[pos]; });
-  }
-  return SelectTopK(gr, q, k,
-                    [&](uint32_t pos) { return MetricScore(gr, pos, metric); });
+  return SelectTopK(gr, q, k, metric);
 }
 
 }  // namespace expfinder

@@ -96,9 +96,8 @@ std::string EscapeQuoted(std::string_view s) {
 void AppendTopicTokens(std::string_view s, std::vector<std::string>* out) {
   std::string token;
   for (char c : s) {
-    const unsigned char u = static_cast<unsigned char>(c);
-    if (std::isalnum(u)) {
-      token.push_back(static_cast<char>(std::tolower(u)));
+    if (IsTopicTokenChar(c)) {
+      token.push_back(LowerAscii(c));
     } else if (!token.empty()) {
       out->push_back(std::move(token));
       token.clear();

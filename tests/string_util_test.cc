@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <vector>
+
 #include "src/util/string_util.h"
 
 namespace expfinder {
@@ -104,6 +108,40 @@ TEST(Fnv1aTest, StableAndDiscriminating) {
   EXPECT_NE(Fnv1a("hello"), Fnv1a("hellp"));
   EXPECT_NE(Fnv1a(""), Fnv1a(" "));
   EXPECT_NE(Fnv1a("x", 1), Fnv1a("x", 2));
+}
+
+TEST(TopicTokensTest, ByteClassesMatchTheClassicLocale) {
+  // The tokenizer classifies bytes itself: on every byte it must agree with
+  // isalnum/tolower in the "C" locale the tests run under.
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    EXPECT_EQ(IsTopicTokenChar(c), std::isalnum(b) != 0) << b;
+    if (IsTopicTokenChar(c)) {
+      EXPECT_EQ(LowerAscii(c), static_cast<char>(std::tolower(b))) << b;
+    }
+  }
+  EXPECT_EQ(TopicTokens("Graph-DBs, na\xC3\xAFve 2024x"),
+            (std::vector<std::string>{"graph", "dbs", "na", "ve", "2024x"}));
+}
+
+TEST(TopicTokensTest, StreamingHitsAgreeWithTokenizing) {
+  const std::vector<std::string> tokens = {"2024x", "dbs", "graph", "ve"};
+  const std::string text = "GRAPH graph-DBs; na\xC3\xAFve 2024X graphs";
+  std::vector<size_t> hits;
+  ForEachTopicTokenHit(text, tokens, [&](size_t i) {
+    hits.push_back(i);
+    return true;
+  });
+  EXPECT_EQ(hits, (std::vector<size_t>{2, 2, 1, 3, 0}));
+  size_t first = tokens.size();
+  ForEachTopicTokenHit(text, tokens, [&](size_t i) {
+    first = i;
+    return false;  // stops after the first hit
+  });
+  EXPECT_EQ(first, 2u);
+  EXPECT_LT(CompareLoweredRun("Graph", "graphs"), 0);
+  EXPECT_EQ(CompareLoweredRun("GrApH", "graph"), 0);
+  EXPECT_GT(CompareLoweredRun("Z", "a"), 0);
 }
 
 }  // namespace

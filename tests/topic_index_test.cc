@@ -607,6 +607,69 @@ TEST(TopicFusionTest, TopKMatchesWithRejectsTheFusionMetric) {
   EXPECT_EQ(RankingMetricName(RankingMetric::kTopicFusion), "topic-fusion");
 }
 
+TEST(TopicFusionTest, StreamingTermCountsEqualTokenizedCounts) {
+  // Mixed case, punctuation, digits, repeated tokens, and bytes >= 0x80
+  // (never alphanumeric, so they split tokens: "caf\xC3\xA9" holds "caf").
+  const std::vector<std::string> texts = {
+      "Graph DATABASES, graph-databases; GRAPH",
+      "C3PO r2d2 2024 r2d2-R2D2",
+      "na\xC3\xAFve caf\xC3\xA9 graph\xE2\x80\x94theory",
+      "...,,;;  ",
+      "",
+      "ML/ml/Ml/mL",
+      "\xFFgraph\xFF\x80" "42",
+      "\xC3\x9C" "ber-Graph 42 a A a"};
+  const std::string noise_bytes = "aAqQ7z Z9-_.\x80\xC3\xBF\xFF";
+  Rng rng(2024);
+  Graph g;
+  for (size_t i = 0; i < 60; ++i) {
+    const std::string& label = texts[rng.NextBounded(texts.size())];
+    const NodeId v = g.AddNode(label.empty() ? "P" : label);
+    g.SetAttr(v, "topics", AttrValue(texts[rng.NextBounded(texts.size())]));
+    g.SetAttr(v, "bio", AttrValue(texts[rng.NextBounded(texts.size())] + " " +
+                                  texts[rng.NextBounded(texts.size())]));
+    std::string noise;
+    for (int c = 0; c < 24; ++c) noise += noise_bytes[rng.NextBounded(noise_bytes.size())];
+    g.SetAttr(v, "noise", AttrValue(noise));
+    g.SetAttr(v, "year", AttrValue(int64_t{2024}));  // not a string: never counted
+  }
+  PatternBuilder b;
+  b.Node("").Output();
+  Pattern q = b.Build().value();
+  MatchRelation m = ComputeBoundedSimulation(g, q);
+  ResultGraph gr(g, q, m);
+  ASSERT_EQ(gr.NumNodes(), 60u);
+
+  std::vector<std::string> tokens;
+  for (const char* term : {"graph databases", "R2D2 2024", "ml", "caf", "theory", "42",
+                           "a", "q", "7", "z9", "absent"}) {
+    AppendTopicTokens(term, &tokens);
+  }
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+
+  const std::vector<uint32_t> counts = TopicTermCounts(gr, g, tokens);
+  ASSERT_EQ(counts.size(), gr.NumNodes() * tokens.size());
+  uint32_t repeated = 0;
+  for (uint32_t pos = 0; pos < gr.NumNodes(); ++pos) {
+    const NodeId v = gr.DataNode(pos);
+    std::vector<std::string> node_tokens = TopicTokens(g.NodeLabelName(v));
+    for (const auto& [key, value] : g.Attrs(v)) {
+      if (value.is_string()) AppendTopicTokens(value.AsString(), &node_tokens);
+    }
+    std::vector<uint32_t> want(tokens.size(), 0);
+    for (const std::string& tok : node_tokens) {
+      auto it = std::lower_bound(tokens.begin(), tokens.end(), tok);
+      if (it != tokens.end() && *it == tok) ++want[it - tokens.begin()];
+    }
+    const std::vector<uint32_t> got(counts.begin() + pos * tokens.size(),
+                                    counts.begin() + (pos + 1) * tokens.size());
+    EXPECT_EQ(got, want) << "node " << v;
+    for (uint32_t c : want) repeated += c > 1;
+  }
+  EXPECT_GT(repeated, 0u);
+}
+
 // --- Engine & service telemetry -------------------------------------------
 
 TEST(EngineTopicStatsTest, CountersTrackBuildsHitsAndFallbacks) {
