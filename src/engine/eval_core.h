@@ -16,9 +16,9 @@
 //     (snapshot, pattern, overrides). Any number of threads may call it
 //     concurrently, each with its own MatchContext pair.
 //
-// QueryEngine composes an EvalCore with the stateful half (cache,
-// incremental maintainers, compression, publishing); ExpFinderService
-// serves every read through a pinned EngineSnapshot and this core.
+// QueryEngine is the writer (incremental maintainers, compression,
+// publishing); ExpFinderService owns the one EvalCore and the result cache
+// and serves every read through a pinned EngineSnapshot and this core.
 
 #ifndef EXPFINDER_ENGINE_EVAL_CORE_H_
 #define EXPFINDER_ENGINE_EVAL_CORE_H_
@@ -52,10 +52,11 @@ enum class MatchSemantics {
 
 /// Cache key combining the pattern's canonical fingerprint (condition order
 /// within a node does not distinguish queries — see
-/// Pattern::CanonicalFingerprint) with the semantics; shared by
-/// the engine's result cache and the service-layer cache so both serving
-/// stacks agree on what "the same query" means. (Graph version is *not*
-/// part of this key — ResultCache folds it in itself; see result_cache.h.)
+/// Pattern::CanonicalFingerprint) with the semantics; keys both the
+/// service's result cache and EngineSnapshot::maintained, so a cached and
+/// a maintained answer agree on what "the same query" means. (Graph
+/// version is *not* part of this key — ResultCache folds it in itself; see
+/// result_cache.h.)
 uint64_t QueryCacheKey(const Pattern& q, MatchSemantics semantics);
 
 /// \brief How an uncached evaluation produced its relation.
@@ -89,6 +90,7 @@ struct EvalOverrides {
 
 /// \brief Engine configuration.
 struct EngineOptions {
+  /// Read by ExpFinderService, which owns the only result cache.
   bool use_cache = true;
   size_t cache_capacity = 32;
   /// Build and query a compressed graph when the pattern is compatible.
@@ -157,7 +159,7 @@ class EvalCore {
 
   /// Evaluates Q against `snap` under the chosen semantics. Pure function
   /// of (snap, q, overrides) — consults no cache and no maintained state
-  /// (those are the stateful facade's serving paths) and updates no stats;
+  /// (the service checks those first) and updates no stats;
   /// `path` reports how the relation was produced. Each concurrent call
   /// needs contexts no other call is using (`ctx` evaluates over the graph,
   /// `compressed_ctx` over Gc); both are bound to the snapshot's handles

@@ -1,9 +1,6 @@
 #include "src/engine/query_engine.h"
 
-#include <sstream>
 #include <unordered_map>
-
-#include "src/util/timer.h"
 
 namespace expfinder {
 
@@ -44,31 +41,9 @@ Status ValidateBatch(const Graph& g, const UpdateBatch& batch) {
 
 }  // namespace
 
-std::string EngineStats::ToString() const {
-  std::ostringstream os;
-  os << "queries=" << queries << " cache_hits=" << cache_hits
-     << " maintained_hits=" << maintained_hits
-     << " compressed_evals=" << compressed_evals << " direct_evals=" << direct_evals
-     << " planner_short_circuits=" << planner_short_circuits
-     << " batches=" << batches_applied << " updates=" << updates_applied
-     << " csr_builds=" << csr_builds
-     << " snapshots_published=" << snapshots_published
-     << " snapshot_acquires=" << snapshot_acquires
-     << " snapshots_retired=" << snapshots_retired
-     << " ball_index_builds=" << ball_index_builds
-     << " ball_hits=" << ball_hits << " bfs_fallbacks=" << bfs_fallbacks
-     << " topic_index_builds=" << topic_index_builds
-     << " posting_hits=" << posting_hits
-     << " seed_scan_fallbacks=" << seed_scan_fallbacks
-     << " last_eval_ms=" << last_eval_ms;
-  return os.str();
-}
-
 QueryEngine::QueryEngine(Graph* g, EngineOptions options)
-    : g_(g),
-      core_(options),
-      cache_(options.use_cache ? options.cache_capacity : 0) {
-  if (options.use_compression) {
+    : g_(g), options_(std::move(options)) {
+  if (options_.use_compression) {
     Status st = CompressNow();
     EF_CHECK(st.ok()) << "initial compression failed: " << st;
   }
@@ -80,7 +55,7 @@ Status QueryEngine::CompressNow() {
     return Status::OK();
   }
   if (compression_ == nullptr) {
-    auto mc = MaintainedCompression::Create(g_, core_.options().compression_schema);
+    auto mc = MaintainedCompression::Create(g_, options_.compression_schema);
     if (!mc.ok()) return mc.status();
     compression_ = std::make_unique<MaintainedCompression>(std::move(mc).value());
   } else {
@@ -95,7 +70,6 @@ const CompressedGraph* QueryEngine::compressed() const {
 }
 
 std::shared_ptr<const EngineSnapshot> QueryEngine::Publish() {
-  ++stats_.snapshot_acquires;
   if (published_ != nullptr && published_->engine_seq == engine_seq_ &&
       published_->version == g_->version()) {
     return published_;
@@ -109,10 +83,9 @@ std::shared_ptr<const EngineSnapshot> QueryEngine::Publish() {
     next->graph = published_->graph;
   } else {
     next->graph = g_->Publish();
-    ++snapshot_csr_builds_;
+    ++stats_.csr_builds;
   }
-  const EngineOptions& opts = core_.options();
-  if (opts.use_compression && compression_ != nullptr &&
+  if (options_.use_compression && compression_ != nullptr &&
       compression_->current().source_version() == g_->version()) {
     // Freeze the compressed view only when it is current — the snapshot
     // then needs no version check at evaluation time. The frozen handles
@@ -127,129 +100,18 @@ std::shared_ptr<const EngineSnapshot> QueryEngine::Publish() {
     } else {
       next->compressed = std::make_shared<const CompressedGraph>(cg);
       next->compressed_graph = next->compressed->gc().Publish();
-      ++snapshot_csr_builds_;
+      ++stats_.csr_builds;
     }
   }
   next->maintained.reserve(maintained_.size());
   for (const auto& [key, m] : maintained_) {
-    next->maintained.emplace(key, m.Snapshot());
+    next->maintained.emplace(
+        key, std::visit([](const auto& inc) { return inc.Snapshot(); }, m));
   }
   next->version = g_->version();
   next->engine_seq = engine_seq_;
-  if (published_ != nullptr) ++stats_.snapshots_retired;
   published_ = std::move(next);
-  ++stats_.snapshots_published;
-  // The engine's own contexts follow the published snapshot, so
-  // Evaluate()/TopK() share the frozen CSR and ball index with any service
-  // worker pinned to the same version.
-  match_ctx_.BindSnapshot(published_->graph);
-  compressed_ctx_.BindSnapshot(published_->compressed_graph);
-  RefreshDerivedStats();
   return published_;
-}
-
-Result<MatchRelation> QueryEngine::EvaluateWith(const EngineSnapshot& snap,
-                                                const Pattern& q,
-                                                MatchSemantics semantics,
-                                                const EvalOverrides& overrides,
-                                                MatchContext* ctx,
-                                                MatchContext* compressed_ctx,
-                                                EvalPath* path) const {
-  return core_.Evaluate(snap, q, semantics, overrides, ctx, compressed_ctx, path);
-}
-
-std::optional<MatchRelation> QueryEngine::MaintainedSnapshot(
-    const Pattern& q, MatchSemantics semantics) const {
-  auto it = maintained_.find(QueryCacheKey(q, semantics));
-  if (it == maintained_.end()) return std::nullopt;
-  return it->second.Snapshot();
-}
-
-void QueryEngine::RefreshDerivedStats() {
-  stats_.csr_builds = snapshot_csr_builds_ + match_ctx_.snapshot_builds() +
-                      compressed_ctx_.snapshot_builds();
-  size_t builds = match_ctx_.ball_index_builds() + compressed_ctx_.ball_index_builds();
-  size_t hits = match_ctx_.ball_hits() + compressed_ctx_.ball_hits();
-  size_t fallbacks = match_ctx_.bfs_fallbacks() + compressed_ctx_.bfs_fallbacks();
-  for (const auto& [fp, m] : maintained_) {
-    builds += m.BallIndexBuilds();
-    hits += m.BallHits();
-    fallbacks += m.BfsFallbacks();
-  }
-  stats_.ball_index_builds = builds;
-  stats_.ball_hits = hits;
-  stats_.bfs_fallbacks = fallbacks;
-  size_t topic_builds =
-      match_ctx_.topic_index_builds() + compressed_ctx_.topic_index_builds();
-  if (maintained_topics_ != nullptr) topic_builds += maintained_topics_->builds();
-  stats_.topic_index_builds = topic_builds;
-  stats_.posting_hits = match_ctx_.posting_hits() + compressed_ctx_.posting_hits();
-  stats_.seed_scan_fallbacks =
-      match_ctx_.seed_scan_fallbacks() + compressed_ctx_.seed_scan_fallbacks();
-}
-
-Result<std::shared_ptr<const QueryAnswer>> QueryEngine::Evaluate(
-    const Pattern& q, MatchSemantics semantics) {
-  EF_RETURN_NOT_OK(q.Validate());
-  Timer timer;
-  // Stamps last_eval_ms on every exit — all five serving paths and failed
-  // evaluations alike, so the timing telemetry is uniform.
-  struct StampOnExit {
-    const Timer& timer;
-    double& out;
-    ~StampOnExit() { out = timer.ElapsedMillis(); }
-  } stamp{timer, stats_.last_eval_ms};
-  ++stats_.queries;
-  auto snap = Publish();
-  uint64_t key = QueryCacheKey(q, semantics);
-
-  if (core_.options().use_cache) {
-    if (auto hit = cache_.Get(key, snap->version)) {
-      ++stats_.cache_hits;
-      return hit;
-    }
-  }
-
-  MatchRelation matches;
-  if (const MatchRelation* maintained = snap->Maintained(key)) {
-    // Maintained queries are their own serving path: they bypass the eval
-    // core, so they must not fall through to the direct/compressed
-    // classification below.
-    ++stats_.maintained_hits;
-    matches = *maintained;
-  } else {
-    EvalPath path = EvalPath::kDirect;
-    auto res =
-        core_.Evaluate(*snap, q, semantics, {}, &match_ctx_, &compressed_ctx_, &path);
-    if (!res.ok()) return res.status();
-    matches = std::move(res).value();
-    switch (path) {
-      case EvalPath::kPlannerShortCircuit:
-        ++stats_.planner_short_circuits;
-        break;
-      case EvalPath::kCompressed:
-        ++stats_.compressed_evals;
-        break;
-      case EvalPath::kDirect:
-        ++stats_.direct_evals;
-        break;
-    }
-  }
-
-  ResultGraph rg(snap->graph, q, matches, &match_ctx_);
-  auto answer =
-      std::make_shared<QueryAnswer>(QueryAnswer{std::move(matches), std::move(rg)});
-  if (core_.options().use_cache) cache_.Put(key, snap->version, answer);
-  RefreshDerivedStats();
-  return std::shared_ptr<const QueryAnswer>(answer);
-}
-
-Result<std::vector<RankedMatch>> QueryEngine::TopK(const Pattern& q, size_t k,
-                                                   RankingMetric metric,
-                                                   MatchSemantics semantics) {
-  auto answer = Evaluate(q, semantics);
-  if (!answer.ok()) return answer.status();
-  return TopKMatchesWith((*answer)->result_graph, q, k, metric);
 }
 
 Result<NodeId> QueryEngine::AddNode(
@@ -258,8 +120,10 @@ Result<NodeId> QueryEngine::AddNode(
   NodeId v = g_->AddNode(label);
   for (const auto& [key, value] : attrs) g_->SetAttr(v, key, value);
   if (maintained_topics_ != nullptr) maintained_topics_->OnNodeAdded(*g_, v);
-  for (auto& [fp, m] : maintained_) m.OnNodeAdded(v);
-  if (compression_ != nullptr && core_.options().maintain_compression) {
+  for (auto& [fp, m] : maintained_) {
+    std::visit([v](auto& inc) { inc.OnNodeAdded(v); }, m);
+  }
+  if (compression_ != nullptr && options_.maintain_compression) {
     compression_->OnNodeAdded(v);
   }
   BumpEngineSeq();
@@ -274,28 +138,30 @@ Status QueryEngine::RegisterMaintainedQuery(const Pattern& q,
     return Status::AlreadyExists("query already maintained");
   }
   MatchOptions match_opts;
-  match_opts.ball_index = core_.options().ball_index;
-  match_opts.topic_index = core_.options().topic_index;
+  match_opts.ball_index = options_.ball_index;
+  match_opts.topic_index = options_.topic_index;
   if (match_opts.topic_index.enabled && maintained_topics_ == nullptr &&
       HasTextPredicates(q)) {
     // Maintained queries are reused by construction, so build eagerly (the
     // deferred-use policy guards the per-snapshot slots, not this one).
     // A budget refusal leaves registration on the scan path.
     maintained_topics_ = MaintainedTopicIndex::Build(*g_, match_opts.topic_index);
+    if (maintained_topics_ != nullptr) {
+      stats_.topic_index_builds += maintained_topics_->builds();
+    }
   }
   MaintainedTopicIndex* topics = maintained_topics_.get();
-  Maintained m;
   if (semantics == MatchSemantics::kDualSimulation) {
-    m.dual = std::make_unique<IncrementalDualSimulation>(g_, q, match_opts, topics);
+    maintained_.try_emplace(key, std::in_place_type<IncrementalDualSimulation>, g_, q,
+                            match_opts, topics);
   } else if (q.IsSimulationPattern()) {
-    m.sim = std::make_unique<IncrementalSimulation>(g_, q, match_opts, topics);
+    maintained_.try_emplace(key, std::in_place_type<IncrementalSimulation>, g_, q,
+                            match_opts, topics);
   } else {
-    m.bounded =
-        std::make_unique<IncrementalBoundedSimulation>(g_, q, match_opts, topics);
+    maintained_.try_emplace(key, std::in_place_type<IncrementalBoundedSimulation>, g_, q,
+                            match_opts, topics);
   }
-  maintained_.emplace(key, std::move(m));
   BumpEngineSeq();
-  RefreshDerivedStats();
   return Status::OK();
 }
 
@@ -308,16 +174,19 @@ Status QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
   // The maintainer Pre/PostUpdate pair is the first half of the snapshot
   // transition; the second half is the next Publish(), which freezes the
   // post-update state into the successor snapshot readers will pin.
-  for (auto& [fp, m] : maintained_) m.PreUpdate(batch);
+  for (auto& [fp, m] : maintained_) {
+    std::visit([&batch](auto& inc) { inc.PreUpdate(batch); }, m);
+  }
   EF_RETURN_NOT_OK(ApplyBatch(g_, batch));
-  for (auto& [fp, m] : maintained_) m.PostUpdate(batch);
-  if (compression_ != nullptr && core_.options().maintain_compression) {
+  for (auto& [fp, m] : maintained_) {
+    std::visit([&batch](auto& inc) { inc.PostUpdate(batch); }, m);
+  }
+  if (compression_ != nullptr && options_.maintain_compression) {
     compression_->OnGraphUpdated(batch);
   }
   ++stats_.batches_applied;
   stats_.updates_applied += batch.size();
   BumpEngineSeq();
-  RefreshDerivedStats();
   return Status::OK();
 }
 

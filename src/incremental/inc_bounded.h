@@ -84,9 +84,9 @@ class IncrementalBoundedSimulation {
   /// see IncrementalSimulation::OnNodeAdded.
   void OnNodeAdded(NodeId v);
 
-  /// Ball-index observability, aggregated into EngineStats: successful
-  /// index (re)builds, traversals served from the index, and traversals
-  /// that fell back to BFS while the index was requested.
+  /// Ball-index observability: successful index (re)builds, traversals
+  /// served from the index, and traversals that fell back to BFS while the
+  /// index was requested.
   size_t ball_index_builds() const {
     return dropped_builds_ + (index_ ? index_->builds() : 0);
   }

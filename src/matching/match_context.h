@@ -1,4 +1,4 @@
-// Per-engine scratch state reused across queries — the amortization layer
+// Per-reader scratch state reused across queries — the amortization layer
 // of the matching hot path.
 //
 // Every batch matcher used to pay three avoidable constant-factor costs on

@@ -12,15 +12,6 @@ Result<ReplicaBootstrap> LoadReplicaBootstrap(const std::string& dir,
   options.file_ops = file_ops;
   auto recovered = ReadLatestCheckpoint(options);
   if (!recovered.ok()) return recovered.status();
-  if (!recovered->graph_version_restored) {
-    // A v1 checkpoint carries no version counter: the parse-derived counter
-    // would disagree with the primary's numbering, breaking the version
-    // oracle. Treat it as unusable for replication; the caller installs a
-    // full snapshot instead.
-    return Status::NotFound("checkpoint in " + dir +
-                            " predates graph_version (v1); bootstrap from a "
-                            "snapshot install instead");
-  }
   ReplicaBootstrap out;
   out.graph = std::move(recovered->graph);
   out.next_lsn = recovered->applied_lsn;

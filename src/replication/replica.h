@@ -9,7 +9,7 @@
 // ApplyDelta performs the same Graph mutations — hence the same version()
 // bumps — as the primary's original operations, and both bootstrap paths
 // anchor the counter to the primary's (a snapshot install copies the graph,
-// counter included; a v2 checkpoint restores the counter it was written
+// counter included; a checkpoint restores the counter it was written
 // with). A replica's published version V therefore denotes the *same*
 // graph state as the primary's version V: bit-identical, not merely
 // isomorphic. Lag is observable as (primary horizon − applied_lsn), and a
@@ -46,11 +46,10 @@ struct ReplicaBootstrap {
 };
 
 /// Loads bootstrap state from the newest checkpoint in `dir` (the
-/// primary's durability directory): graph (version restored for v2 files)
-/// + its applied_lsn as the tail cursor. NotFound when no usable checkpoint
-/// exists — none at all, or only legacy v1 files, whose graphs carry no
-/// version counter and so cannot match the primary's numbering; callers
-/// fall back to a full snapshot install.
+/// primary's durability directory): graph (version counter restored) + its
+/// applied_lsn as the tail cursor. Fails like ReadLatestCheckpoint
+/// (NotFound: none at all; DataLoss: every one corrupt); callers then fall
+/// back to a full snapshot install.
 Result<ReplicaBootstrap> LoadReplicaBootstrap(const std::string& dir,
                                               FileOps* file_ops);
 

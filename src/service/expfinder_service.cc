@@ -14,13 +14,6 @@ namespace expfinder {
 
 namespace {
 
-/// The inner engine never serves cached reads — the service's shared,
-/// mutex-guarded cache replaces its per-engine one.
-EngineOptions WithEngineCacheDisabled(EngineOptions options) {
-  options.use_cache = false;
-  return options;
-}
-
 bool OverBudget(const QueryRequest& request, const Timer& timer) {
   return request.time_budget_ms > 0.0 &&
          timer.ElapsedMillis() > request.time_budget_ms;
@@ -84,7 +77,8 @@ ExpFinderService::ExpFinderService(Graph* g, ServiceOptions options)
     : g_(g),
       options_(ClampOptions(std::move(options))),
       durable_(OpenDurability(g, options_, &recovery_info_, &durability_status_)),
-      engine_(g, WithEngineCacheDisabled(options_.engine)),
+      engine_(g, options_.engine),
+      core_(options_.engine),
       cache_(options_.engine.use_cache ? options_.engine.cache_capacity : 0),
       queue_(options_.queue_capacity),
       paused_(options_.start_paused),
@@ -455,9 +449,8 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
       const size_t builds0 = dctx.topic_index_builds() + cctx.topic_index_builds();
       const size_t hits0 = dctx.posting_hits() + cctx.posting_hits();
       const size_t falls0 = dctx.seed_scan_fallbacks() + cctx.seed_scan_fallbacks();
-      auto evaluated = engine_.EvaluateWith(*snap, pattern,
-                                            request.semantics, overrides,
-                                            &dctx, &cctx, &path);
+      auto evaluated = core_.Evaluate(*snap, pattern, request.semantics, overrides,
+                                      &dctx, &cctx, &path);
       topic_index_builds_.fetch_add(
           dctx.topic_index_builds() + cctx.topic_index_builds() - builds0,
           std::memory_order_relaxed);

@@ -1,6 +1,7 @@
-// ExpFinderService: the concurrent serving facade over QueryEngine (paper
-// §II, Fig. 2 — a query engine serving many analysts at once; ROADMAP north
-// star: heavy traffic from millions of users).
+// ExpFinderService: the concurrent serving facade and the only reader of
+// the query engine (paper §II, Fig. 2 — a query engine serving many
+// analysts at once; ROADMAP north star: heavy traffic from millions of
+// users).
 //
 // Serving model — asynchronous submission over one queue:
 //
@@ -41,12 +42,13 @@
 //     reads from it (evicted versions fail with NotFound).
 //   * Each worker borrows a MatchContext pair from a pool (contexts are
 //     single-owner scratch; see match_context.h) and binds it to the pinned
-//     snapshot; the shared ResultCache keys answers by (query, version), so
-//     pinned reads can never observe a newer relation.
+//     snapshot; the ResultCache keys answers by (query, version), so pinned
+//     reads can never observe a newer relation.
 //
-// QueryEngine remains the single-threaded core: the service composes it,
-// calling the stateless EvalCore against pinned snapshots from workers and
-// the engine's mutating operations (followed by Publish) from writers.
+// Reads and writes are split between two objects: QueryEngine is the
+// single-threaded writer (writers call its mutating operations, then
+// Publish), and the service owns the one EvalCore, the result cache and
+// every read-path counter — workers evaluate pinned snapshots through it.
 
 #ifndef EXPFINDER_SERVICE_EXPFINDER_SERVICE_H_
 #define EXPFINDER_SERVICE_EXPFINDER_SERVICE_H_
@@ -137,9 +139,8 @@ struct ReplicationOptions {
 /// \brief Service configuration: the composed engine's options plus the
 /// service-level knobs.
 struct ServiceOptions {
-  /// Options of the underlying engine. `use_cache`/`cache_capacity`
-  /// configure the *service's* shared result cache (the inner engine's own
-  /// cache is disabled — the service serves all cached reads itself).
+  /// Options of the engine and of evaluation. `use_cache`/`cache_capacity`
+  /// configure the service's result cache, the only one.
   EngineOptions engine;
   /// Serving worker threads draining the admission queue — the maximum
   /// number of concurrently evaluating requests (0 = hardware_concurrency).
@@ -334,7 +335,7 @@ class ExpFinderService {
   /// expired budget), and otherwise serves it and completes the ticket.
   void DrainOne();
 
-  /// The evaluation path: pin a snapshot (epoch or as_of ring), cache
+  /// The read path: pin a snapshot (epoch, replica, or as_of ring), cache
   /// probe, maintained lookup, EvalCore evaluation with cancellation/
   /// deadline checkpoints, ranking. Entirely lock-free against writers.
   /// Updates the per-outcome counters; `queue_ms` is the admission wait
@@ -401,7 +402,10 @@ class ExpFinderService {
   /// CompressNow) and every non-const engine call. Readers never take it.
   std::mutex writer_mu_;
   QueryEngine engine_;  // guarded by writer_mu_; readers touch only
-                        // pinned snapshots and const configuration
+                        // pinned snapshots
+  /// Evaluates every uncached, unmaintained read; const and shared by all
+  /// workers.
+  const EvalCore core_;
 
   /// The current published snapshot. Writers store (under writer_mu_),
   /// readers load and pin — lock-free on the read side.

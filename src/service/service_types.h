@@ -22,7 +22,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/engine/query_engine.h"
+#include "src/engine/eval_core.h"
+#include "src/engine/result_cache.h"
 #include "src/ranking/metrics.h"
 #include "src/ranking/social_impact.h"
 #include "src/replication/fleet.h"
@@ -295,10 +296,9 @@ struct ServiceStats {
   size_t recovered_records = 0;
   size_t durability_errors = 0;
   size_t data_loss_events = 0;
-  /// Topic-index telemetry (mirrors the EngineStats trio; none enter
-  /// ClassifiedQueries): inverted-index builds paid by serving workers,
-  /// pattern nodes seeded from a posting list, and pattern nodes with text
-  /// predicates that scanned anyway.
+  /// Topic-index telemetry (none enter ClassifiedQueries): inverted-index
+  /// builds paid by serving workers, pattern nodes seeded from a posting
+  /// list, and pattern nodes with text predicates that scanned anyway.
   size_t topic_index_builds = 0;
   size_t posting_hits = 0;
   size_t seed_scan_fallbacks = 0;

@@ -14,7 +14,6 @@ namespace expfinder {
 namespace {
 
 constexpr std::string_view kChecksumPrefix = "# checksum crc32c:";
-constexpr std::string_view kHeaderV1 = "# expfinder checkpoint v1";
 constexpr std::string_view kHeaderV2 = "# expfinder checkpoint v2";
 
 std::string CheckpointName(uint64_t applied_lsn) {
@@ -80,9 +79,7 @@ Result<RecoveredCheckpoint> ParseCheckpoint(const std::string& content,
   if (!std::getline(is, line)) {
     return Status::Corruption("bad checkpoint header: " + path);
   }
-  const std::string_view header = Trim(line);
-  const bool v2 = header == kHeaderV2;
-  if (!v2 && header != kHeaderV1) {
+  if (Trim(line) != kHeaderV2) {
     return Status::Corruption("bad checkpoint header: " + path);
   }
   if (!std::getline(is, line)) {
@@ -94,16 +91,14 @@ Result<RecoveredCheckpoint> ParseCheckpoint(const std::string& content,
       !ParseInt64(tokens[1], &lsn) || lsn < 0) {
     return Status::Corruption("bad applied_lsn line: " + path);
   }
-  int64_t graph_version = -1;
-  if (v2) {
-    if (!std::getline(is, line)) {
-      return Status::Corruption("missing graph_version: " + path);
-    }
-    auto vtokens = Split(std::string(Trim(line)), ' ');
-    if (vtokens.size() != 2 || vtokens[0] != "graph_version" ||
-        !ParseInt64(vtokens[1], &graph_version) || graph_version < 0) {
-      return Status::Corruption("bad graph_version line: " + path);
-    }
+  if (!std::getline(is, line)) {
+    return Status::Corruption("missing graph_version: " + path);
+  }
+  auto vtokens = Split(std::string(Trim(line)), ' ');
+  int64_t graph_version = 0;
+  if (vtokens.size() != 2 || vtokens[0] != "graph_version" ||
+      !ParseInt64(vtokens[1], &graph_version) || graph_version < 0) {
+    return Status::Corruption("bad graph_version line: " + path);
   }
   auto graph = LoadGraphText(is);
   if (!graph.ok()) {
@@ -113,13 +108,9 @@ Result<RecoveredCheckpoint> ParseCheckpoint(const std::string& content,
   RecoveredCheckpoint out;
   out.graph = std::move(graph).value();
   out.applied_lsn = static_cast<uint64_t>(lsn);
-  if (graph_version >= 0) {
-    // Continue the checkpointed graph's version counter instead of the
-    // parse-derived one (see header comment).
-    out.graph.RestoreVersion(static_cast<uint64_t>(graph_version));
-    out.graph_version_restored = true;
-  }
-  out.graph_version = out.graph.version();
+  // Continue the checkpointed graph's version counter instead of the
+  // parse-derived one (see header comment).
+  out.graph.RestoreVersion(static_cast<uint64_t>(graph_version));
   return out;
 }
 

@@ -12,11 +12,11 @@
 //     graph_version <v>
 //     <graph text format (graph_io.h)>
 //
-// v1 files (no graph_version line) remain readable; for them the recovered
-// graph's version counter is whatever the parse derives. v2 restores the
-// counter the graph had when it was checkpointed (Graph::RestoreVersion),
-// so versions stay continuous across restarts and replicas bootstrapped
-// from a checkpoint number their snapshots exactly like the primary.
+// Recovery restores the version counter the graph had when it was
+// checkpointed (Graph::RestoreVersion), so versions stay continuous across
+// restarts and replicas bootstrapped from a checkpoint number their
+// snapshots exactly like the primary. Any other header (including the
+// retired v1, which had no graph_version line) is corruption.
 //
 // The newest `keep` checkpoints are retained; a corrupt newest checkpoint
 // degrades to the next older one (counted, reported) instead of failing
@@ -49,11 +49,6 @@ struct RecoveredCheckpoint {
   /// WAL records with lsn >= applied_lsn are NOT in `graph` and must be
   /// replayed.
   uint64_t applied_lsn = 0;
-  /// `graph.version()` as restored from the file; for legacy v1 files
-  /// (which carry no counter) this is the parse-derived version and
-  /// `graph_version_restored` is false.
-  uint64_t graph_version = 0;
-  bool graph_version_restored = false;
   /// Newer checkpoint files that failed their checksum / parse and were
   /// skipped (each one is a degradation the caller should count).
   size_t corrupt_skipped = 0;

@@ -25,8 +25,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::string_view kChecksumPrefix = "# checksum ";
-// New files carry "# checksum crc32c:<8 hex>"; legacy files carry
-// "# checksum <16 hex>" (FNV-1a) and stay readable forever.
+// Files carry "# checksum crc32c:<8 hex>".
 constexpr std::string_view kCrc32cTag = "crc32c:";
 
 std::string WithChecksum(const std::string& body) {
@@ -41,16 +40,12 @@ std::string WithChecksum(const std::string& body) {
 }
 
 /// Verifies the checksum line against `body`; `hex` is the token after the
-/// prefix (either the crc32c-tagged or the legacy bare-FNV form).
+/// prefix.
 bool ChecksumMatches(std::string_view hex, const std::string& body) {
-  char buf[32];
-  if (StartsWith(hex, kCrc32cTag)) {
-    std::snprintf(buf, sizeof(buf), "%08x", Crc32c(body));
-    return hex.substr(kCrc32cTag.size()) == buf;
-  }
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(Fnv1a(body)));
-  return hex == buf;
+  if (!StartsWith(hex, kCrc32cTag)) return false;
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "%08x", Crc32c(body));
+  return hex.substr(kCrc32cTag.size()) == buf;
 }
 
 /// Appends the offending path to a parse error, so corruption reports name

@@ -7,10 +7,9 @@
 //   <dir>/<name>.matches  — match-relation text format (below)
 //
 // Every file starts with a checksum header over the remaining bytes:
-// "# checksum crc32c:<8 hex>" (CRC32C, what new writes emit) or the legacy
-// "# checksum <16 hex>" (FNV-1a, still accepted on read). Mismatches,
-// truncation, and garbage surface as Corruption naming the offending path
-// — a bad file never crashes the reader or silently parses.
+// "# checksum crc32c:<8 hex>" (CRC32C). Mismatches, any other checksum
+// form, truncation, and garbage surface as Corruption naming the offending
+// path — a bad file never crashes the reader or silently parses.
 
 #ifndef EXPFINDER_STORAGE_GRAPH_STORE_H_
 #define EXPFINDER_STORAGE_GRAPH_STORE_H_

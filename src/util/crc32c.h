@@ -1,10 +1,9 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41) — the repo's one checksum for
 // durable bytes: WAL record framing, checkpoint files, and GraphStore
-// object files all use it. Chosen over FNV-1a (the legacy GraphStore
-// checksum, still accepted on read) because it is a real error-detecting
-// code: every 1- and 2-bit error and every burst up to 32 bits is caught,
-// which is exactly the torn-write / bit-rot class the fault-injection
-// harness exercises.
+// object files all use it. Chosen over a hash such as FNV-1a because it is
+// a real error-detecting code: every 1- and 2-bit error and every burst up
+// to 32 bits is caught, which is exactly the torn-write / bit-rot class the
+// fault-injection harness exercises.
 //
 // Software slicing-by-4 implementation; no hardware dependency, so the
 // same bytes verify on every platform.

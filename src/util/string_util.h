@@ -102,7 +102,7 @@ void ForEachTopicTokenHit(std::string_view s, const std::vector<std::string>& to
   }
 }
 
-/// FNV-1a 64-bit hash, used for cache fingerprints and file checksums.
+/// FNV-1a 64-bit hash, used for pattern (cache key) fingerprints.
 uint64_t Fnv1a(std::string_view s, uint64_t seed = 0xCBF29CE484222325ULL);
 
 }  // namespace expfinder

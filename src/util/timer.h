@@ -1,5 +1,5 @@
-// Wall-clock timing helpers used by benchmarks and the query engine's
-// statistics collector.
+// Wall-clock timing helpers used by benchmarks and the service's request
+// timing (queue wait, time budgets, eval_ms).
 
 #ifndef EXPFINDER_UTIL_TIMER_H_
 #define EXPFINDER_UTIL_TIMER_H_

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "src/storage/checkpoint.h"
 #include "src/storage/durable_graph.h"
 #include "src/storage/fault_env.h"
+#include "src/util/crc32c.h"
 
 namespace expfinder {
 namespace {
@@ -202,6 +204,36 @@ TEST_F(DurableGraphFixture, CorruptNewestCheckpointFallsBackToOlder) {
   // be either prefix — but recovery must not crash and must flag the loss
   // if records are missing.
   EXPECT_TRUE(info.from_checkpoint || info.data_loss);
+}
+
+TEST_F(DurableGraphFixture, V1CheckpointIsCorruptAndRecoveryFallsBackToV2) {
+  // The v1 format (no graph_version line) is retired: a newer v1 file is
+  // skipped as corrupt even though its CRC is valid, and recovery anchors
+  // on the older v2 checkpoint with its version counter.
+  Graph g = MakeBase();
+  ASSERT_TRUE(g.RemoveEdge(0, 1).ok());  // a counter no parse re-derives
+  CheckpointOptions co;
+  co.dir = dir_;
+  ASSERT_TRUE(WriteCheckpoint(co, g, 3).ok());
+
+  std::ostringstream body;
+  body << "# expfinder checkpoint v1\napplied_lsn 9\n";
+  ASSERT_TRUE(SaveGraphText(g, body).ok());
+  char crc[16];
+  std::snprintf(crc, sizeof(crc), "%08x", Crc32c(body.str()));
+  auto f = FileOps::Real()->NewWritableFile(dir_ + "/ckpt-0000000000000009.ckpt",
+                                            /*truncate=*/true);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->Append(std::string("# checksum crc32c:") + crc + "\n").ok());
+  ASSERT_TRUE((*f)->Append(body.str()).ok());
+  ASSERT_TRUE((*f)->Close().ok());
+
+  auto recovered = ReadLatestCheckpoint(co);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered->corrupt_skipped, 1u);
+  EXPECT_EQ(recovered->applied_lsn, 3u);
+  EXPECT_EQ(recovered->graph.version(), g.version());
+  EXPECT_EQ(GraphText(recovered->graph), GraphText(g));
 }
 
 TEST_F(DurableGraphFixture, AllCheckpointsCorruptDegradesWithoutAborting) {

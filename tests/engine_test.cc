@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/engine/query_engine.h"
+#include "src/engine/result_cache.h"
 #include "src/generator/generators.h"
 #include "src/matching/bounded_simulation.h"
 
@@ -145,45 +146,34 @@ class EngineFixture : public ::testing::Test {
   Pattern q_;
 };
 
+/// The uncached read path as the service runs it: EvalCore::Evaluate on the
+/// engine's published snapshot, with this reader's own contexts. `path`
+/// holds the path of the last evaluation.
+struct Reader {
+  explicit Reader(const EngineOptions& options = {}) : core(options) {}
+
+  Result<MatchRelation> Evaluate(QueryEngine& engine, const Pattern& q,
+                                 const EvalOverrides& overrides = {}) {
+    auto snap = engine.Publish();
+    return core.Evaluate(*snap, q, MatchSemantics::kBoundedSimulation, overrides,
+                         &ctx, &compressed_ctx, &path);
+  }
+
+  EvalCore core;
+  MatchContext ctx;
+  MatchContext compressed_ctx;
+  EvalPath path = EvalPath::kDirect;
+};
+
 TEST_F(EngineFixture, EvaluateProducesPaperAnswer) {
   QueryEngine engine(&g_);
-  auto answer = engine.Evaluate(q_);
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_EQ((*answer)->matches.TotalPairs(), 7u);
-  EXPECT_EQ((*answer)->result_graph.NumNodes(), 7u);
-  EXPECT_EQ(engine.stats().direct_evals, 1u);
-}
-
-TEST_F(EngineFixture, CacheHitOnRepeat) {
-  QueryEngine engine(&g_);
-  auto first = engine.Evaluate(q_);
-  ASSERT_TRUE(first.ok());
-  auto second = engine.Evaluate(q_);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(engine.stats().cache_hits, 1u);
-  EXPECT_EQ(engine.stats().direct_evals, 1u);
-  EXPECT_EQ(first.value().get(), second.value().get());  // same shared answer
-}
-
-TEST_F(EngineFixture, CacheInvalidatedByUpdates) {
-  QueryEngine engine(&g_);
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  auto [src, dst] = gen::Fig1EdgeE1();
-  ASSERT_TRUE(engine.ApplyUpdates({GraphUpdate::Insert(src, dst)}).ok());
-  auto answer = engine.Evaluate(q_);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(engine.stats().cache_hits, 0u);
-  EXPECT_EQ((*answer)->matches.TotalPairs(), 8u);  // Fred joined
-}
-
-TEST_F(EngineFixture, CacheDisabledNeverHits) {
-  EngineOptions opts;
-  opts.use_cache = false;
-  QueryEngine engine(&g_, opts);
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  EXPECT_EQ(engine.stats().cache_hits, 0u);
-  EXPECT_EQ(engine.stats().direct_evals, 2u);
+  Reader reader;
+  auto matches = reader.Evaluate(engine, q_);
+  ASSERT_TRUE(matches.ok()) << matches.status();
+  EXPECT_EQ(matches->TotalPairs(), 7u);
+  ResultGraph rg(engine.Publish()->graph, q_, *matches, &reader.ctx);
+  EXPECT_EQ(rg.NumNodes(), 7u);
+  EXPECT_EQ(reader.path, EvalPath::kDirect);
 }
 
 TEST_F(EngineFixture, CompressionPathMatchesDirect) {
@@ -191,10 +181,11 @@ TEST_F(EngineFixture, CompressionPathMatchesDirect) {
   opts.use_compression = true;
   QueryEngine engine(&g_, opts);
   ASSERT_NE(engine.compressed(), nullptr);
-  auto answer = engine.Evaluate(q_);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(engine.stats().compressed_evals, 1u);
-  EXPECT_EQ((*answer)->matches, ComputeBoundedSimulation(g_, q_));
+  Reader reader(opts);
+  auto matches = reader.Evaluate(engine, q_);
+  ASSERT_TRUE(matches.ok());
+  EXPECT_EQ(reader.path, EvalPath::kCompressed);
+  EXPECT_EQ(*matches, ComputeBoundedSimulation(g_, q_));
 }
 
 TEST_F(EngineFixture, IncompatibleQueryFallsBackToDirect) {
@@ -204,9 +195,9 @@ TEST_F(EngineFixture, IncompatibleQueryFallsBackToDirect) {
   PatternBuilder b;
   b.Node("SD", "sd").Where("specialty", CmpOp::kEq, "DBA").Output();
   Pattern q = b.Build().value();
-  ASSERT_TRUE(engine.Evaluate(q).ok());
-  EXPECT_EQ(engine.stats().compressed_evals, 0u);
-  EXPECT_EQ(engine.stats().direct_evals, 1u);
+  Reader reader(opts);
+  ASSERT_TRUE(reader.Evaluate(engine, q).ok());
+  EXPECT_EQ(reader.path, EvalPath::kDirect);
 }
 
 TEST_F(EngineFixture, MaintainedQueryStaysFreshUnderUpdates) {
@@ -216,191 +207,50 @@ TEST_F(EngineFixture, MaintainedQueryStaysFreshUnderUpdates) {
   EXPECT_TRUE(engine.RegisterMaintainedQuery(q_).IsAlreadyExists());
   auto [src, dst] = gen::Fig1EdgeE1();
   ASSERT_TRUE(engine.ApplyUpdates({GraphUpdate::Insert(src, dst)}).ok());
-  auto answer = engine.Evaluate(q_);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(engine.stats().maintained_hits, 1u);
-  EXPECT_EQ((*answer)->matches.TotalPairs(), 8u);
-  EXPECT_TRUE((*answer)->matches == ComputeBoundedSimulation(g_, q_));
+  auto snap = engine.Publish();
+  const MatchRelation* maintained =
+      snap->Maintained(QueryCacheKey(q_, MatchSemantics::kBoundedSimulation));
+  ASSERT_NE(maintained, nullptr);
+  EXPECT_EQ(maintained->TotalPairs(), 8u);
+  EXPECT_TRUE(*maintained == ComputeBoundedSimulation(g_, q_));
 }
 
 TEST_F(EngineFixture, SteadyStateBuildsCsrSnapshotAtMostOnce) {
-  // The versioned snapshot cache: two consecutive Evaluate calls on an
-  // unmutated graph must not rebuild the CSR (cache disabled so both calls
-  // run the full uncached pipeline, matcher + result graph included).
-  EngineOptions opts;
-  opts.use_cache = false;
-  QueryEngine engine(&g_, opts);
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
+  // The versioned snapshot cache: two consecutive publish + evaluate rounds
+  // on an unmutated graph must not rebuild the CSR — Publish hands back the
+  // same snapshot, and the context reads its CSR instead of building one.
+  QueryEngine engine(&g_);
+  Reader reader;
+  ASSERT_TRUE(reader.Evaluate(engine, q_).ok());
   EXPECT_EQ(engine.stats().csr_builds, 1u);
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  EXPECT_EQ(engine.stats().direct_evals, 2u);
+  ASSERT_TRUE(reader.Evaluate(engine, q_).ok());
   EXPECT_EQ(engine.stats().csr_builds, 1u);
+  EXPECT_EQ(reader.ctx.snapshot_builds(), 0u);
 }
 
 TEST_F(EngineFixture, SnapshotInvalidatedByUpdates) {
-  // Regression guard for the snapshot cache: Evaluate -> ApplyUpdates ->
-  // Evaluate must reflect the new topology (a stale CSR would keep serving
-  // the pre-update matches). Cache off so the second Evaluate really runs
-  // the matcher against the context's snapshot.
-  EngineOptions opts;
-  opts.use_cache = false;
-  QueryEngine engine(&g_, opts);
-  auto before = engine.Evaluate(q_);
+  // Regression guard for the snapshot cache: evaluate -> ApplyUpdates ->
+  // evaluate must reflect the new topology (a stale CSR would keep serving
+  // the pre-update matches).
+  QueryEngine engine(&g_);
+  Reader reader;
+  auto before = reader.Evaluate(engine, q_);
   ASSERT_TRUE(before.ok());
-  EXPECT_EQ((*before)->matches.TotalPairs(), 7u);
+  EXPECT_EQ(before->TotalPairs(), 7u);
 
   auto [src, dst] = gen::Fig1EdgeE1();
   ASSERT_TRUE(engine.ApplyUpdates({GraphUpdate::Insert(src, dst)}).ok());
-  auto inserted = engine.Evaluate(q_);
+  auto inserted = reader.Evaluate(engine, q_);
   ASSERT_TRUE(inserted.ok());
-  EXPECT_EQ((*inserted)->matches.TotalPairs(), 8u);  // Fred joined
-  EXPECT_TRUE((*inserted)->matches == ComputeBoundedSimulation(g_, q_));
+  EXPECT_EQ(inserted->TotalPairs(), 8u);  // Fred joined
+  EXPECT_TRUE(*inserted == ComputeBoundedSimulation(g_, q_));
   EXPECT_EQ(engine.stats().csr_builds, 2u);
 
   ASSERT_TRUE(engine.ApplyUpdates({GraphUpdate::Delete(src, dst)}).ok());
-  auto removed = engine.Evaluate(q_);
+  auto removed = reader.Evaluate(engine, q_);
   ASSERT_TRUE(removed.ok());
-  EXPECT_EQ((*removed)->matches.TotalPairs(), 7u);  // and left again
-  EXPECT_TRUE((*removed)->matches == ComputeBoundedSimulation(g_, q_));
-}
-
-TEST_F(EngineFixture, MaintainedHitsClassifiedSeparatelyFromDirectEvals) {
-  // Maintained-query hits are their own serving path: they must not leak
-  // into direct_evals (nor vice versa), and every query is classified.
-  EngineOptions opts;
-  opts.use_cache = false;
-  QueryEngine engine(&g_, opts);
-  ASSERT_TRUE(engine.RegisterMaintainedQuery(q_).ok());
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  EXPECT_EQ(engine.stats().maintained_hits, 2u);
-  EXPECT_EQ(engine.stats().direct_evals, 0u);
-  EXPECT_EQ(engine.stats().cache_hits, 0u);
-  EXPECT_GE(engine.stats().last_eval_ms, 0.0);
-  EXPECT_EQ(engine.stats().ClassifiedQueries(), engine.stats().queries);
-}
-
-TEST_F(EngineFixture, PlannerShortCircuitNotCountedAsDirectEval) {
-  QueryEngine engine(&g_);
-  PatternBuilder b;
-  b.Node("NOPE", "x").Output();
-  ASSERT_TRUE(engine.Evaluate(b.Build().value()).ok());
-  EXPECT_EQ(engine.stats().planner_short_circuits, 1u);
-  EXPECT_EQ(engine.stats().direct_evals, 0u);
-  EXPECT_EQ(engine.stats().ClassifiedQueries(), engine.stats().queries);
-}
-
-TEST_F(EngineFixture, EveryServingPathKeepsQueriesClassified) {
-  EngineOptions opts;
-  opts.use_compression = true;
-  QueryEngine engine(&g_, opts);
-  ASSERT_TRUE(engine.Evaluate(q_).ok());      // compressed eval
-  ASSERT_TRUE(engine.Evaluate(q_).ok());      // cache hit
-  PatternBuilder b;
-  b.Node("SD", "sd").Where("specialty", CmpOp::kEq, "DBA").Output();
-  ASSERT_TRUE(engine.Evaluate(b.Build().value()).ok());  // direct (incompatible)
-  PatternBuilder imp;
-  imp.Node("NOPE", "x").Output();
-  ASSERT_TRUE(engine.Evaluate(imp.Build().value()).ok());  // short circuit
-  const EngineStats& s = engine.stats();
-  EXPECT_EQ(s.queries, 4u);
-  EXPECT_EQ(s.compressed_evals, 1u);
-  EXPECT_EQ(s.cache_hits, 1u);
-  EXPECT_EQ(s.direct_evals, 1u);
-  EXPECT_EQ(s.planner_short_circuits, 1u);
-  EXPECT_EQ(s.ClassifiedQueries(), s.queries);
-}
-
-TEST_F(EngineFixture, LastEvalMsStampedUniformlyOnEveryServingPath) {
-  // Timing telemetry is uniform: every Evaluate restamps last_eval_ms no
-  // matter which of the five serving paths answered, including the paths
-  // that bypass the eval core entirely (cache, maintained).
-  EngineOptions opts;
-  opts.use_compression = true;
-  QueryEngine engine(&g_, opts);
-  EXPECT_EQ(engine.stats().last_eval_ms, 0.0);  // nothing served yet
-  std::vector<double> stamps;
-  auto serve = [&](const Pattern& q) {
-    const double before = engine.stats().last_eval_ms;
-    ASSERT_TRUE(engine.Evaluate(q).ok());
-    const double after = engine.stats().last_eval_ms;
-    EXPECT_GT(after, 0.0);
-    // Restamped, not carried over from the previous query (two wall-clock
-    // measurements at nanosecond resolution never coincide).
-    EXPECT_NE(after, before);
-    stamps.push_back(after);
-  };
-  serve(q_);  // compressed eval
-  serve(q_);  // cache hit
-  PatternBuilder direct;
-  direct.Node("SD", "sd").Where("specialty", CmpOp::kEq, "DBA").Output();
-  serve(direct.Build().value());  // direct (compression-incompatible)
-  PatternBuilder empty;
-  empty.Node("NOPE", "x").Output();
-  serve(empty.Build().value());  // planner short circuit
-  QueryEngine uncached(&g_, [] {
-    EngineOptions o;
-    o.use_cache = false;
-    return o;
-  }());
-  ASSERT_TRUE(uncached.RegisterMaintainedQuery(q_).ok());
-  const double before = uncached.stats().last_eval_ms;
-  ASSERT_TRUE(uncached.Evaluate(q_).ok());  // maintained hit
-  EXPECT_EQ(uncached.stats().maintained_hits, 1u);
-  EXPECT_GT(uncached.stats().last_eval_ms, 0.0);
-  EXPECT_NE(uncached.stats().last_eval_ms, before);
-  const EngineStats& s = engine.stats();
-  EXPECT_EQ(s.compressed_evals, 1u);
-  EXPECT_EQ(s.cache_hits, 1u);
-  EXPECT_EQ(s.direct_evals, 1u);
-  EXPECT_EQ(s.planner_short_circuits, 1u);
-  EXPECT_EQ(stamps.size(), 4u);
-}
-
-TEST(EngineTest, CompressedSnapshotNotStaleAfterInPlaceRebuild) {
-  // Regression: the compressed graph is rebuilt in place (gc_ = Graph()),
-  // so its address is stable and its version counter restarts — an update
-  // that leaves the partition shape unchanged can land the rebuilt graph on
-  // the *same* (address, version) pair as the cached snapshot. Graph::uid()
-  // must disambiguate, or the engine serves matches against the pre-update
-  // topology.
-  Graph g;
-  NodeId a = g.AddNode("A");
-  NodeId b = g.AddNode("B");
-  NodeId c = g.AddNode("C");
-  ASSERT_TRUE(g.AddEdge(a, b).ok());
-
-  EngineOptions opts;
-  opts.use_cache = false;
-  opts.use_compression = true;
-  QueryEngine engine(&g, opts);
-
-  PatternBuilder pb;
-  auto pa = pb.Node("A", "pa").Output();
-  auto pc = pb.Node("C", "pc");
-  pb.Edge(pa, pc, 2);
-  Pattern q = pb.Build().value();
-
-  auto before = engine.Evaluate(q);
-  ASSERT_TRUE(before.ok());
-  EXPECT_TRUE((*before)->matches.IsEmpty());  // a cannot reach any C
-
-  ASSERT_TRUE(engine
-                  .ApplyUpdates({GraphUpdate::Delete(a, b), GraphUpdate::Insert(a, c)})
-                  .ok());
-  auto after = engine.Evaluate(q);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ((*after)->matches.TotalPairs(), 2u) << "stale compressed snapshot";
-  EXPECT_TRUE((*after)->matches == ComputeBoundedSimulation(g, q));
-}
-
-TEST_F(EngineFixture, TopKThroughEngine) {
-  QueryEngine engine(&g_);
-  auto top = engine.TopK(q_, 1);
-  ASSERT_TRUE(top.ok()) << top.status();
-  ASSERT_EQ(top->size(), 1u);
-  EXPECT_EQ((*top)[0].node, gen::Fig1::kBob);
-  EXPECT_DOUBLE_EQ((*top)[0].score, 1.8);
+  EXPECT_EQ(removed->TotalPairs(), 7u);  // and left again
+  EXPECT_TRUE(*removed == ComputeBoundedSimulation(g_, q_));
 }
 
 TEST_F(EngineFixture, InvalidBatchChangesNothing) {
@@ -419,89 +269,87 @@ TEST_F(EngineFixture, PlannerShortCircuitOnImpossibleQuery) {
   QueryEngine engine(&g_);
   PatternBuilder b;
   b.Node("NOPE", "x").Output();
-  auto answer = engine.Evaluate(b.Build().value());
-  ASSERT_TRUE(answer.ok());
-  EXPECT_TRUE((*answer)->matches.IsEmpty());
-  EXPECT_EQ(engine.stats().planner_short_circuits, 1u);
+  Reader reader;
+  auto matches = reader.Evaluate(engine, b.Build().value());
+  ASSERT_TRUE(matches.ok());
+  EXPECT_TRUE(matches->IsEmpty());
+  EXPECT_EQ(reader.path, EvalPath::kPlannerShortCircuit);
 }
 
 TEST_F(EngineFixture, BallIndexBuiltOnceInSteadyStateAndInvalidatedByUpdates) {
   // The ball-index analogue of the CSR snapshot regressions, plus the
   // deferred-build policy: the first query on a graph version runs on BFS
   // (no build), the second builds the index, further queries reuse it.
-  // Evaluate -> ApplyUpdates -> Evaluate must never serve a stale ball:
+  // evaluate -> ApplyUpdates -> evaluate must never serve a stale ball:
   // the post-update evaluation runs on BFS again (builds unchanged) and a
   // repeat rebuilds for the new version (asserted via ball_index_builds).
   EngineOptions opts;
-  opts.use_cache = false;
   opts.ball_index.build_after_uses = 2;  // pin the deferred policy under test
   QueryEngine engine(&g_, opts);
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  EXPECT_EQ(engine.stats().ball_index_builds, 0u);  // deferred: no reuse yet
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  EXPECT_EQ(engine.stats().ball_index_builds, 1u);
-  EXPECT_GT(engine.stats().ball_hits, 0u);
-  const size_t hits_warm = engine.stats().ball_hits;
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  EXPECT_EQ(engine.stats().ball_index_builds, 1u);  // steady state: no rebuild
-  EXPECT_GT(engine.stats().ball_hits, hits_warm);
+  Reader reader(opts);
+  ASSERT_TRUE(reader.Evaluate(engine, q_).ok());
+  EXPECT_EQ(reader.ctx.ball_index_builds(), 0u);  // deferred: no reuse yet
+  ASSERT_TRUE(reader.Evaluate(engine, q_).ok());
+  EXPECT_EQ(reader.ctx.ball_index_builds(), 1u);
+  EXPECT_GT(reader.ctx.ball_hits(), 0u);
+  const size_t hits_warm = reader.ctx.ball_hits();
+  ASSERT_TRUE(reader.Evaluate(engine, q_).ok());
+  EXPECT_EQ(reader.ctx.ball_index_builds(), 1u);  // steady state: no rebuild
+  EXPECT_GT(reader.ctx.ball_hits(), hits_warm);
 
   auto [src, dst] = gen::Fig1EdgeE1();
   ASSERT_TRUE(engine.ApplyUpdates({GraphUpdate::Insert(src, dst)}).ok());
-  auto inserted = engine.Evaluate(q_);
+  auto inserted = reader.Evaluate(engine, q_);
   ASSERT_TRUE(inserted.ok());
-  EXPECT_EQ((*inserted)->matches.TotalPairs(), 8u);  // Fred joined, no stale ball
-  EXPECT_TRUE((*inserted)->matches == ComputeBoundedSimulationNaive(g_, q_));
-  EXPECT_EQ(engine.stats().ball_index_builds, 1u);  // new version: deferred again
-  auto repeat = engine.Evaluate(q_);
+  EXPECT_EQ(inserted->TotalPairs(), 8u);  // Fred joined, no stale ball
+  EXPECT_TRUE(*inserted == ComputeBoundedSimulationNaive(g_, q_));
+  EXPECT_EQ(reader.ctx.ball_index_builds(), 1u);  // new version: deferred again
+  auto repeat = reader.Evaluate(engine, q_);
   ASSERT_TRUE(repeat.ok());
-  EXPECT_EQ(engine.stats().ball_index_builds, 2u);  // rebuilt for the new version
-  EXPECT_TRUE((*repeat)->matches == (*inserted)->matches);
+  EXPECT_EQ(reader.ctx.ball_index_builds(), 2u);  // rebuilt for the new version
+  EXPECT_TRUE(*repeat == *inserted);
 }
 
 TEST_F(EngineFixture, BallIndexDisabledRunsPureBfsPaths) {
   EngineOptions opts;
-  opts.use_cache = false;
   opts.ball_index.enabled = false;
   QueryEngine engine(&g_, opts);
-  auto answer = engine.Evaluate(q_);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ((*answer)->matches.TotalPairs(), 7u);
-  EXPECT_EQ(engine.stats().ball_index_builds, 0u);
-  EXPECT_EQ(engine.stats().ball_hits, 0u);
-  EXPECT_EQ(engine.stats().bfs_fallbacks, 0u);  // not even counted when off
+  Reader reader(opts);
+  auto matches = reader.Evaluate(engine, q_);
+  ASSERT_TRUE(matches.ok());
+  EXPECT_EQ(matches->TotalPairs(), 7u);
+  EXPECT_EQ(reader.ctx.ball_index_builds(), 0u);
+  EXPECT_EQ(reader.ctx.ball_hits(), 0u);
+  EXPECT_EQ(reader.ctx.bfs_fallbacks(), 0u);  // not even counted when off
 }
 
 TEST_F(EngineFixture, PerCallOverrideDisablesBallIndexWithoutInvalidation) {
   EngineOptions opts;
-  opts.use_cache = false;
   opts.ball_index.build_after_uses = 1;  // eager, to warm on the first query
   QueryEngine engine(&g_, opts);
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  EXPECT_EQ(engine.stats().ball_index_builds, 1u);
-  const size_t hits_before = engine.stats().ball_hits;
+  Reader warm(opts);
+  ASSERT_TRUE(warm.Evaluate(engine, q_).ok());
+  EXPECT_EQ(warm.ctx.ball_index_builds(), 1u);
+  const size_t hits_before = warm.ctx.ball_hits();
 
   // The service's per-request knob: same relation, no index traffic, and
   // the cached index is not invalidated for the next caller.
   EvalOverrides overrides;
   overrides.use_ball_index = false;
-  MatchContext ctx, compressed_ctx;
-  EvalPath path = EvalPath::kDirect;
-  auto snap = engine.Publish();
-  auto off = engine.EvaluateWith(*snap, q_, MatchSemantics::kBoundedSimulation,
-                                 overrides, &ctx, &compressed_ctx, &path);
+  Reader off_reader(opts);
+  auto off = off_reader.Evaluate(engine, q_, overrides);
   ASSERT_TRUE(off.ok());
   EXPECT_TRUE(*off == ComputeBoundedSimulationNaive(g_, q_));
-  EXPECT_EQ(ctx.ball_index_builds(), 0u);
-  EXPECT_EQ(ctx.ball_hits(), 0u);
+  EXPECT_EQ(off_reader.ctx.ball_index_builds(), 0u);
+  EXPECT_EQ(off_reader.ctx.ball_hits(), 0u);
 
-  ASSERT_TRUE(engine.Evaluate(q_).ok());
-  EXPECT_EQ(engine.stats().ball_index_builds, 1u);  // still the first index
-  EXPECT_GT(engine.stats().ball_hits, hits_before);
+  ASSERT_TRUE(warm.Evaluate(engine, q_).ok());
+  EXPECT_EQ(warm.ctx.ball_index_builds(), 1u);  // still the first index
+  EXPECT_GT(warm.ctx.ball_hits(), hits_before);
 }
 
 TEST(EngineTest, BallIndexMemoryCapFallsBackOnDenseHub) {
-  // A dense hub whose balls blow the per-node cap: the engine must fall
+  // A dense hub whose balls blow the per-node cap: evaluation must fall
   // back to BFS for it (bfs_fallbacks > 0) and still produce the exact
   // relation. The hub ("SA") reaches every "SD", each of which reaches
   // every "ST".
@@ -522,24 +370,24 @@ TEST(EngineTest, BallIndexMemoryCapFallsBackOnDenseHub) {
   Pattern q = gen::TeamQuery(0);
 
   EngineOptions capped;
-  capped.use_cache = false;
   capped.ball_index.build_after_uses = 1;
   capped.ball_index.max_ball_nodes = 8;  // hub ball is 80 nodes at depth 2
   QueryEngine engine(&g, capped);
-  auto answer = engine.Evaluate(q);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_GT(engine.stats().bfs_fallbacks, 0u);
-  EXPECT_TRUE((*answer)->matches == ComputeBoundedSimulationNaive(g, q));
+  Reader reader(capped);
+  auto matches = reader.Evaluate(engine, q);
+  ASSERT_TRUE(matches.ok());
+  EXPECT_GT(reader.ctx.bfs_fallbacks(), 0u);
+  EXPECT_TRUE(*matches == ComputeBoundedSimulationNaive(g, q));
 
   // Same graph, uncapped: the hub is indexed, no fallback, same relation.
   EngineOptions uncapped;
-  uncapped.use_cache = false;
   uncapped.ball_index.build_after_uses = 1;
   QueryEngine engine2(&g, uncapped);
-  auto answer2 = engine2.Evaluate(q);
-  ASSERT_TRUE(answer2.ok());
-  EXPECT_EQ(engine2.stats().bfs_fallbacks, 0u);
-  EXPECT_TRUE((*answer2)->matches == (*answer)->matches);
+  Reader reader2(uncapped);
+  auto matches2 = reader2.Evaluate(engine2, q);
+  ASSERT_TRUE(matches2.ok());
+  EXPECT_EQ(reader2.ctx.bfs_fallbacks(), 0u);
+  EXPECT_TRUE(*matches2 == *matches);
 }
 
 TEST(EngineTest, EndToEndOnCollaborationNetwork) {
@@ -551,24 +399,23 @@ TEST(EngineTest, EndToEndOnCollaborationNetwork) {
   EngineOptions opts;
   opts.use_compression = true;
   QueryEngine engine(&g, opts);
+  Reader reader(opts);
   for (int i = 0; i < 3; ++i) {
     Pattern q = gen::TeamQuery(i);
-    auto answer = engine.Evaluate(q);
-    ASSERT_TRUE(answer.ok()) << answer.status();
-    EXPECT_TRUE((*answer)->matches == ComputeBoundedSimulation(g, q)) << i;
+    auto matches = reader.Evaluate(engine, q);
+    ASSERT_TRUE(matches.ok()) << matches.status();
+    EXPECT_TRUE(*matches == ComputeBoundedSimulation(g, q)) << i;
   }
   UpdateBatch batch = GenerateUpdateStream(g, 20, 0.5, 13);
   ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
   for (int i = 0; i < 3; ++i) {
     Pattern q = gen::TeamQuery(i);
-    auto answer = engine.Evaluate(q);
-    ASSERT_TRUE(answer.ok());
-    EXPECT_TRUE((*answer)->matches == ComputeBoundedSimulation(g, q))
-        << "post-update " << i;
+    auto matches = reader.Evaluate(engine, q);
+    ASSERT_TRUE(matches.ok());
+    EXPECT_TRUE(*matches == ComputeBoundedSimulation(g, q)) << "post-update " << i;
   }
   EXPECT_EQ(engine.stats().batches_applied, 1u);
   EXPECT_EQ(engine.stats().updates_applied, 20u);
-  EXPECT_FALSE(engine.stats().ToString().empty());
 }
 
 }  // namespace

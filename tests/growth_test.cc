@@ -1,15 +1,16 @@
 // Node-growth support: the incremental states, compressed graph and engine
-// must stay consistent when people join the network.
+// must stay consistent when people join the network (the engine is read
+// through the service, its only reader).
 
 #include <gtest/gtest.h>
 
-#include "src/engine/query_engine.h"
 #include "src/generator/generators.h"
 #include "src/incremental/inc_bounded.h"
 #include "src/incremental/inc_simulation.h"
 #include "src/matching/bounded_simulation.h"
 #include "src/matching/dual_simulation.h"
 #include "src/matching/simulation.h"
+#include "src/service/expfinder_service.h"
 
 namespace expfinder {
 namespace {
@@ -64,76 +65,88 @@ TEST(GrowthTest, IsolatedNewcomerMatchesLeafPatternNodesOnly) {
 
 TEST(GrowthTest, EngineAddNodeKeepsEverythingConsistent) {
   Graph g = gen::CollaborationNetwork({.num_people = 120, .num_teams = 25, .seed = 6});
-  EngineOptions opts;
-  opts.use_compression = true;
-  QueryEngine engine(&g, opts);
-  Pattern q = gen::TeamQuery(0);
-  ASSERT_TRUE(engine.RegisterMaintainedQuery(q).ok());
-  ASSERT_TRUE(engine.Evaluate(q).ok());
+  ServiceOptions opts;
+  opts.engine.use_compression = true;
+  ExpFinderService service(&g, opts);
+  QueryRequest req;
+  req.pattern = gen::TeamQuery(0);
+  const Pattern& q = req.pattern;
+  ASSERT_TRUE(service.RegisterMaintainedQuery(q).ok());
+  ASSERT_TRUE(service.Query(req).ok());
 
-  auto added = engine.AddNode("SA", {{"experience", AttrValue(9)},
-                                     {"name", AttrValue("Newcomer")}});
+  auto added = service.AddNode("SA", {{"experience", AttrValue(9)},
+                                      {"name", AttrValue("Newcomer")}});
   ASSERT_TRUE(added.ok()) << added.status();
   NodeId v = added.value();
   EXPECT_EQ(g.DisplayName(v), "Newcomer");
 
   // Maintained query, compression and direct evaluation all agree.
-  auto fresh = engine.Evaluate(q);
+  auto fresh = service.Query(req);
   ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE((*fresh)->matches == ComputeBoundedSimulation(g, q));
-  ASSERT_NE(engine.compressed(), nullptr);
-  EXPECT_EQ(engine.compressed()->partition().block_of.size(), g.NumNodes());
+  EXPECT_EQ(fresh->path, ServingPath::kMaintained);
+  EXPECT_TRUE(fresh->answer->matches == ComputeBoundedSimulation(g, q));
+  ASSERT_NE(service.compressed(), nullptr);
+  EXPECT_EQ(service.compressed()->partition().block_of.size(), g.NumNodes());
 
   // Wire the newcomer in and check again through updates.
-  ASSERT_TRUE(engine.ApplyUpdates({GraphUpdate::Insert(v, 0),
-                                   GraphUpdate::Insert(v, 1)}).ok());
-  auto after = engine.Evaluate(q);
+  ASSERT_TRUE(service.Mutate({GraphUpdate::Insert(v, 0),
+                              GraphUpdate::Insert(v, 1)}).ok());
+  auto after = service.Query(req);
   ASSERT_TRUE(after.ok());
-  EXPECT_TRUE((*after)->matches == ComputeBoundedSimulation(g, q));
+  EXPECT_TRUE(after->answer->matches == ComputeBoundedSimulation(g, q));
 }
 
 TEST(GrowthTest, EngineMaintainedDualQuery) {
   Graph g = gen::CollaborationNetwork({.num_people = 100, .num_teams = 20, .seed = 8});
-  QueryEngine engine(&g);
+  ExpFinderService service(&g);
   Pattern q = gen::TeamQuery(0);
-  ASSERT_TRUE(engine.RegisterMaintainedQuery(q, MatchSemantics::kDualSimulation).ok());
-  EXPECT_TRUE(engine.IsMaintained(q, MatchSemantics::kDualSimulation));
-  EXPECT_FALSE(engine.IsMaintained(q, MatchSemantics::kBoundedSimulation));
+  ASSERT_TRUE(service.RegisterMaintainedQuery(q, MatchSemantics::kDualSimulation).ok());
+  EXPECT_TRUE(service.IsMaintained(q, MatchSemantics::kDualSimulation));
+  EXPECT_FALSE(service.IsMaintained(q, MatchSemantics::kBoundedSimulation));
   // The same pattern can additionally be maintained under bounded semantics.
-  ASSERT_TRUE(engine.RegisterMaintainedQuery(q).ok());
+  ASSERT_TRUE(service.RegisterMaintainedQuery(q).ok());
 
+  QueryRequest dual_req;
+  dual_req.pattern = q;
+  dual_req.semantics = MatchSemantics::kDualSimulation;
+  QueryRequest bounded_req;
+  bounded_req.pattern = q;
   UpdateBatch stream = GenerateUpdateStream(g, 30, 0.5, 12);
   for (size_t i = 0; i < stream.size(); i += 10) {
     UpdateBatch batch(stream.begin() + i, stream.begin() + i + 10);
-    ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
-    auto dual = engine.Evaluate(q, MatchSemantics::kDualSimulation);
-    auto bounded = engine.Evaluate(q, MatchSemantics::kBoundedSimulation);
+    ASSERT_TRUE(service.Mutate(batch).ok());
+    auto dual = service.Query(dual_req);
+    auto bounded = service.Query(bounded_req);
     ASSERT_TRUE(dual.ok());
     ASSERT_TRUE(bounded.ok());
-    ASSERT_TRUE((*dual)->matches == ComputeDualSimulation(g, q)) << i;
-    ASSERT_TRUE((*bounded)->matches == ComputeBoundedSimulation(g, q)) << i;
+    ASSERT_TRUE(dual->answer->matches == ComputeDualSimulation(g, q)) << i;
+    ASSERT_TRUE(bounded->answer->matches == ComputeBoundedSimulation(g, q)) << i;
   }
-  EXPECT_GE(engine.stats().maintained_hits, 6u);
+  EXPECT_GE(service.stats().maintained_hits, 6u);
 }
 
 TEST(GrowthTest, EngineDualSemantics) {
   Graph g = gen::BuildFig1Graph();
   NodeId tom = g.AddNode("ST");
   g.SetAttr(tom, "experience", AttrValue(3));
-  QueryEngine engine(&g);
-  Pattern q = gen::BuildFig1Pattern();
-  auto bounded = engine.Evaluate(q, MatchSemantics::kBoundedSimulation);
-  auto dual = engine.Evaluate(q, MatchSemantics::kDualSimulation);
+  ExpFinderService service(&g);
+  QueryRequest req;
+  req.pattern = gen::BuildFig1Pattern();
+  auto bounded = service.Query(req);
+  req.semantics = MatchSemantics::kDualSimulation;
+  auto dual = service.Query(req);
   ASSERT_TRUE(bounded.ok());
   ASSERT_TRUE(dual.ok());
-  auto st = *q.FindNode("ST");
-  EXPECT_TRUE((*bounded)->matches.Contains(st, tom));
-  EXPECT_FALSE((*dual)->matches.Contains(st, tom));
+  auto st = *req.pattern.FindNode("ST");
+  EXPECT_TRUE(bounded->answer->matches.Contains(st, tom));
+  EXPECT_FALSE(dual->answer->matches.Contains(st, tom));
   // The two semantics cache independently.
-  auto bounded2 = engine.Evaluate(q, MatchSemantics::kBoundedSimulation);
+  EXPECT_EQ(dual->path, ServingPath::kDirect);
+  req.semantics = MatchSemantics::kBoundedSimulation;
+  auto bounded2 = service.Query(req);
   ASSERT_TRUE(bounded2.ok());
-  EXPECT_TRUE((*bounded2)->matches.Contains(st, tom));
-  EXPECT_GE(engine.stats().cache_hits, 1u);
+  EXPECT_EQ(bounded2->path, ServingPath::kCache);
+  EXPECT_TRUE(bounded2->answer->matches.Contains(st, tom));
 }
 
 TEST(GrowthTest, OnNodeAddedValidatesPreconditions) {

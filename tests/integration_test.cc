@@ -1,13 +1,13 @@
 // Cross-module scenario: the full ExpFinder workflow on a synthetic
-// collaboration network — generate, persist, query through the engine with
+// collaboration network — generate, persist, query through the service with
 // compression + cache + maintained queries, stream updates, rank experts,
 // and export the result for the "GUI".
 
 #include <gtest/gtest.h>
 
-#include "src/engine/query_engine.h"
 #include "src/generator/generators.h"
 #include "src/matching/bounded_simulation.h"
+#include "src/service/expfinder_service.h"
 #include "src/storage/graph_store.h"
 #include "src/viz/dot_export.h"
 
@@ -31,76 +31,80 @@ TEST(IntegrationTest, FullExpertSearchWorkflow) {
   Graph work = std::move(reloaded).value();
   ASSERT_EQ(work.NumNodes(), g.NumNodes());
 
-  // 3. Engine with every module enabled.
-  EngineOptions opts;
-  opts.use_compression = true;
-  QueryEngine engine(&work, opts);
-  Pattern q = gen::TeamQuery(0);
-  ASSERT_TRUE(engine.RegisterMaintainedQuery(q).ok());
+  // 3. Service with every module enabled.
+  ServiceOptions opts;
+  opts.engine.use_compression = true;
+  ExpFinderService service(&work, opts);
+  QueryRequest req;
+  req.pattern = gen::TeamQuery(0);
+  const Pattern& q = req.pattern;
+  ASSERT_TRUE(service.RegisterMaintainedQuery(q).ok());
 
-  auto baseline = engine.Evaluate(q);
+  auto baseline = service.Query(req);
   ASSERT_TRUE(baseline.ok());
   MatchRelation expected = ComputeBoundedSimulation(work, q);
-  EXPECT_TRUE((*baseline)->matches == expected);
+  EXPECT_TRUE(baseline->answer->matches == expected);
 
-  // 4. Stream updates through the engine; maintained query stays exact.
+  // 4. Stream updates through the service; maintained query stays exact.
   UpdateBatch stream = GenerateUpdateStream(work, 50, 0.5, 99);
   for (size_t i = 0; i < stream.size(); i += 10) {
     UpdateBatch batch(stream.begin() + i, stream.begin() + i + 10);
-    ASSERT_TRUE(engine.ApplyUpdates(batch).ok()) << "batch at " << i;
-    auto fresh = engine.Evaluate(q);
+    ASSERT_TRUE(service.Mutate(batch).ok()) << "batch at " << i;
+    auto fresh = service.Query(req);
     ASSERT_TRUE(fresh.ok());
-    ASSERT_TRUE((*fresh)->matches == ComputeBoundedSimulation(work, q))
+    ASSERT_TRUE(fresh->answer->matches == ComputeBoundedSimulation(work, q))
         << "batch at " << i;
   }
-  EXPECT_EQ(engine.stats().maintained_hits, 5u + 1u);
+  EXPECT_EQ(service.stats().maintained_hits, 5u + 1u);
 
   // 5. Rank the experts and export for visualization.
-  auto top = engine.TopK(q, 5);
-  ASSERT_TRUE(top.ok());
-  if (!top->empty()) {
-    for (size_t i = 1; i < top->size(); ++i) {
-      EXPECT_LE((*top)[i - 1].score, (*top)[i].score);
+  QueryRequest ranked_req = req;
+  ranked_req.top_k = 5;
+  auto ranked = service.Query(ranked_req);
+  ASSERT_TRUE(ranked.ok());
+  const std::vector<RankedMatch>& top = ranked->ranked;
+  if (!top.empty()) {
+    for (size_t i = 1; i < top.size(); ++i) {
+      EXPECT_LE(top[i - 1].score, top[i].score);
     }
-    auto answer = engine.Evaluate(q);
-    ASSERT_TRUE(answer.ok());
     std::string dot =
-        ResultGraphToDot((*answer)->result_graph, work, q, {(*top)[0].node});
+        ResultGraphToDot(ranked->answer->result_graph, work, q, {top[0].node});
     EXPECT_NE(dot.find("color=red"), std::string::npos);
   }
 
   // 6. Persist the final matches.
-  auto final_answer = engine.Evaluate(q);
-  ASSERT_TRUE(final_answer.ok());
-  ASSERT_TRUE(store->PutMatches("team0", (*final_answer)->matches).ok());
+  const MatchRelation& final_matches = ranked->answer->matches;
+  ASSERT_TRUE(store->PutMatches("team0", final_matches).ok());
   auto back = store->GetMatches("team0");
   ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back.value() == (*final_answer)->matches);
+  EXPECT_TRUE(back.value() == final_matches);
 }
 
 TEST(IntegrationTest, CompressedAndDirectEnginesAgreeUnderChurn) {
   Graph g1 = gen::TwitterLike({.n = 400, .out_per_node = 4, .seed = 8});
   Graph g2 = g1;
-  EngineOptions with, without;
-  with.use_compression = true;
-  without.use_compression = false;
-  QueryEngine compressed_engine(&g1, with);
-  QueryEngine direct_engine(&g2, without);
+  ServiceOptions with, without;
+  with.engine.use_compression = true;
+  without.engine.use_compression = false;
+  ExpFinderService compressed_service(&g1, with);
+  ExpFinderService direct_service(&g2, without);
   UpdateBatch stream = GenerateUpdateStream(g1, 30, 0.5, 77);
   for (size_t i = 0; i < stream.size(); i += 10) {
     UpdateBatch batch(stream.begin() + i, stream.begin() + i + 10);
-    ASSERT_TRUE(compressed_engine.ApplyUpdates(batch).ok());
-    ASSERT_TRUE(direct_engine.ApplyUpdates(batch).ok());
+    ASSERT_TRUE(compressed_service.Mutate(batch).ok());
+    ASSERT_TRUE(direct_service.Mutate(batch).ok());
     for (int j = 0; j < 2; ++j) {
-      Pattern q = gen::RandomPattern(4, 4, 3, 0.5, i * 31 + j);
-      auto a = compressed_engine.Evaluate(q);
-      auto b = direct_engine.Evaluate(q);
+      QueryRequest req;
+      req.pattern = gen::RandomPattern(4, 4, 3, 0.5, i * 31 + j);
+      auto a = compressed_service.Query(req);
+      auto b = direct_service.Query(req);
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
-      EXPECT_TRUE((*a)->matches == (*b)->matches) << "step " << i << " q " << j;
+      EXPECT_TRUE(a->answer->matches == b->answer->matches)
+          << "step " << i << " q " << j;
     }
   }
-  EXPECT_GT(compressed_engine.stats().compressed_evals, 0u);
+  EXPECT_GT(compressed_service.stats().compressed_evals, 0u);
 }
 
 }  // namespace

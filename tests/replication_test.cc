@@ -274,7 +274,6 @@ TEST_F(ReplicationFixture, CheckpointRoundTripsGraphVersion) {
   auto recovered = ReadLatestCheckpoint(copts);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ(recovered->applied_lsn, 7u);
-  EXPECT_TRUE(recovered->graph_version_restored);
   EXPECT_EQ(recovered->graph.version(), version);
   EXPECT_EQ(GraphText(recovered->graph), GraphText(g));
 }

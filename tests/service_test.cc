@@ -165,6 +165,45 @@ TEST_F(ServiceFixture, CompressedServingPathAndDualFallback) {
   EXPECT_EQ(dual->path, ServingPath::kDirect);
 }
 
+TEST(ServiceTest, CompressedSnapshotNotStaleAfterInPlaceRebuild) {
+  // Regression: the compressed graph is rebuilt in place (gc_ = Graph()),
+  // so its address is stable and its version counter restarts — an update
+  // that leaves the partition shape unchanged can land the rebuilt graph on
+  // the *same* (address, version) pair as the cached snapshot. Graph::uid()
+  // must disambiguate, or the service serves matches against the
+  // pre-update topology.
+  Graph g;
+  NodeId a = g.AddNode("A");
+  NodeId b = g.AddNode("B");
+  NodeId c = g.AddNode("C");
+  ASSERT_TRUE(g.AddEdge(a, b).ok());
+
+  ServiceOptions opts;
+  opts.engine.use_cache = false;
+  opts.engine.use_compression = true;
+  ExpFinderService service(&g, opts);
+
+  PatternBuilder pb;
+  auto pa = pb.Node("A", "pa").Output();
+  auto pc = pb.Node("C", "pc");
+  pb.Edge(pa, pc, 2);
+  QueryRequest req;
+  req.pattern = pb.Build().value();
+
+  auto before = service.Query(req);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before->path, ServingPath::kCompressed);
+  EXPECT_TRUE(before->answer->matches.IsEmpty());  // a cannot reach any C
+
+  ASSERT_TRUE(
+      service.Mutate({GraphUpdate::Delete(a, b), GraphUpdate::Insert(a, c)}).ok());
+  auto after = service.Query(req);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->path, ServingPath::kCompressed);
+  EXPECT_EQ(after->answer->matches.TotalPairs(), 2u) << "stale compressed snapshot";
+  EXPECT_TRUE(after->answer->matches == ComputeBoundedSimulation(g, req.pattern));
+}
+
 TEST_F(ServiceFixture, PlannerShortCircuitPath) {
   ExpFinderService service(&g_);
   PatternBuilder b;
@@ -249,21 +288,45 @@ TEST_F(ServiceFixture, QueryBatchAlignsResultsWithRequests) {
 }
 
 TEST_F(ServiceFixture, StatsStayClassified) {
+  // One request per serving path. Each response reports its path, a
+  // positive eval_ms and the version it was served at, and each lands in
+  // exactly one counter.
   ServiceOptions opts;
   opts.engine.use_compression = true;
   ExpFinderService service(&g_, opts);
-  ASSERT_TRUE(service.Query(Fig1Request()).ok());  // compressed
-  ASSERT_TRUE(service.Query(Fig1Request()).ok());  // cache
+  PatternBuilder testers;
+  testers.Node("ST", "st").Output();
+  QueryRequest maintained;
+  maintained.pattern = testers.Build().value();
+  ASSERT_TRUE(service.RegisterMaintainedQuery(maintained.pattern).ok());
+  PatternBuilder dba;  // a condition outside the compression schema
+  dba.Node("SD", "sd").Where("specialty", CmpOp::kEq, "DBA").Output();
+  QueryRequest direct;
+  direct.pattern = dba.Build().value();
   PatternBuilder imp;
   imp.Node("NOPE", "x").Output();
   QueryRequest impossible;
   impossible.pattern = imp.Build().value();
-  ASSERT_TRUE(service.Query(impossible).ok());  // short circuit
+
+  auto serve = [&](const QueryRequest& req, ServingPath want) {
+    auto resp = service.Query(req);
+    ASSERT_TRUE(resp.ok()) << ServingPathName(want) << ": " << resp.status();
+    EXPECT_EQ(resp->path, want) << ServingPathName(want);
+    EXPECT_GT(resp->eval_ms, 0.0) << ServingPathName(want);
+    EXPECT_EQ(resp->graph_version, service.version()) << ServingPathName(want);
+  };
+  serve(Fig1Request(), ServingPath::kCompressed);
+  serve(Fig1Request(), ServingPath::kCache);
+  serve(maintained, ServingPath::kMaintained);
+  serve(direct, ServingPath::kDirect);
+  serve(impossible, ServingPath::kPlannerShortCircuit);
   EXPECT_FALSE(service.Query(QueryRequest{}).ok());  // rejected
   ServiceStats s = service.stats();
-  EXPECT_EQ(s.queries, 4u);
+  EXPECT_EQ(s.queries, 6u);
   EXPECT_EQ(s.compressed_evals, 1u);
   EXPECT_EQ(s.cache_hits, 1u);
+  EXPECT_EQ(s.maintained_hits, 1u);
+  EXPECT_EQ(s.direct_evals, 1u);
   EXPECT_EQ(s.planner_short_circuits, 1u);
   EXPECT_EQ(s.rejected, 1u);
   EXPECT_EQ(s.ClassifiedQueries(), s.queries);
@@ -439,10 +502,11 @@ TEST_F(ServiceFixture, QueueExpiredDeadlineNeverTouchesTheEngine) {
 }
 
 TEST_F(ServiceFixture, EvalStageDeadlineAlsoYieldsDeadlineExceeded) {
-  // The other deadline site: the engine's stage-boundary check inside
-  // EvaluateWith, fed by the service's override plumbing. Both sites must
-  // surface the same status code.
+  // The other deadline site: EvalCore's stage-boundary check, fed by the
+  // service's override plumbing. Both sites must surface the same status
+  // code.
   QueryEngine engine(&g_);
+  const EvalCore core(EngineOptions{});
   Pattern q = gen::BuildFig1Pattern();
   MatchContext ctx, compressed_ctx;
   EvalPath path = EvalPath::kDirect;
@@ -451,8 +515,8 @@ TEST_F(ServiceFixture, EvalStageDeadlineAlsoYieldsDeadlineExceeded) {
   overrides.timer = &started_long_ago;
   overrides.time_budget_ms = 1e-9;  // already expired at the first boundary
   auto snap = engine.Publish();
-  auto res = engine.EvaluateWith(*snap, q, MatchSemantics::kBoundedSimulation,
-                                 overrides, &ctx, &compressed_ctx, &path);
+  auto res = core.Evaluate(*snap, q, MatchSemantics::kBoundedSimulation, overrides,
+                           &ctx, &compressed_ctx, &path);
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsDeadlineExceeded()) << res.status();
 }
@@ -462,6 +526,7 @@ TEST_F(ServiceFixture, CancelMidEvaluationStopsAtStageBoundary) {
   // when the engine reaches its first stage boundary, so the evaluation
   // must stop there with Cancelled instead of running to completion.
   QueryEngine engine(&g_);
+  const EvalCore core(EngineOptions{});
   Pattern q = gen::BuildFig1Pattern();
   MatchContext ctx, compressed_ctx;
   EvalPath path = EvalPath::kDirect;
@@ -469,8 +534,8 @@ TEST_F(ServiceFixture, CancelMidEvaluationStopsAtStageBoundary) {
   EvalOverrides overrides;
   overrides.cancelled = &cancel_flag;
   auto snap = engine.Publish();
-  auto res = engine.EvaluateWith(*snap, q, MatchSemantics::kBoundedSimulation,
-                                 overrides, &ctx, &compressed_ctx, &path);
+  auto res = core.Evaluate(*snap, q, MatchSemantics::kBoundedSimulation, overrides,
+                           &ctx, &compressed_ctx, &path);
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsCancelled()) << res.status();
   // Cancellation wins over an expired deadline (a cancelled request must
@@ -478,8 +543,8 @@ TEST_F(ServiceFixture, CancelMidEvaluationStopsAtStageBoundary) {
   Timer started_long_ago;
   overrides.timer = &started_long_ago;
   overrides.time_budget_ms = 1e-9;
-  res = engine.EvaluateWith(*snap, q, MatchSemantics::kBoundedSimulation,
-                            overrides, &ctx, &compressed_ctx, &path);
+  res = core.Evaluate(*snap, q, MatchSemantics::kBoundedSimulation, overrides, &ctx,
+                      &compressed_ctx, &path);
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsCancelled()) << res.status();
 }

@@ -674,36 +674,38 @@ TEST(TopicFusionTest, StreamingTermCountsEqualTokenizedCounts) {
 
 TEST(EngineTopicStatsTest, CountersTrackBuildsHitsAndFallbacks) {
   Graph g = gen::ErdosRenyi(100, 300, 21, gen::TopicExpertiseModel());
-  EngineOptions options;
-  options.use_cache = false;
-  options.topic_index.build_after_uses = 2;
-  QueryEngine engine(&g, options);
+  ServiceOptions options;
+  options.engine.use_cache = false;
+  options.engine.topic_index.build_after_uses = 2;
+  ExpFinderService service(&g, options);
 
   PatternBuilder b;
   b.Node("").Where("topics", CmpOp::kHasToken, AttrValue("machine learning")).Output();
-  Pattern q = b.Build().value();
+  QueryRequest req;
+  req.pattern = b.Build().value();
 
   // Use 1: deferred -> the text node scans.
-  ASSERT_TRUE(engine.Evaluate(q).ok());
-  EXPECT_EQ(engine.stats().topic_index_builds, 0u);
-  EXPECT_EQ(engine.stats().posting_hits, 0u);
-  EXPECT_EQ(engine.stats().seed_scan_fallbacks, 1u);
+  ASSERT_TRUE(service.Query(req).ok());
+  EXPECT_EQ(service.stats().topic_index_builds, 0u);
+  EXPECT_EQ(service.stats().posting_hits, 0u);
+  EXPECT_EQ(service.stats().seed_scan_fallbacks, 1u);
   // Use 2 crosses the threshold: one build, then posting-served seeding.
-  ASSERT_TRUE(engine.Evaluate(q).ok());
-  EXPECT_EQ(engine.stats().topic_index_builds, 1u);
-  EXPECT_EQ(engine.stats().posting_hits, 1u);
-  ASSERT_TRUE(engine.Evaluate(q).ok());
-  EXPECT_EQ(engine.stats().topic_index_builds, 1u);  // steady state
-  EXPECT_EQ(engine.stats().posting_hits, 2u);
-  EXPECT_EQ(engine.stats().seed_scan_fallbacks, 1u);
+  ASSERT_TRUE(service.Query(req).ok());
+  EXPECT_EQ(service.stats().topic_index_builds, 1u);
+  EXPECT_EQ(service.stats().posting_hits, 1u);
+  ASSERT_TRUE(service.Query(req).ok());
+  EXPECT_EQ(service.stats().topic_index_builds, 1u);  // steady state
+  EXPECT_EQ(service.stats().posting_hits, 2u);
+  EXPECT_EQ(service.stats().seed_scan_fallbacks, 1u);
 
   // Non-text queries never touch (or age) the slot.
   PatternBuilder plain;
   plain.Node("").Where("experience", CmpOp::kGe, AttrValue(3)).Output();
-  Pattern pq = plain.Build().value();
-  const size_t hits_before = engine.stats().posting_hits;
-  ASSERT_TRUE(engine.Evaluate(pq).ok());
-  EXPECT_EQ(engine.stats().posting_hits, hits_before);
+  QueryRequest plain_req;
+  plain_req.pattern = plain.Build().value();
+  const size_t hits_before = service.stats().posting_hits;
+  ASSERT_TRUE(service.Query(plain_req).ok());
+  EXPECT_EQ(service.stats().posting_hits, hits_before);
 }
 
 TEST(EngineTopicStatsTest, MaintainedRegistrationBuildsAndAddNodePatches) {
@@ -717,11 +719,10 @@ TEST(EngineTopicStatsTest, MaintainedRegistrationBuildsAndAddNodePatches) {
   auto peer = b.Node("");
   b.Edge(out, peer, 2);
   Pattern q = b.Build().value();
+  const uint64_t key = QueryCacheKey(q, MatchSemantics::kBoundedSimulation);
 
   ASSERT_TRUE(engine.RegisterMaintainedQuery(q).ok());
-  auto first = engine.Evaluate(q);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(engine.stats().maintained_hits, 1u);
+  ASSERT_NE(engine.Publish()->Maintained(key), nullptr);
   EXPECT_GE(engine.stats().topic_index_builds, 1u);  // eager maintained build
 
   // Grow the graph through the engine: the maintained index is patched and
@@ -733,8 +734,9 @@ TEST(EngineTopicStatsTest, MaintainedRegistrationBuildsAndAddNodePatches) {
   batch.push_back(GraphUpdate::Insert(*added, 0));
   batch.push_back(GraphUpdate::Insert(1, *added));
   ASSERT_TRUE(engine.ApplyUpdates(batch).ok());
-  auto maintained = engine.MaintainedSnapshot(q, MatchSemantics::kBoundedSimulation);
-  ASSERT_TRUE(maintained.has_value());
+  auto snap = engine.Publish();
+  const MatchRelation* maintained = snap->Maintained(key);
+  ASSERT_NE(maintained, nullptr);
   EXPECT_EQ(*maintained, ComputeBoundedSimulation(g, q));
 }
 
