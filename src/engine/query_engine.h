@@ -3,11 +3,12 @@
 // incremental computation module (maintained queries) and the graph
 // compression module — and freezes it into immutable EngineSnapshots:
 //
-//   Publish():     freeze (graph copy + CSR, current compressed view,
-//                  materialized maintained relations) into a refcounted
-//                  EngineSnapshot. Lazy: republishes only when a mutation
-//                  happened since the last publish, and reuses the graph /
-//                  compressed handles that didn't change.
+//   Publish():     freeze (page-sharing graph copy + CSR, current
+//                  compressed view, materialized maintained relations)
+//                  into a refcounted EngineSnapshot. Lazy: republishes
+//                  only when a mutation happened since the last publish,
+//                  and reuses the graph / compressed handles that didn't
+//                  change.
 //   ApplyUpdates:  routes batches through every registered incremental
 //                  state, then re-stabilizes the compressed graph. The next
 //                  Publish() carries the transition to readers — maintainer
@@ -59,8 +60,9 @@ class QueryEngine {
 
   /// The current published snapshot, republishing first when any mutation
   /// happened since the last publish. Cheap when current (two integer
-  /// compares); a republish costs the graph copy + CSR build plus the
-  /// materialization of maintained relations and the compressed view.
+  /// compares); a republish costs the CSR build (the graph copy shares the
+  /// live graph's pages, see graph.h) plus the materialization of
+  /// maintained relations and the compressed view.
   /// Handles unchanged by the mutation (e.g. the graph after
   /// RegisterMaintainedQuery) are reused, not recaptured. Readers consume
   /// the returned handle, never the engine.

@@ -26,9 +26,9 @@ NodeId Graph::AddNode(std::string_view label) {
   LabelId lid = label_interner_.Intern(label);
   NodeId id = static_cast<NodeId>(labels_.size());
   labels_.push_back(lid);
-  out_.emplace_back();
-  in_.emplace_back();
-  attrs_.emplace_back();
+  out_.Append(id);
+  in_.Append(id);
+  attrs_.Append(id);
   if (lid >= label_index_.size()) label_index_.resize(lid + 1);
   label_index_[lid].push_back(id);
   ++version_;
@@ -59,8 +59,8 @@ Status Graph::AddEdge(NodeId src, NodeId dst) {
 
 void Graph::AddEdgeUnchecked(NodeId src, NodeId dst) {
   EF_DCHECK(IsValidNode(src) && IsValidNode(dst));
-  out_[src].push_back(dst);
-  in_[dst].push_back(src);
+  out_.Mutable(src).push_back(dst);
+  in_.Mutable(dst).push_back(src);
   ++num_edges_;
   ++version_;
 }
@@ -69,12 +69,15 @@ Status Graph::RemoveEdge(NodeId src, NodeId dst) {
   if (!IsValidNode(src) || !IsValidNode(dst)) {
     return Status::InvalidArgument("RemoveEdge: node id out of range");
   }
-  auto& outs = out_[src];
-  auto it = std::find(outs.begin(), outs.end(), dst);
-  if (it == outs.end()) return Status::NotFound("RemoveEdge: edge not present");
-  *it = outs.back();
+  // Find before taking writable slots: a miss must not clone a page.
+  const auto& found = out_[src];
+  const auto it = std::find(found.begin(), found.end(), dst);
+  if (it == found.end()) return Status::NotFound("RemoveEdge: edge not present");
+  const auto pos = it - found.begin();
+  auto& outs = out_.Mutable(src);
+  outs[pos] = outs.back();
   outs.pop_back();
-  auto& ins = in_[dst];
+  auto& ins = in_.Mutable(dst);
   auto it2 = std::find(ins.begin(), ins.end(), src);
   EF_DCHECK(it2 != ins.end());
   *it2 = ins.back();
@@ -104,14 +107,15 @@ void Graph::SetAttr(NodeId v, std::string_view key, AttrValue value) {
   EF_CHECK(IsValidNode(v)) << "SetAttr on invalid node " << v;
   InvalidateTopicSlot();
   AttrKeyId kid = attr_interner_.Intern(key);
-  for (auto& [k, val] : attrs_[v]) {
+  auto& attrs = attrs_.Mutable(v);
+  for (auto& [k, val] : attrs) {
     if (k == kid) {
       val = std::move(value);
       ++version_;
       return;
     }
   }
-  attrs_[v].emplace_back(kid, std::move(value));
+  attrs.emplace_back(kid, std::move(value));
   ++version_;
 }
 

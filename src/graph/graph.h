@@ -9,10 +9,23 @@
 // The structure is fully dynamic: edges can be inserted and removed at any
 // time (the incremental module depends on this), and a monotonically
 // increasing version() supports cache invalidation.
+//
+// Copies are cheap. The per-node heap data (out-lists, in-lists, attribute
+// lists) lives in fixed pages of 64 nodes held through shared_ptr, so a copy
+// shares every page and costs one pointer copy per page; only the small flat
+// parts (labels, label index, interners, counters) are copied outright.
+// Copying seals the pages it shares, and a writer clones a sealed page before
+// its first write to it, so a mutation costs one page clone per page it
+// touches and never changes what another copy (e.g. a published snapshot)
+// sees. A sealed page is never written again by anyone: readers may scan it
+// lock-free for as long as they hold a copy.
 
 #ifndef EXPFINDER_GRAPH_GRAPH_H_
 #define EXPFINDER_GRAPH_GRAPH_H_
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -121,8 +134,9 @@ class Graph {
 
   /// Publishes the current state as an immutable GraphSnapshot (see
   /// graph_snapshot.h): a refcounted handle bundling a frozen copy of this
-  /// graph, its CSR, and a lazily attached ball index. The snapshot shares
-  /// nothing with this graph — mutating on after Publish never disturbs
+  /// graph, its CSR, and a lazily attached ball index. The copy shares this
+  /// graph's pages and seals them, so later mutations clone each page they
+  /// touch instead of writing it — mutating on after Publish never disturbs
   /// readers holding the handle.
   std::shared_ptr<const GraphSnapshot> Publish() const;
 
@@ -153,12 +167,81 @@ class Graph {
   /// churning an allocation per AddNode/SetAttr.
   void InvalidateTopicSlot();
 
+  static constexpr size_t kPageShift = 6;
+  static constexpr size_t kPageNodes = size_t{1} << kPageShift;  // 64
+  static constexpr size_t kPageMask = kPageNodes - 1;
+
+  /// One Slot per node, stored in fixed pages of kPageNodes. Copies share
+  /// the pages and seal them; Mutable() clones a sealed page before handing
+  /// out a writable slot. The seal is the only thing that licenses an
+  /// in-place write: an unsealed page was created by this object's writer
+  /// and has never been shared. (use_count() == 1 would not do: a lock-free
+  /// reader's last reads of a page are not ordered before a relaxed count
+  /// load, so the write could race them.)
+  template <typename Slot>
+  class PagedSlots {
+   public:
+    PagedSlots() = default;
+    PagedSlots(const PagedSlots& other) : pages_(other.pages_) { Seal(); }
+    PagedSlots& operator=(const PagedSlots& other) {
+      if (this != &other) {
+        pages_ = other.pages_;
+        Seal();
+      }
+      return *this;
+    }
+    PagedSlots(PagedSlots&&) noexcept = default;
+    PagedSlots& operator=(PagedSlots&&) noexcept = default;
+
+    const Slot& operator[](NodeId v) const {
+      return pages_[v >> kPageShift]->slots[v & kPageMask];
+    }
+
+    /// Writable slot of `v`, cloning its page first if a copy shares it.
+    Slot& Mutable(NodeId v) {
+      std::shared_ptr<Page>& page = pages_[v >> kPageShift];
+      if (page->sealed.load(std::memory_order_acquire)) {
+        page = std::make_shared<Page>(page->slots);
+      }
+      return page->slots[v & kPageMask];
+    }
+
+    /// Makes room for node `v`, the next id: a fresh page at a page
+    /// boundary, otherwise nothing (the slot of an unused id is empty, and
+    /// copies sharing a partly filled page never read past their own
+    /// NumNodes()).
+    void Append(NodeId v) {
+      if ((v & kPageMask) == 0) pages_.push_back(std::make_shared<Page>());
+    }
+
+   private:
+    struct Page {
+      Page() = default;
+      explicit Page(const std::array<Slot, kPageNodes>& from) : slots(from) {}
+      std::array<Slot, kPageNodes> slots;
+      /// Set by the first copy that shares the page; never cleared.
+      std::atomic<bool> sealed{false};
+    };
+
+    void Seal() const {
+      for (const std::shared_ptr<Page>& page : pages_) {
+        // Skip the store when already sealed: readers scanning the page's
+        // slots on other cores keep their cache line clean.
+        if (!page->sealed.load(std::memory_order_relaxed)) {
+          page->sealed.store(true, std::memory_order_release);
+        }
+      }
+    }
+
+    std::vector<std::shared_ptr<Page>> pages_;
+  };
+
   StringInterner label_interner_;
   StringInterner attr_interner_;
   std::vector<LabelId> labels_;                      // per node
-  std::vector<std::vector<NodeId>> out_;             // adjacency
-  std::vector<std::vector<NodeId>> in_;              // reverse adjacency
-  std::vector<std::vector<std::pair<AttrKeyId, AttrValue>>> attrs_;  // per node
+  PagedSlots<std::vector<NodeId>> out_;              // adjacency
+  PagedSlots<std::vector<NodeId>> in_;               // reverse adjacency
+  PagedSlots<std::vector<std::pair<AttrKeyId, AttrValue>>> attrs_;  // per node
   std::vector<std::vector<NodeId>> label_index_;     // label id -> nodes
   std::shared_ptr<TopicIndexSlot> topic_slot_;       // see topic_slot()
   size_t num_edges_ = 0;

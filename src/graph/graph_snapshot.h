@@ -6,8 +6,13 @@
 // A GraphSnapshot bundles everything one evaluation needs, frozen at a
 // version:
 //
-//   * a private copy of the attributed graph (labels, label index,
-//     attributes — matchers and planners read them directly),
+//   * a frozen copy of the attributed graph (labels, label index,
+//     attributes — matchers and planners read them directly). The copy
+//     shares the source's adjacency and attribute pages and seals them
+//     (graph.h): the writer clones a page before its next write to it, so
+//     capture costs one pointer copy per 64-node page plus the small flat
+//     parts, and a publish after a small batch pays only for the pages the
+//     batch touched,
 //   * the CSR topology snapshot, built eagerly exactly once per published
 //     version (readers share it instead of each MatchContext rebuilding its
 //     own),
@@ -43,12 +48,14 @@ class ThreadPool;
 class TopicIndex;
 struct TopicIndexOptions;
 
-/// \brief One published, immutable version of a Graph: private graph copy +
-/// CSR + lazily attached shared ball index.
+/// \brief One published, immutable version of a Graph: frozen graph copy
+/// (sharing sealed pages with its source) + CSR + lazily attached shared
+/// ball index.
 class GraphSnapshot {
  public:
-  /// Captures the current state of `g` (O(n + m + attrs) copy + CSR build).
-  /// Prefer Graph::Publish(), which reads as what it is.
+  /// Captures the current state of `g`: a page-sharing graph copy (O(n / 64)
+  /// page pointers + labels and label index) plus an O(n + m) CSR build,
+  /// which dominates. Prefer Graph::Publish(), which reads as what it is.
   static std::shared_ptr<const GraphSnapshot> Capture(const Graph& g);
 
   GraphSnapshot(const GraphSnapshot&) = delete;

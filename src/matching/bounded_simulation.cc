@@ -115,6 +115,8 @@ MatchRelation ComputeBoundedSimulation(const Graph& g, const Pattern& q,
   // contents, and determinism is part of the matcher's contract. Each
   // popped dead pair decrements its supporters over the precomputed reverse
   // ball instead of launching a reverse BFS.
+  // Seeding sized the buffers only if some pattern node has out-edges.
+  ctx->EnsureBuffers(1, n);
   BfsBuffers& buf = ctx->Buffers(0);
   while (!worklist.empty()) {
     auto [u, v] = worklist.front();

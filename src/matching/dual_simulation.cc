@@ -153,6 +153,8 @@ MatchRelation ComputeDualSimulation(const Graph& g, const Pattern& q,
 
   // Sequential refinement (see bounded_simulation.cc for the rationale);
   // supporter decrements scan the precomputed balls in both directions.
+  // Seeding sized the buffers only if some pattern node has out-edges.
+  ctx->EnsureBuffers(1, n);
   BfsBuffers& buf = ctx->Buffers(0);
   while (!worklist.empty()) {
     auto [u, v] = worklist.front();

@@ -17,6 +17,9 @@ MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
   CandidateSets cand = ComputeCandidates(g, q, options, ctx);
   DenseBitset mat = cand.bitmap;  // in-relation bit matrix
   auto& cnt = ctx->Counters(0, ne, n);
+  // Walk the CSR, not the Graph's paged adjacency lists: contiguous, and
+  // the bound snapshot's own, so a serving read builds nothing.
+  const Csr& csr = ctx->SnapshotFor(g);
 
   // Pending invalidated pairs.
   std::deque<std::pair<PatternNodeId, NodeId>> worklist;
@@ -27,7 +30,7 @@ MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
     const auto dst_mat = mat.Row(pe.dst);
     for (NodeId v : cand.list[pe.src]) {
       int32_t c = 0;
-      for (NodeId w : g.OutNeighbors(v)) c += dst_mat[w];
+      for (NodeId w : csr.Out(v)) c += dst_mat[w];
       cnt[e][v] = c;
       if (c == 0) worklist.emplace_back(pe.src, v);
     }
@@ -44,7 +47,7 @@ MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
       const PatternEdge& pe = q.edges()[e];
       auto& counters = cnt[e];
       const auto src_mat = mat.Row(pe.src);
-      for (NodeId w : g.InNeighbors(v)) {
+      for (NodeId w : csr.In(v)) {
         if (--counters[w] == 0 && src_mat[w]) {
           worklist.emplace_back(pe.src, w);
         }

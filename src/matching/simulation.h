@@ -25,8 +25,8 @@ class MatchContext;
 
 /// Computes M(Q,G) under graph-simulation semantics. Every edge bound must
 /// be 1 (checked); use ComputeBoundedSimulation otherwise. The ctx overload
-/// reuses the context's counter arrays across calls (simulation never needs
-/// a CSR snapshot: its inner loops are single-hop adjacency walks).
+/// reuses the context's versioned CSR snapshot and counter arrays across
+/// calls; the ctx-less overload constructs a fresh context per call.
 MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
                                 const MatchOptions& options, MatchContext* ctx);
 MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,

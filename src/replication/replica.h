@@ -1,6 +1,7 @@
-// One read replica: a private Graph copy plus a stateless EvalCore,
-// bootstrapped from a checkpoint (or a full snapshot install from the
-// primary) and advanced by applying WAL-codec deltas in strict LSN order.
+// One read replica: its own Graph plus a stateless EvalCore, bootstrapped
+// from a checkpoint (or a snapshot install from the primary, a Graph copy
+// that shares the primary's sealed pages until either side writes them)
+// and advanced by applying WAL-codec deltas in strict LSN order.
 // After every applied batch the replica epoch-publishes its own immutable
 // EngineSnapshot, so serving workers read it exactly like they read the
 // primary's epoch — pin the published snapshot pointer, evaluate lock-free.

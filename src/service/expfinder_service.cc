@@ -157,7 +157,9 @@ void ExpFinderService::StartReplication() {
 ReplicaBootstrap ExpFinderService::BootstrapReplica() {
   // Full snapshot install: copy the primary graph and the matching delta
   // cursor as one coherent pair. The copy carries the version counter, so
-  // the replica's numbering continues the primary's exactly.
+  // the replica's numbering continues the primary's exactly. It shares the
+  // primary's pages, sealed: the replica's applier and the primary's writer
+  // each clone a page before writing it, so they never write one together.
   std::lock_guard<std::mutex> writer(writer_mu_);
   ReplicaBootstrap bootstrap;
   bootstrap.graph = *g_;

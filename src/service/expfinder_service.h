@@ -28,7 +28,8 @@
 //   * Writers (Mutate / AddNode / RegisterMaintainedQuery / CompressNow)
 //     serialize on a plain mutex, apply their change to the engine, then
 //     *publish*: the engine freezes an immutable EngineSnapshot (graph copy
-//     + CSR, frozen compressed view, materialized maintained relations) and
+//     sharing sealed pages + CSR, frozen compressed view, materialized
+//     maintained relations) and
 //     the service swaps it into an atomic epoch pointer. Publishing never
 //     waits for readers.
 //   * Readers pin the epoch snapshot (one atomic shared_ptr load) and
@@ -154,8 +155,10 @@ struct ServiceOptions {
   size_t queue_capacity = 256;
   /// How many published snapshots (including the current epoch) stay
   /// pinned for QueryRequest::as_of_version reads. Each retained snapshot
-  /// holds a full graph copy + CSR, so this is deliberately small; 1 = no
-  /// time travel, current epoch only. Clamped to >= 1.
+  /// holds its own CSR and the labels and label index; its adjacency and
+  /// attribute pages are shared with the neighbouring epochs, and only the
+  /// pages the writes in between touched are its own. Deliberately small;
+  /// 1 = no time travel, current epoch only. Clamped to >= 1.
   size_t retained_snapshots = 4;
   /// Durability (ISSUE 7): when `durability.dir` is non-empty the service
   /// opens a DurableGraph there at construction — recovering any previous

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "src/generator/generators.h"
+#include "src/graph/graph_snapshot.h"
 #include "src/matching/bounded_simulation.h"
 #include "src/matching/dual_simulation.h"
+#include "src/matching/match_context.h"
 
 namespace expfinder {
 namespace {
@@ -154,6 +156,31 @@ TEST(DualSimulationTest, LabelIndexOffMatchesOn) {
     off.use_label_index = false;
     EXPECT_TRUE(ComputeDualSimulation(g, q, on) == ComputeDualSimulation(g, q, off));
   }
+}
+
+// Regression: the seeding loop sizes a context's BFS buffers only for
+// pattern nodes with out-edges, so before refinement sized them itself, an
+// edge-less pattern on a fresh MatchContext indexed an empty buffer deque
+// (a -D_GLIBCXX_ASSERTIONS build aborts on it). Both matchers, both forms.
+TEST(DualSimulationTest, EdgeLessPatternOnFreshContext) {
+  Graph g = gen::BuildFig1Graph();
+  PatternBuilder b;
+  b.Node("SA", "a").Output();
+  b.Node("SD", "d");
+  Pattern q = b.Build().value();
+  ASSERT_EQ(q.NumEdges(), 0u);
+  const std::vector<NodeId> sa = g.NodesWithLabel(*g.FindLabel("SA"));
+  const std::vector<NodeId> sd = g.NodesWithLabel(*g.FindLabel("SD"));
+  SnapshotPtr snap = g.Publish();
+  auto check = [&](const MatchRelation& m) {
+    EXPECT_EQ(m.MatchesOf(0), sa);
+    EXPECT_EQ(m.MatchesOf(1), sd);
+  };
+  MatchContext bounded_graph_ctx, bounded_snap_ctx, dual_graph_ctx, dual_snap_ctx;
+  check(ComputeBoundedSimulation(g, q, {}, &bounded_graph_ctx));
+  check(ComputeBoundedSimulation(snap, q, {}, &bounded_snap_ctx));
+  check(ComputeDualSimulation(g, q, {}, &dual_graph_ctx));
+  check(ComputeDualSimulation(snap, q, {}, &dual_snap_ctx));
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
-// GraphSnapshot: the immutable publication unit (ISSUE 6). Capture
-// semantics (a private frozen copy, isolated from later mutation of the
-// source), handle identity through Graph::Publish, and the shared lazy
-// ball-index slot: deferred build, grow-only depth, first-limits-wins,
-// failure memoization, and lock-free cached reads — all per snapshot, not
-// per context.
+// GraphSnapshot: the immutable publication unit. Capture semantics (a
+// frozen copy sharing the source's sealed pages, isolated from later
+// mutation of the source, also while readers scan it on other threads),
+// handle identity through Graph::Publish, and the shared lazy ball-index
+// slot: deferred build, grow-only depth, first-limits-wins, failure
+// memoization, and lock-free cached reads — all per snapshot, not per
+// context.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "src/graph/graph_snapshot.h"
 #include "src/matching/bounded_simulation.h"
 #include "src/matching/match_context.h"
+#include "src/util/random.h"
 #include "src/util/thread_pool.h"
 
 namespace expfinder {
@@ -167,6 +171,134 @@ TEST(GraphSnapshotTest, ConcurrentBuildersPayExactlyOneBuild) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(builds.load(), 1u);
   EXPECT_NE(snap->CachedBallIndex(), nullptr);
+}
+
+// --- Copy-on-write pages under concurrency ---------------------------------
+
+// Adjacency-plus-attributes checksum (FNV-1a over every node's label, out-
+// and in-lists in stored order, and attribute pairs).
+uint64_t Checksum(const Graph& g) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](uint64_t x) { h = (h ^ x) * 1099511628211ULL; };
+  mix(g.NumNodes());
+  mix(g.NumEdges());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    mix(g.label(v));
+    for (NodeId w : g.OutNeighbors(v)) mix(w);
+    mix(~uint64_t{0});
+    for (NodeId w : g.InNeighbors(v)) mix(w);
+    mix(~uint64_t{0});
+    for (const auto& [key, value] : g.Attrs(v)) {
+      mix(key);
+      for (char c : value.Serialize()) mix(static_cast<unsigned char>(c));
+    }
+  }
+  return h;
+}
+
+// 400 nodes: seven 64-node pages, the last one partly filled.
+Graph StressGraph() { return gen::TwitterLike({.n = 400, .out_per_node = 4, .seed = 5}); }
+
+// One writer step: four random edge flips (insert when absent, remove when
+// present), plus an attribute write every 5th step and a node every 11th.
+void RandomWriterStep(Graph* g, Rng* rng, size_t step) {
+  const size_t n = g->NumNodes();
+  for (int i = 0; i < 4; ++i) {
+    const auto a = static_cast<NodeId>(rng->NextBounded(n));
+    const auto b = static_cast<NodeId>(rng->NextBounded(n));
+    const Status st = g->HasEdge(a, b) ? g->RemoveEdge(a, b) : g->AddEdge(a, b);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  if (step % 5 == 0) {
+    g->SetAttr(static_cast<NodeId>(rng->NextBounded(n)),
+               rng->NextBool() ? "name" : "score",
+               AttrValue(static_cast<int64_t>(step)));
+  }
+  if (step % 11 == 0) g->AddNode("late");
+}
+
+TEST(GraphSnapshotTest, PinnedSnapshotsKeepTheirChecksumWhileTheWriterClones) {
+  struct Published {
+    SnapshotPtr snap;
+    uint64_t checksum;
+  };
+  Graph g = StressGraph();
+  std::mutex mu;
+  std::vector<Published> published{{g.Publish(), Checksum(g)}};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> verified{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(100 + t);
+      std::vector<Published> pinned;  // held across several writer steps
+      do {
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          pinned.push_back(published[rng.NextBounded(published.size())]);
+        }
+        if (pinned.size() > 3) pinned.erase(pinned.begin());
+        for (const Published& p : pinned) {
+          EXPECT_EQ(Checksum(p.snap->graph()), p.checksum);
+          verified.fetch_add(1, std::memory_order_relaxed);
+        }
+        if (rng.NextBounded(4) == 0) {
+          // A private copy (as replica bootstrap makes) seals the pinned
+          // pages again while the writer tests seals, then writes clones.
+          const Published& p = pinned.back();
+          Graph copy = p.snap->graph();
+          RandomWriterStep(&copy, &rng, 5);
+          EXPECT_EQ(Checksum(p.snap->graph()), p.checksum);
+        }
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  Rng rng(7);
+  for (size_t step = 1; step <= 300; ++step) {
+    RandomWriterStep(&g, &rng, step);
+    Published p{g.Publish(), Checksum(g)};
+    std::lock_guard<std::mutex> lock(mu);
+    published.push_back(std::move(p));
+    // Retire old epochs so pages are freed while readers may pin them.
+    if (published.size() > 16) published.erase(published.begin());
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  for (const Published& p : published) EXPECT_EQ(Checksum(p.snap->graph()), p.checksum);
+  EXPECT_GT(verified.load(), 0u);
+}
+
+TEST(GraphSnapshotTest, CopyAndSourceMutateConcurrentlyLikeReplicaBootstrap) {
+  constexpr size_t kSteps = 300;
+  // Serial replay of one side's steps on a graph built from scratch.
+  auto replay = [](uint64_t seed) {
+    Graph g = StressGraph();
+    Rng rng(seed);
+    for (size_t step = 1; step <= kSteps; ++step) RandomWriterStep(&g, &rng, step);
+    return g;
+  };
+  // Each side publishes now and then, sealing pages the other side may be
+  // cloning at that moment.
+  auto run = [](Graph* g, uint64_t seed) {
+    Rng rng(seed);
+    std::vector<SnapshotPtr> epochs;
+    for (size_t step = 1; step <= kSteps; ++step) {
+      RandomWriterStep(g, &rng, step);
+      if (step % 10 == 0) epochs.push_back(g->Publish());
+    }
+  };
+  Graph source = StressGraph();
+  Graph copy = source;
+  std::thread other([&] { run(&copy, 22); });
+  run(&source, 11);
+  other.join();
+  const Graph expected_source = replay(11);
+  const Graph expected_copy = replay(22);
+  EXPECT_EQ(Checksum(source), Checksum(expected_source));
+  EXPECT_EQ(source.version(), expected_source.version());
+  EXPECT_EQ(Checksum(copy), Checksum(expected_copy));
+  EXPECT_EQ(copy.version(), expected_copy.version());
+  EXPECT_NE(Checksum(source), Checksum(copy));
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <sstream>
+#include <string>
+#include <utility>
 
 #include "src/graph/csr.h"
 #include "src/graph/graph.h"
+#include "src/graph/graph_io.h"
+#include "src/graph/graph_snapshot.h"
 
 namespace expfinder {
 namespace {
@@ -146,6 +152,158 @@ TEST(GraphTest, FailedMutationsDoNotBumpVersion) {
   EXPECT_FALSE(g.AddEdge(0, 1).ok());
   EXPECT_FALSE(g.RemoveEdge(0, 2).ok());
   EXPECT_EQ(g.version(), v);
+}
+
+// --- Copy-on-write pages ----------------------------------------------------
+//
+// Graph stores per-node adjacency and attribute lists in 64-node pages shared
+// between copies. PagedGraph() spans four pages (the last one partly filled),
+// so every mutator below writes a page that a snapshot or copy shares.
+
+constexpr NodeId kPagedNodes = 200;
+
+Graph PagedGraph() {
+  Graph g;
+  for (NodeId v = 0; v < kPagedNodes; ++v) {
+    g.AddNode(v % 3 == 0 ? "A" : "B");
+    g.SetAttr(v, "name", AttrValue("n" + std::to_string(v)));
+    if (v % 2 == 0) g.SetAttr(v, "exp", AttrValue(static_cast<int64_t>(v % 7)));
+  }
+  for (NodeId v = 0; v < kPagedNodes; ++v) {
+    g.AddEdgeUnchecked(v, (v + 1) % kPagedNodes);
+    (void)g.AddEdge(v, (v * 7 + 3) % kPagedNodes);  // a few repeat: skipped
+  }
+  return g;
+}
+
+std::string Text(const Graph& g) {
+  std::ostringstream os;
+  EXPECT_TRUE(SaveGraphText(g, os).ok());
+  return os.str();
+}
+
+using Mutator = std::function<void(Graph*)>;
+
+std::vector<std::pair<std::string, Mutator>> PageMutators() {
+  return {
+      {"AddEdge", [](Graph* g) { ASSERT_TRUE(g->AddEdge(5, 190).ok()); }},
+      {"AddEdgeUnchecked", [](Graph* g) { g->AddEdgeUnchecked(130, 70); }},
+      {"RemoveEdge", [](Graph* g) { ASSERT_TRUE(g->RemoveEdge(64, 65).ok()); }},
+      {"AddNodeIntoPartlyFilledPage",
+       [](Graph* g) {
+         NodeId v = g->AddNode("C");
+         ASSERT_EQ(v, kPagedNodes);
+         g->SetAttr(v, "name", AttrValue("late"));
+         ASSERT_TRUE(g->AddEdge(v, 3).ok());
+         ASSERT_TRUE(g->AddEdge(150, v).ok());
+       }},
+      {"AddNodeIntoFreshPage",
+       [](Graph* g) {
+         NodeId v = kInvalidNode;
+         while (g->NumNodes() <= 256) v = g->AddNode("C");  // 256 starts page 4
+         ASSERT_EQ(v, 256u);
+         g->SetAttr(v, "exp", AttrValue(1));
+         ASSERT_TRUE(g->AddEdge(v, 199).ok());
+         ASSERT_TRUE(g->AddEdge(0, v).ok());
+       }},
+      {"SetAttrOverwrite",
+       [](Graph* g) { g->SetAttr(70, "name", AttrValue("renamed")); }},
+      {"SetAttrNewKey", [](Graph* g) { g->SetAttr(130, "fresh", AttrValue(2.5)); }},
+  };
+}
+
+// A graph built from scratch with the same operations.
+std::string Replayed(const Mutator& mutate) {
+  Graph g = PagedGraph();
+  mutate(&g);
+  return Text(g);
+}
+
+TEST(GraphPagesTest, SnapshotIsolatedFromEveryMutator) {
+  for (const auto& [name, mutate] : PageMutators()) {
+    SCOPED_TRACE(name);
+    Graph g = PagedGraph();
+    const std::string before = Text(g);
+    SnapshotPtr snap = g.Publish();
+    mutate(&g);
+    EXPECT_EQ(Text(snap->graph()), before);
+    EXPECT_EQ(Text(g), Replayed(mutate));
+    EXPECT_NE(Text(g), before);
+  }
+}
+
+TEST(GraphPagesTest, CopyIsolatedFromEveryMutatorInBothDirections) {
+  for (const auto& [name, mutate] : PageMutators()) {
+    SCOPED_TRACE(name);
+    const std::string expected = Replayed(mutate);
+    Graph source = PagedGraph();
+    const std::string before = Text(source);
+    Graph copy = source;
+    mutate(&copy);
+    EXPECT_EQ(Text(source), before);
+    EXPECT_EQ(Text(copy), expected);
+    // And the other way round: the source writes, the copy keeps its state.
+    Graph source2 = PagedGraph();
+    Graph copy2 = source2;
+    mutate(&source2);
+    EXPECT_EQ(Text(copy2), before);
+    EXPECT_EQ(Text(source2), expected);
+  }
+}
+
+TEST(GraphPagesTest, CopyOfACopyAndCopyAssignment) {
+  const auto mutators = PageMutators();
+  Graph a = PagedGraph();
+  const std::string base = Text(a);
+  Graph b = a;
+  Graph c = b;
+  Graph d;
+  d = c;
+  mutators[0].second(&c);  // AddEdge
+  EXPECT_EQ(Text(a), base);
+  EXPECT_EQ(Text(b), base);
+  EXPECT_EQ(Text(d), base);
+  EXPECT_EQ(Text(c), Replayed(mutators[0].second));
+  mutators[2].second(&b);  // RemoveEdge
+  EXPECT_EQ(Text(a), base);
+  EXPECT_EQ(Text(c), Replayed(mutators[0].second));
+  EXPECT_EQ(Text(b), Replayed(mutators[2].second));
+  mutators[5].second(&d);  // SetAttrOverwrite
+  EXPECT_EQ(Text(a), base);
+  EXPECT_EQ(Text(d), Replayed(mutators[5].second));
+  // Assigning over a graph that already wrote its own pages.
+  c = a;
+  EXPECT_EQ(Text(c), base);
+  mutators[1].second(&a);  // AddEdgeUnchecked
+  EXPECT_EQ(Text(c), base);
+  EXPECT_EQ(Text(a), Replayed(mutators[1].second));
+}
+
+TEST(GraphPagesTest, BothSidesOfACopyWriteTheSamePage) {
+  // Nodes 10 and 20 share page 0; each side writes it differently.
+  auto left = [](Graph* g) {
+    ASSERT_TRUE(g->AddEdge(10, 20).ok());
+    g->SetAttr(10, "name", AttrValue("left"));
+  };
+  auto right = [](Graph* g) {
+    ASSERT_TRUE(g->RemoveEdge(10, 11).ok());
+    ASSERT_TRUE(g->AddEdge(20, 10).ok());
+    g->SetAttr(20, "name", AttrValue("right"));
+  };
+  auto left_again = [](Graph* g) {  // the page is a's own by now
+    ASSERT_TRUE(g->AddEdge(12, 30).ok());
+    g->SetAttr(11, "exp", AttrValue(9));
+  };
+  Graph a = PagedGraph();
+  Graph b = a;
+  left(&a);
+  right(&b);
+  left_again(&a);
+  EXPECT_EQ(Text(b), Replayed(right));
+  EXPECT_EQ(Text(a), Replayed([&](Graph* g) {
+              left(g);
+              left_again(g);
+            }));
 }
 
 TEST(CsrTest, MirrorsGraphTopology) {
