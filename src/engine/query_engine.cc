@@ -119,7 +119,6 @@ Result<NodeId> QueryEngine::AddNode(
     const std::vector<std::pair<std::string, AttrValue>>& attrs) {
   NodeId v = g_->AddNode(label);
   for (const auto& [key, value] : attrs) g_->SetAttr(v, key, value);
-  if (maintained_topics_ != nullptr) maintained_topics_->OnNodeAdded(*g_, v);
   for (auto& [fp, m] : maintained_) {
     std::visit([v](auto& inc) { inc.OnNodeAdded(v); }, m);
   }
@@ -137,29 +136,20 @@ Status QueryEngine::RegisterMaintainedQuery(const Pattern& q,
   if (maintained_.count(key)) {
     return Status::AlreadyExists("query already maintained");
   }
+  // The maintainer seeds its initial candidates by a label scan: it runs
+  // once per registered query, and the graph's topic index would be built
+  // for it alone.
   MatchOptions match_opts;
   match_opts.ball_index = options_.ball_index;
-  match_opts.topic_index = options_.topic_index;
-  if (match_opts.topic_index.enabled && maintained_topics_ == nullptr &&
-      HasTextPredicates(q)) {
-    // Maintained queries are reused by construction, so build eagerly (the
-    // deferred-use policy guards the per-snapshot slots, not this one).
-    // A budget refusal leaves registration on the scan path.
-    maintained_topics_ = MaintainedTopicIndex::Build(*g_, match_opts.topic_index);
-    if (maintained_topics_ != nullptr) {
-      stats_.topic_index_builds += maintained_topics_->builds();
-    }
-  }
-  MaintainedTopicIndex* topics = maintained_topics_.get();
   if (semantics == MatchSemantics::kDualSimulation) {
     maintained_.try_emplace(key, std::in_place_type<IncrementalDualSimulation>, g_, q,
-                            match_opts, topics);
+                            match_opts);
   } else if (q.IsSimulationPattern()) {
     maintained_.try_emplace(key, std::in_place_type<IncrementalSimulation>, g_, q,
-                            match_opts, topics);
+                            match_opts);
   } else {
     maintained_.try_emplace(key, std::in_place_type<IncrementalBoundedSimulation>, g_, q,
-                            match_opts, topics);
+                            match_opts);
   }
   BumpEngineSeq();
   return Status::OK();

@@ -44,9 +44,6 @@ struct EngineStats {
   /// per frozen compressed view. Steady state (no mutations) must not grow
   /// this.
   size_t csr_builds = 0;
-  /// Builds of the maintained topic index (index/topic_index.h), which the
-  /// first maintained query with text predicates triggers.
-  size_t topic_index_builds = 0;
 };
 
 /// \brief Stateful writer over the graph, incremental maintenance and
@@ -108,11 +105,6 @@ class QueryEngine {
   EngineOptions options_;
   std::unique_ptr<MaintainedCompression> compression_;
   std::unordered_map<uint64_t, Maintainer> maintained_;
-  /// Incrementally maintained topic index over the live graph, built lazily
-  /// the first time a maintained query with text predicates registers (the
-  /// registration itself seeds from it). AddNode patches it in place;
-  /// engine edge updates never touch content, so it stays exact.
-  std::unique_ptr<MaintainedTopicIndex> maintained_topics_;
   /// The current published snapshot (null until the first Publish).
   std::shared_ptr<const EngineSnapshot> published_;
   /// Bumped by every mutation; published_->engine_seq trails it exactly

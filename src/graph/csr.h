@@ -1,8 +1,9 @@
 // Immutable compressed-sparse-row snapshot of a Graph's topology.
 //
-// Matching engines take a CSR snapshot before running their fixpoints: BFS
-// over flat arrays is markedly faster than chasing per-node vectors, and the
-// snapshot pins the topology against concurrent mutation.
+// Matching engines run their fixpoints over the CSR a GraphSnapshot builds
+// once per published version: BFS over flat arrays is markedly faster than
+// chasing per-node vectors, and the snapshot pins the topology against
+// concurrent mutation.
 
 #ifndef EXPFINDER_GRAPH_CSR_H_
 #define EXPFINDER_GRAPH_CSR_H_

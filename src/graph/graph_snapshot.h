@@ -14,12 +14,15 @@
 //     parts, and a publish after a small batch pays only for the pages the
 //     batch touched,
 //   * the CSR topology snapshot, built eagerly exactly once per published
-//     version (readers share it instead of each MatchContext rebuilding its
-//     own),
-//   * a lazily attached, shared KhopIndex with the same deferred-build /
-//     failure-memoization / grow-only-depth policy MatchContext used to
-//     implement per context — but built once and scanned by every reader of
-//     this version.
+//     version and shared by every reader,
+//   * a lazily attached, shared KhopIndex under a deferred-build /
+//     failure-memoization / grow-only-depth policy, built once and scanned
+//     by every reader of this version,
+//   * through its graph copy, the shared topic-index slot.
+//
+// It is the only holder of graph-derived indexes on the read path:
+// MatchContext keeps per-reader scratch only, and the one-shot matcher
+// overloads capture a snapshot of their argument.
 //
 // Handles are shared_ptr<const GraphSnapshot>: whoever pins one may read it
 // lock-free for as long as the handle lives, concurrently with any number
@@ -74,11 +77,11 @@ class GraphSnapshot {
   /// The shared k-hop ball index at (at least) `depth`, building it if this
   /// call crosses the deferred-build threshold, or nullptr when the caller
   /// must BFS (index disabled, depth 0 / unbounded / beyond limits, build
-  /// over budget, or not enough observed reuse yet). Semantics mirror
-  /// MatchContext::BallIndexFor, lifted to the snapshot so the build is
-  /// paid once per published version instead of once per worker context:
-  /// grow-only in depth, failed depths memoized, the first
-  /// limits.build_after_uses - 1 calls return nullptr without building.
+  /// over budget, or not enough observed reuse yet). The build is paid once
+  /// per published version, not once per reader: grow-only in depth (a
+  /// shallower ball is a prefix of a deeper one), failed depths memoized,
+  /// and the first limits.build_after_uses - 1 calls return nullptr without
+  /// building, so only versions with demonstrated reuse pay the O(n) build.
   /// `pool`/`workers` parallelize a build this call triggers (the caller's
   /// seeding pool; nullptr/1 builds serially). Thread-safe: builders are
   /// serialized on an internal mutex, readers are lock-free, and a

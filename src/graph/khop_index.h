@@ -25,13 +25,14 @@
 // fixpoints over the same visit sets, so relations are bit-identical with
 // the index on, off, or capped (property-tested in random_test.cc).
 //
-// KhopIndex is immutable — the matchers cache one per (graph identity,
-// version, depth, limits) inside MatchContext with the same invalidation
-// rules as the CSR snapshot. MaintainedBallIndex wraps a KhopIndex with a
-// patch overlay for the incremental maintainers, whose graph mutates in
-// place: an update batch dirties only the balls its touched edges can
-// reach, those are re-derived by bounded BFS into the overlay, and a large
-// batch (or an outgrown overlay) triggers a measured full rebuild instead.
+// KhopIndex is immutable — the matchers read the one cached on the published
+// GraphSnapshot they evaluate (graph_snapshot.h), built at most once per
+// version and depth and shared by every reader. MaintainedBallIndex wraps a
+// KhopIndex with a patch overlay for the incremental maintainers, whose
+// graph mutates in place: an update batch dirties only the balls its
+// touched edges can reach, those are re-derived by bounded BFS into the
+// overlay, and a large batch (or an outgrown overlay) triggers a measured
+// full rebuild instead.
 
 #ifndef EXPFINDER_GRAPH_KHOP_INDEX_H_
 #define EXPFINDER_GRAPH_KHOP_INDEX_H_
@@ -70,8 +71,8 @@ struct BallIndexOptions {
   /// the build: no index, every traversal falls back to BFS. At 4 bytes per
   /// entry the default bounds one index at ~128 MiB.
   size_t max_total_entries = size_t{1} << 25;
-  /// How many matcher runs must observe the same (graph, version) before a
-  /// MatchContext pays the O(n) build: a full index costs on the order of
+  /// How many matcher runs must observe the same published snapshot before
+  /// one of them pays the O(n) build: a full index costs on the order of
   /// tens of uncached evaluations, so versions that serve fewer queries
   /// than this — one-shot calls, write-heavy version churn — never build an
   /// index nobody amortizes, while steady-state read traffic (the ROADMAP

@@ -5,14 +5,13 @@
 namespace expfinder {
 
 IncrementalBoundedSimulation::IncrementalBoundedSimulation(Graph* g, Pattern q,
-                                                           const MatchOptions& options,
-                                                           MaintainedTopicIndex* topics)
+                                                           const MatchOptions& options)
     : g_(g), q_(std::move(q)), ball_opts_(options.ball_index) {
   EF_CHECK(q_.Validate().ok()) << "invalid pattern";
   const size_t n = g_->NumNodes();
   Distance max_bound = q_.MaxBound();
   seed_depth_ = max_bound == 0 ? 0 : max_bound - 1;
-  cand_ = ComputeCandidates(*g_, q_, options, topics, nullptr);
+  cand_ = ComputeCandidates(*g_, q_, options);
   mat_ = cand_.bitmap;
   cnt_.assign(q_.NumEdges(), std::vector<int32_t>(n, 0));
   restore_mark_ = DenseBitset(q_.NumNodes(), n);

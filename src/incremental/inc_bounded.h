@@ -57,12 +57,9 @@ class IncrementalBoundedSimulation {
  public:
   /// Computes the initial relation; `g` must outlive this object. Any
   /// pattern accepted by ComputeBoundedSimulation works (bounds >= 1,
-  /// cyclic patterns included).
-  /// `topics` (optional) seeds the initial candidate computation from the
-  /// engine's maintained topic index (see index/topic_index.h); the
-  /// maintained relation is identical with or without it.
-  IncrementalBoundedSimulation(Graph* g, Pattern q, const MatchOptions& options = {},
-                               MaintainedTopicIndex* topics = nullptr);
+  /// cyclic patterns included). Initial candidates come from a label scan
+  /// of `g`; options.ball_index governs the maintained ball index.
+  IncrementalBoundedSimulation(Graph* g, Pattern q, const MatchOptions& options = {});
 
   const Pattern& pattern() const { return q_; }
 

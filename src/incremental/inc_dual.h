@@ -34,11 +34,10 @@ namespace expfinder {
 /// updates and node additions.
 class IncrementalDualSimulation {
  public:
-  /// `topics` (optional) seeds the initial candidate computation from the
-  /// engine's maintained topic index; the maintained relation is
-  /// identical with or without it.
-  IncrementalDualSimulation(Graph* g, Pattern q, const MatchOptions& options = {},
-                            MaintainedTopicIndex* topics = nullptr);
+  /// Computes the initial relation; `g` must outlive this object. Initial
+  /// candidates come from a label scan of `g`; options.ball_index governs
+  /// the maintained ball index.
+  IncrementalDualSimulation(Graph* g, Pattern q, const MatchOptions& options = {});
 
   const Pattern& pattern() const { return q_; }
 

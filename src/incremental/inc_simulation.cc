@@ -5,14 +5,13 @@
 namespace expfinder {
 
 IncrementalSimulation::IncrementalSimulation(Graph* g, Pattern q,
-                                             const MatchOptions& options,
-                                             MaintainedTopicIndex* topics)
+                                             const MatchOptions& options)
     : g_(g), q_(std::move(q)) {
   EF_CHECK(q_.IsSimulationPattern())
       << "IncrementalSimulation requires bounds == 1 (use bounded variant)";
   EF_CHECK(q_.Validate().ok()) << "invalid pattern";
   const size_t n = g_->NumNodes();
-  cand_ = ComputeCandidates(*g_, q_, options, topics, nullptr);
+  cand_ = ComputeCandidates(*g_, q_, options);
   mat_ = cand_.bitmap;
   cnt_.assign(q_.NumEdges(), std::vector<int32_t>(n, 0));
   restore_mark_ = DenseBitset(q_.NumNodes(), n);

@@ -38,12 +38,9 @@ namespace expfinder {
 class IncrementalSimulation {
  public:
   /// Computes the initial match relation; `g` must outlive this object.
-  /// The pattern must satisfy IsSimulationPattern().
-  /// `topics` (optional) seeds the initial candidate computation from the
-  /// engine's maintained topic index; the maintained relation is
-  /// identical with or without it.
-  IncrementalSimulation(Graph* g, Pattern q, const MatchOptions& options = {},
-                        MaintainedTopicIndex* topics = nullptr);
+  /// The pattern must satisfy IsSimulationPattern(). Initial candidates
+  /// come from a label scan of `g` (ComputeCandidates without an index).
+  IncrementalSimulation(Graph* g, Pattern q, const MatchOptions& options = {});
 
   const Pattern& pattern() const { return q_; }
 

@@ -36,37 +36,34 @@ std::unique_ptr<TopicIndex> TopicIndex::Build(const Graph& g,
   std::unique_ptr<TopicIndex> idx(new TopicIndex());
   const size_t n = g.NumNodes();
   idx->num_nodes_ = n;
-  idx->fwd_off_.assign(n + 1, 0);
 
-  // Pass 1: forward index (per-node sorted term ids), interning tokens.
+  // Pass 1: forward index (per-node term ids, concatenated in node order),
+  // interning tokens.
+  std::vector<uint32_t> fwd_terms;
+  std::vector<uint64_t> fwd_off(n + 1, 0);
   std::vector<std::string> tokens;
-  std::vector<uint32_t> terms;
-  size_t total = 0;
   for (NodeId v = 0; v < n; ++v) {
     NodeTokens(g, v, &tokens);
-    terms.clear();
-    for (const std::string& t : tokens) terms.push_back(idx->terms_.Intern(t));
-    std::sort(terms.begin(), terms.end());
-    total += terms.size();
-    if (total > limits.max_total_postings) return nullptr;
-    idx->fwd_terms_.insert(idx->fwd_terms_.end(), terms.begin(), terms.end());
-    idx->fwd_off_[v + 1] = idx->fwd_terms_.size();
+    if (fwd_terms.size() + tokens.size() > limits.max_total_postings) return nullptr;
+    for (const std::string& t : tokens) fwd_terms.push_back(idx->terms_.Intern(t));
+    fwd_off[v + 1] = fwd_terms.size();
   }
+  const size_t total = fwd_terms.size();
   idx->total_postings_ = total;
 
   // Pass 2: invert by counting sort (stable in v, so postings come out
   // ascending per term), then delta + varint encode.
   const size_t nt = idx->terms_.size();
   idx->df_.assign(nt, 0);
-  for (uint32_t t : idx->fwd_terms_) ++idx->df_[t];
+  for (uint32_t t : fwd_terms) ++idx->df_[t];
   std::vector<uint64_t> pos(nt + 1, 0);
   for (size_t t = 0; t < nt; ++t) pos[t + 1] = pos[t] + idx->df_[t];
   std::vector<NodeId> bucket(total);
   {
     std::vector<uint64_t> cur(pos.begin(), pos.end() - 1);
     for (NodeId v = 0; v < n; ++v) {
-      for (uint64_t i = idx->fwd_off_[v]; i < idx->fwd_off_[v + 1]; ++i) {
-        bucket[cur[idx->fwd_terms_[i]]++] = v;
+      for (uint64_t i = fwd_off[v]; i < fwd_off[v + 1]; ++i) {
+        bucket[cur[fwd_terms[i]]++] = v;
       }
     }
   }
@@ -116,122 +113,6 @@ const TopicIndex* TopicIndexSlot::Get(const Graph& g, const TopicIndexOptions& l
   published_.store(index_.get(), std::memory_order_release);
   if (built_now) *built_now = true;
   return index_.get();
-}
-
-std::unique_ptr<MaintainedTopicIndex> MaintainedTopicIndex::Build(
-    const Graph& g, const TopicIndexOptions& limits) {
-  std::unique_ptr<TopicIndex> base = TopicIndex::Build(g, limits);
-  if (base == nullptr) return nullptr;
-  std::unique_ptr<MaintainedTopicIndex> m(new MaintainedTopicIndex());
-  m->base_terms_ = base->NumTerms();
-  m->base_ = std::move(base);
-  m->graph_ = &g;
-  m->builds_ = 1;
-  return m;
-}
-
-std::optional<uint32_t> MaintainedTopicIndex::FindTerm(std::string_view token) const {
-  if (auto t = base_->FindTerm(token)) return t;
-  if (auto t = extra_terms_.Find(token)) {
-    return static_cast<uint32_t>(base_terms_ + *t);
-  }
-  return std::nullopt;
-}
-
-size_t MaintainedTopicIndex::DocFreq(uint32_t term) {
-  EnsureFresh(*graph_, term);
-  if (auto it = rederived_.find(term); it != rederived_.end()) return it->second.size();
-  size_t df = term < base_terms_ ? base_->DocFreq(term) : 0;
-  if (auto it = overlay_.find(term); it != overlay_.end()) df += it->second.size();
-  return df;
-}
-
-void MaintainedTopicIndex::AppendPostings(uint32_t term, std::vector<NodeId>* out) {
-  EnsureFresh(*graph_, term);
-  if (auto it = rederived_.find(term); it != rederived_.end()) {
-    out->insert(out->end(), it->second.begin(), it->second.end());
-    return;
-  }
-  if (term < base_terms_) base_->AppendPostings(term, out);
-  if (auto it = overlay_.find(term); it != overlay_.end()) {
-    // Overlay ids all postdate the base build, so the concatenation stays
-    // ascending.
-    EF_DCHECK(it->second.empty() || out->empty() || out->back() < it->second.front());
-    out->insert(out->end(), it->second.begin(), it->second.end());
-  }
-}
-
-std::vector<uint32_t> MaintainedTopicIndex::DeriveTerms(const Graph& g, NodeId v) {
-  std::vector<std::string> tokens;
-  NodeTokens(g, v, &tokens);
-  std::vector<uint32_t> terms;
-  terms.reserve(tokens.size());
-  for (const std::string& t : tokens) {
-    if (auto base = base_->FindTerm(t)) {
-      terms.push_back(*base);
-    } else {
-      terms.push_back(static_cast<uint32_t>(base_terms_ + extra_terms_.Intern(t)));
-    }
-  }
-  std::sort(terms.begin(), terms.end());
-  return terms;
-}
-
-std::vector<uint32_t> MaintainedTopicIndex::IndexedTerms(NodeId v) const {
-  if (auto it = fwd_overlay_.find(v); it != fwd_overlay_.end()) return it->second;
-  if (v < base_->NumNodes()) return base_->Terms(v);
-  return {};
-}
-
-void MaintainedTopicIndex::OnNodeAdded(const Graph& g, NodeId v) {
-  std::vector<uint32_t> terms = DeriveTerms(g, v);
-  for (uint32_t t : terms) {
-    if (dirty_.count(t)) continue;  // re-derivation will see the node
-    if (auto it = rederived_.find(t); it != rederived_.end()) {
-      EF_DCHECK(it->second.empty() || it->second.back() < v);
-      it->second.push_back(v);
-      continue;
-    }
-    std::vector<NodeId>& postings = overlay_[t];
-    EF_DCHECK(postings.empty() || postings.back() < v);
-    postings.push_back(v);
-  }
-  fwd_overlay_[v] = std::move(terms);
-}
-
-void MaintainedTopicIndex::RefreshNode(const Graph& g, NodeId v) {
-  std::vector<uint32_t> old_terms = IndexedTerms(v);
-  std::vector<uint32_t> new_terms = DeriveTerms(g, v);
-  for (const std::vector<uint32_t>* side : {&old_terms, &new_terms}) {
-    for (uint32_t t : *side) {
-      dirty_.insert(t);
-      rederived_.erase(t);
-      overlay_.erase(t);
-    }
-  }
-  fwd_overlay_[v] = std::move(new_terms);
-}
-
-void MaintainedTopicIndex::EnsureFresh(const Graph& g, uint32_t term) {
-  if (dirty_.find(term) == dirty_.end()) return;
-  dirty_.erase(term);
-  const std::string& name =
-      term < base_terms_ ? base_->TermName(term)
-                         : extra_terms_.NameOf(static_cast<uint32_t>(term - base_terms_));
-  std::vector<NodeId> postings;
-  std::vector<std::string> tokens;
-  const size_t n = g.NumNodes();
-  for (NodeId v = 0; v < n; ++v) {
-    tokens.clear();
-    AppendTopicTokens(g.NodeLabelName(v), &tokens);
-    for (const auto& [key, value] : g.Attrs(v)) {
-      if (value.is_string()) AppendTopicTokens(value.AsString(), &tokens);
-    }
-    if (std::find(tokens.begin(), tokens.end(), name) != tokens.end()) {
-      postings.push_back(v);
-    }
-  }
-  rederived_[term] = std::move(postings);
 }
 
 bool HasTextPredicates(const Pattern& q) {

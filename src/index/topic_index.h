@@ -34,8 +34,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/graph/attribute.h"
@@ -69,9 +67,8 @@ struct TopicIndexOptions {
 };
 
 /// \brief Immutable inverted index over one graph's content. Postings are
-/// per-term delta-compressed varints (ascending node ids); a forward index
-/// (per-node sorted term ids) supports overlay diffing and tests. Built once,
-/// then read concurrently without synchronization.
+/// per-term delta-compressed varints (ascending node ids). Built once, then
+/// read concurrently without synchronization.
 class TopicIndex {
  public:
   /// Builds the index over `g`'s labels + string attributes. Returns nullptr
@@ -112,12 +109,6 @@ class TopicIndex {
     ForEachPosting(term, [out](NodeId v) { out->push_back(v); });
   }
 
-  /// Sorted term ids of node `v` (the forward index).
-  std::vector<uint32_t> Terms(NodeId v) const {
-    return std::vector<uint32_t>(fwd_terms_.begin() + fwd_off_[v],
-                                 fwd_terms_.begin() + fwd_off_[v + 1]);
-  }
-
   size_t NumTerms() const { return terms_.size(); }
   size_t NumNodes() const { return num_nodes_; }
   size_t TotalPostings() const { return total_postings_; }
@@ -132,8 +123,6 @@ class TopicIndex {
   std::vector<uint32_t> df_;        // per-term document frequency
   std::vector<uint8_t> blob_;       // varint delta-encoded postings
   std::vector<uint64_t> off_;       // per-term byte offsets into blob_
-  std::vector<uint32_t> fwd_terms_; // forward index: sorted terms per node
-  std::vector<uint64_t> fwd_off_;   // per-node offsets into fwd_terms_
   size_t num_nodes_ = 0;
   size_t total_postings_ = 0;
 };
@@ -176,64 +165,6 @@ class TopicIndexSlot {
   mutable bool failed_ = false;
   mutable size_t uses_ = 0;
   mutable std::atomic<bool> touched_{false};  // see Consumed()
-};
-
-/// \brief Incrementally maintained topic index for the engine's update path:
-/// an immutable base (built at registration time) plus an overlay of
-/// appended postings for nodes added since, and a dirty-term set for content
-/// rewrites. Dirty terms are lazily re-derived by one full scan per term, so
-/// pure-append workloads (the common engine path: AddNode then edge churn)
-/// never rescan. Single-writer like the engine itself; readers go through
-/// the same FindTerm/DocFreq/AppendPostings surface as TopicIndex.
-class MaintainedTopicIndex {
- public:
-  /// nullptr when the base build is refused (disabled / over budget).
-  static std::unique_ptr<MaintainedTopicIndex> Build(const Graph& g,
-                                                     const TopicIndexOptions& limits);
-
-  std::optional<uint32_t> FindTerm(std::string_view token) const;
-  size_t DocFreq(uint32_t term);
-  void AppendPostings(uint32_t term, std::vector<NodeId>* out);
-
-  /// Patches in a node appended to the graph (id must exceed every indexed
-  /// id, which Graph::AddNode guarantees). Call after its attributes are set;
-  /// later SetAttr calls on it need RefreshNode.
-  void OnNodeAdded(const Graph& g, NodeId v);
-
-  /// Re-derives node `v`'s tokens from the graph after an attribute rewrite.
-  /// Terms it gained or lost go dirty and are rebuilt on next access.
-  void RefreshNode(const Graph& g, NodeId v);
-
-  size_t NumTerms() const { return base_terms_ + extra_terms_.size(); }
-  /// Build count for EngineStats::topic_index_builds (1 after a successful
-  /// base build; re-derivations are patches, not builds).
-  size_t builds() const { return builds_; }
-  /// Terms currently served from the overlay/re-derived side (telemetry).
-  size_t patched_terms() const { return overlay_.size() + rederived_.size(); }
-  size_t dirty_terms() const { return dirty_.size(); }
-
- private:
-  MaintainedTopicIndex() = default;
-
-  /// Sorted unique term ids of `v`'s current content, interning new tokens.
-  std::vector<uint32_t> DeriveTerms(const Graph& g, NodeId v);
-  /// Term ids `v` was last indexed under (overlay if refreshed, else base).
-  std::vector<uint32_t> IndexedTerms(NodeId v) const;
-  /// Rebuilds a dirty term's posting list by scanning the graph.
-  void EnsureFresh(const Graph& g, uint32_t term);
-
-  std::unique_ptr<TopicIndex> base_;
-  size_t base_terms_ = 0;
-  const Graph* graph_ = nullptr;  // the engine's live graph (single writer)
-  StringInterner extra_terms_;    // ids offset by base_terms_
-  // Appended postings per term, ascending, for terms NOT dirty/re-derived.
-  std::unordered_map<uint32_t, std::vector<NodeId>> overlay_;
-  // Authoritative full posting lists for terms that went dirty at least once.
-  std::unordered_map<uint32_t, std::vector<NodeId>> rederived_;
-  std::unordered_set<uint32_t> dirty_;
-  // Nodes added or refreshed since the base build -> their current terms.
-  std::unordered_map<NodeId, std::vector<uint32_t>> fwd_overlay_;
-  size_t builds_ = 0;
 };
 
 /// True when some pattern node carries a predicate the topic index can

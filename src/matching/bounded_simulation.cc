@@ -10,8 +10,10 @@
 
 namespace expfinder {
 
-MatchRelation ComputeBoundedSimulation(const Graph& g, const Pattern& q,
+MatchRelation ComputeBoundedSimulation(const SnapshotPtr& s, const Pattern& q,
                                        const MatchOptions& options, MatchContext* ctx) {
+  ctx->BindSnapshot(s);
+  const Graph& g = s->graph();
   const size_t n = g.NumNodes();
   const size_t ne = q.NumEdges();
 
@@ -19,14 +21,14 @@ MatchRelation ComputeBoundedSimulation(const Graph& g, const Pattern& q,
   DenseBitset mat = cand.bitmap;
   auto& cnt = ctx->Counters(0, ne, n);
 
-  const Csr& csr = ctx->SnapshotFor(g);
+  const Csr& csr = s->csr();
   // One ball index at the pattern's largest finite bound serves every
   // bounded edge: a shallower ball is a prefix of the deeper one. BFS
   // remains the path for unbounded (reachability) edges, depths beyond the
   // index, overflowed hubs, and budget-refused builds — all of which must
   // reproduce the index path bit for bit.
   const KhopIndex* ball =
-      ctx->BallIndexFor(g, q.MaxFiniteBound(), options.ball_index, options.num_threads);
+      ctx->BallIndexFor(q.MaxFiniteBound(), options.ball_index, options.num_threads);
   const bool count_fallbacks = options.ball_index.enabled;
   size_t ball_hits = 0;
   size_t bfs_fallbacks = 0;
@@ -152,14 +154,7 @@ MatchRelation ComputeBoundedSimulation(const Graph& g, const Pattern& q,
 MatchRelation ComputeBoundedSimulation(const Graph& g, const Pattern& q,
                                        const MatchOptions& options) {
   MatchContext ctx;
-  return ComputeBoundedSimulation(g, q, options, &ctx);
-}
-
-MatchRelation ComputeBoundedSimulation(const SnapshotPtr& s, const Pattern& q,
-                                       const MatchOptions& options,
-                                       MatchContext* ctx) {
-  ctx->BindSnapshot(s);
-  return ComputeBoundedSimulation(s->graph(), q, options, ctx);
+  return ComputeBoundedSimulation(GraphSnapshot::Capture(g), q, options, &ctx);
 }
 
 MatchRelation ComputeBoundedSimulationNaive(const Graph& g, const Pattern& q) {

@@ -26,24 +26,26 @@ namespace expfinder {
 class MatchContext;
 
 /// Computes M(Q,G) under bounded-simulation semantics. Handles any bounds
-/// (including kUnboundedEdge = reachability). The ctx overload reuses the
-/// context's versioned CSR snapshot, BFS buffers and counter arrays across
-/// calls, and fans the seeding phase out over options.num_threads workers
-/// (deterministic: identical results for every thread count). The
-/// ctx-less overload constructs a fresh context per call.
-MatchRelation ComputeBoundedSimulation(const Graph& g, const Pattern& q,
-                                       const MatchOptions& options, MatchContext* ctx);
-MatchRelation ComputeBoundedSimulation(const Graph& g, const Pattern& q,
-                                       const MatchOptions& options = {});
-
+/// (including kUnboundedEdge = reachability), and fans the seeding phase
+/// out over options.num_threads workers (deterministic: identical results
+/// for every thread count).
+///
 /// Snapshot form: evaluates against a published immutable GraphSnapshot.
-/// Binds `ctx` (required) to the snapshot — the CSR and ball index come
-/// from the snapshot, shared with every other reader of the same version,
-/// and the binding persists so ResultGraph construction rides the same
-/// state. This is the serving path: any number of threads may evaluate
-/// against one snapshot concurrently, each with its own context.
+/// Binds `ctx` (required) to the snapshot — the CSR, ball index and topic
+/// index come from the snapshot, shared with every other reader of the
+/// same version, and the binding persists so ResultGraph construction
+/// rides the same state; the context's BFS buffers and counter arrays are
+/// reused across calls. This is the serving path: any number of threads may
+/// evaluate against one snapshot concurrently, each with its own context.
 MatchRelation ComputeBoundedSimulation(const SnapshotPtr& s, const Pattern& q,
                                        const MatchOptions& options, MatchContext* ctx);
+
+/// One-shot form: captures a snapshot of `g` and evaluates it with a fresh
+/// context. The capture shares `g`'s topic-index slot (Graph::topic_slot),
+/// so a text predicate here ages, and may build, the index that every
+/// snapshot of the same content reads.
+MatchRelation ComputeBoundedSimulation(const Graph& g, const Pattern& q,
+                                       const MatchOptions& options = {});
 
 /// Reference implementation against a dense all-pairs distance matrix;
 /// requires g.NumNodes() <= 4096.

@@ -73,14 +73,13 @@ void AppendNecessaryTokens(const PatternNode& n, std::vector<std::string>* out) 
   }
 }
 
-/// `Topics` is TopicIndex (const) or MaintainedTopicIndex; nullptr means no
-/// index. Every candidate a posting list proposes is re-verified by
-/// Satisfies, so the output is bit-identical to the scan paths — ascending
-/// order included, since postings are ascending like the label index.
-template <typename Topics>
+/// `topics` may be nullptr (no index). Every candidate a posting list
+/// proposes is re-verified by Satisfies, so the output is bit-identical to
+/// the scan paths — ascending order included, since postings are ascending
+/// like the label index.
 CandidateSets ComputeCandidatesImpl(const Graph& g, const Pattern& q,
-                                    const MatchOptions& options, Topics* topics,
-                                    TopicSeedStats* stats) {
+                                    const MatchOptions& options,
+                                    const TopicIndex* topics, TopicSeedStats* stats) {
   const size_t n = g.NumNodes();
   const size_t nq = q.NumNodes();
   CandidateSets out;
@@ -155,18 +154,12 @@ CandidateSets ComputeCandidatesImpl(const Graph& g, const Pattern& q,
 
 CandidateSets ComputeCandidates(const Graph& g, const Pattern& q,
                                 const MatchOptions& options) {
-  return ComputeCandidatesImpl<const TopicIndex>(g, q, options, nullptr, nullptr);
+  return ComputeCandidatesImpl(g, q, options, nullptr, nullptr);
 }
 
 CandidateSets ComputeCandidates(const Graph& g, const Pattern& q,
                                 const MatchOptions& options,
                                 const TopicIndex* topics, TopicSeedStats* stats) {
-  return ComputeCandidatesImpl(g, q, options, topics, stats);
-}
-
-CandidateSets ComputeCandidates(const Graph& g, const Pattern& q,
-                                const MatchOptions& options,
-                                MaintainedTopicIndex* topics, TopicSeedStats* stats) {
   return ComputeCandidatesImpl(g, q, options, topics, stats);
 }
 

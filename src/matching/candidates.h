@@ -75,18 +75,14 @@ CandidateSets ComputeCandidates(const Graph& g, const Pattern& q,
 CandidateSets ComputeCandidates(const Graph& g, const Pattern& q,
                                 const MatchOptions& options,
                                 const TopicIndex* topics, TopicSeedStats* stats);
-/// Same, over the engine's incrementally maintained index (non-const: dirty
-/// terms re-derive lazily on access).
-CandidateSets ComputeCandidates(const Graph& g, const Pattern& q,
-                                const MatchOptions& options,
-                                MaintainedTopicIndex* topics, TopicSeedStats* stats);
 
-/// Matcher entry point: resolves the snapshot topic index through `ctx`
-/// (building it when the deferred threshold is crossed) for patterns with
-/// text predicates, seeds from postings, and accounts the telemetry into
-/// `ctx`. Falls back to the plain overload when `ctx` is null, the index is
-/// disabled, or the pattern has no text predicates — non-text queries never
-/// touch (or age) the slot.
+/// Matcher entry point: resolves the topic index of the snapshot `ctx` is
+/// bound to (building it when the deferred threshold is crossed) for
+/// patterns with text predicates, seeds from postings, and accounts the
+/// telemetry into `ctx`. `g` is the bound snapshot's graph; against any
+/// other graph the text nodes scan. Falls back to the plain overload when
+/// `ctx` is null, the index is disabled, or the pattern has no text
+/// predicates — non-text queries never touch (or age) the slot.
 CandidateSets ComputeCandidates(const Graph& g, const Pattern& q,
                                 const MatchOptions& options, MatchContext* ctx);
 

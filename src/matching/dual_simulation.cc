@@ -21,8 +21,10 @@ struct EdgeRef {
 
 }  // namespace
 
-MatchRelation ComputeDualSimulation(const Graph& g, const Pattern& q,
+MatchRelation ComputeDualSimulation(const SnapshotPtr& s, const Pattern& q,
                                     const MatchOptions& options, MatchContext* ctx) {
+  ctx->BindSnapshot(s);
+  const Graph& g = s->graph();
   const size_t n = g.NumNodes();
   const size_t ne = q.NumEdges();
 
@@ -34,9 +36,9 @@ MatchRelation ComputeDualSimulation(const Graph& g, const Pattern& q,
   auto& fwd = ctx->Counters(0, ne, n);
   auto& bwd = ctx->Counters(1, ne, n);
 
-  const Csr& csr = ctx->SnapshotFor(g);
+  const Csr& csr = s->csr();
   const KhopIndex* ball =
-      ctx->BallIndexFor(g, q.MaxFiniteBound(), options.ball_index, options.num_threads);
+      ctx->BallIndexFor(q.MaxFiniteBound(), options.ball_index, options.num_threads);
   const bool count_fallbacks = options.ball_index.enabled;
   size_t ball_hits = 0;
   size_t bfs_fallbacks = 0;
@@ -211,13 +213,7 @@ MatchRelation ComputeDualSimulation(const Graph& g, const Pattern& q,
 MatchRelation ComputeDualSimulation(const Graph& g, const Pattern& q,
                                     const MatchOptions& options) {
   MatchContext ctx;
-  return ComputeDualSimulation(g, q, options, &ctx);
-}
-
-MatchRelation ComputeDualSimulation(const SnapshotPtr& s, const Pattern& q,
-                                    const MatchOptions& options, MatchContext* ctx) {
-  ctx->BindSnapshot(s);
-  return ComputeDualSimulation(s->graph(), q, options, ctx);
+  return ComputeDualSimulation(GraphSnapshot::Capture(g), q, options, &ctx);
 }
 
 MatchRelation ComputeDualSimulationNaive(const Graph& g, const Pattern& q) {

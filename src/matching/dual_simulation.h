@@ -32,19 +32,19 @@ namespace expfinder {
 class MatchContext;
 
 /// Computes M(Q,G) under bounded dual-simulation semantics (any bounds,
-/// cyclic patterns, kUnboundedEdge supported). The ctx overload reuses the
-/// context's versioned CSR snapshot, BFS buffers and both counter families
-/// across calls, and parallelizes the seeding phase deterministically over
-/// options.num_threads workers.
-MatchRelation ComputeDualSimulation(const Graph& g, const Pattern& q,
-                                    const MatchOptions& options, MatchContext* ctx);
-MatchRelation ComputeDualSimulation(const Graph& g, const Pattern& q,
-                                    const MatchOptions& options = {});
-
+/// cyclic patterns, kUnboundedEdge supported), parallelizing the seeding
+/// phase deterministically over options.num_threads workers.
+///
 /// Snapshot form: evaluates against a published immutable GraphSnapshot,
-/// binding `ctx` (required) to it. See bounded_simulation.h.
+/// binding `ctx` (required) to it and reusing its BFS buffers and both
+/// counter families across calls. See bounded_simulation.h.
 MatchRelation ComputeDualSimulation(const SnapshotPtr& s, const Pattern& q,
                                     const MatchOptions& options, MatchContext* ctx);
+
+/// One-shot form: captures a snapshot of `g` and evaluates it with a fresh
+/// context (see bounded_simulation.h).
+MatchRelation ComputeDualSimulation(const Graph& g, const Pattern& q,
+                                    const MatchOptions& options = {});
 
 /// Reference implementation against a dense distance matrix; test oracle
 /// (graphs <= 4096 nodes).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/index/topic_index.h"
+#include "src/util/logging.h"
 
 namespace expfinder {
 
@@ -11,88 +12,16 @@ namespace {
 constexpr size_t kMinSeedItemsPerWorker = 128;
 }  // namespace
 
-const Csr& MatchContext::SnapshotFor(const Graph& g) {
-  if (snapshot_ != nullptr && &snapshot_->graph() == &g) return snapshot_->csr();
-  if (csr_ == nullptr || snapshot_graph_ != &g || snapshot_uid_ != g.uid() ||
-      snapshot_version_ != g.version()) {
-    csr_ = std::make_unique<Csr>(g);
-    snapshot_graph_ = &g;
-    snapshot_uid_ = g.uid();
-    snapshot_version_ = g.version();
-    ++snapshot_builds_;
-    // A ball index derived from the replaced snapshot can never serve
-    // again; drop it here too, so traffic that stops requesting the index
-    // (disabled per-request) cannot pin a dead version's index in memory.
-    if (ball_index_ != nullptr &&
-        (ball_graph_ != &g || ball_uid_ != g.uid() || ball_version_ != g.version())) {
-      ball_index_.reset();
-      ball_failed_depth_ = 0;
-      ball_key_uses_ = 0;
-    }
-  }
-  return *csr_;
-}
-
-void MatchContext::InvalidateSnapshot() {
-  csr_.reset();
-  snapshot_graph_ = nullptr;
-  ball_index_.reset();
-  ball_graph_ = nullptr;
-  ball_failed_depth_ = 0;
-  ball_key_uses_ = 0;
-}
-
-const KhopIndex* MatchContext::BallIndexFor(const Graph& g, Distance depth,
+const KhopIndex* MatchContext::BallIndexFor(Distance depth,
                                             const BallIndexOptions& limits,
                                             uint32_t num_threads) {
-  if (snapshot_ != nullptr && &snapshot_->graph() == &g) {
-    // Bound path: the index lives on the shared snapshot — built once per
-    // published version, scanned by every reader. A build this call
-    // triggers uses this context's seeding pool and is attributed to this
-    // context's build counter.
-    const size_t workers = SeedWorkers(num_threads, snapshot_->csr().NumNodes());
-    ThreadPool* pool = workers > 1 ? &Pool(workers) : nullptr;
-    bool built_now = false;
-    const KhopIndex* index =
-        snapshot_->BallIndex(depth, limits, pool, workers, &built_now);
-    if (built_now) ++ball_index_builds_;
-    return index;
-  }
-  if (!limits.enabled || depth == 0 || depth == kUnreachable ||
-      depth > limits.max_depth) {
-    return nullptr;
-  }
-  const bool same_key = ball_graph_ == &g && ball_uid_ == g.uid() &&
-                        ball_version_ == g.version() && ball_limits_ == limits;
-  if (!same_key) {
-    ball_index_.reset();
-    ball_graph_ = &g;
-    ball_uid_ = g.uid();
-    ball_version_ = g.version();
-    ball_limits_ = limits;
-    ball_failed_depth_ = 0;
-    ball_key_uses_ = 0;
-  }
-  ++ball_key_uses_;
-  if (ball_index_ != nullptr && ball_index_->depth() >= depth) return ball_index_.get();
-  if (ball_failed_depth_ != 0 && depth >= ball_failed_depth_) return nullptr;
-  // Deferred build: only pay the O(n) construction once this (graph,
-  // version) has shown reuse — one-shot callers and write-heavy version
-  // churn stay on the BFS paths for free.
-  if (ball_key_uses_ < limits.build_after_uses) return nullptr;
-  const Csr& csr = SnapshotFor(g);
-  const size_t workers = SeedWorkers(num_threads, csr.NumNodes());
+  EF_DCHECK(snapshot_ != nullptr) << "BallIndexFor needs a bound snapshot";
+  const size_t workers = SeedWorkers(num_threads, snapshot_->csr().NumNodes());
   ThreadPool* pool = workers > 1 ? &Pool(workers) : nullptr;
-  auto built = KhopIndex::Build(csr, depth, limits, pool, workers);
-  if (built == nullptr) {
-    // Keep any existing shallower index — it is still exact — and remember
-    // that `depth` does not fit the budget.
-    ball_failed_depth_ = depth;
-    return nullptr;
-  }
-  ball_index_ = std::move(built);
-  ++ball_index_builds_;
-  return ball_index_.get();
+  bool built_now = false;
+  const KhopIndex* index = snapshot_->BallIndex(depth, limits, pool, workers, &built_now);
+  if (built_now) ++ball_index_builds_;
+  return index;
 }
 
 const TopicIndex* MatchContext::TopicIndexFor(const Graph& g,

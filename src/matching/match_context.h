@@ -1,15 +1,14 @@
 // Per-reader scratch state reused across queries — the amortization layer
 // of the matching hot path.
 //
-// Every batch matcher used to pay three avoidable constant-factor costs on
-// *each* call: an O(n+m) Csr snapshot of the (usually unchanged) graph,
-// fresh BFS scratch buffers, and fresh per-pattern-edge counter arrays. A
-// MatchContext owns all three and hands them out for reuse:
+// Graph-derived indexes (the CSR, the k-hop ball index, the topic index)
+// live on the published GraphSnapshot the context is bound to, shared by
+// every reader of that version; the context owns only what is private to
+// one evaluation at a time:
 //
-//   * SnapshotFor(g) returns a Csr rebuilt only when the graph identity or
-//     its version() changed since the last call — in the query engine's
-//     steady state (no updates between queries) the snapshot is built once
-//     and shared by the matchers *and* ResultGraph construction.
+//   * BindSnapshot pins the snapshot the matchers read; BallIndexFor and
+//     TopicIndexFor resolve its shared slots and attribute any build this
+//     context pays to its telemetry.
 //   * EnsureBuffers/Buffers provide one BfsBuffers per parallel seeding
 //     worker (worker 0 doubles as the serial-path buffer).
 //   * Counters provides the per-edge int32 counter arrays (two independent
@@ -18,12 +17,11 @@
 //
 // A MatchContext is single-owner state: it must not be shared between
 // threads, and at most one matcher may run against it at a time (the
-// matchers themselves fan out internally via Pool()). Stateless callers can
-// simply construct a fresh MatchContext per call — that is exactly the old
-// behaviour — which is what the thin compatibility overloads of the
-// matchers do. Concurrent callers give each worker its *own* context: the
+// matchers themselves fan out internally via Pool()). The one-shot matcher
+// overloads capture a snapshot and construct a fresh context per call.
+// Concurrent callers give each worker its *own* context: the
 // ExpFinderService keeps a pool of per-worker contexts and leases one to
-// every in-flight query, so snapshots and scratch never cross threads.
+// every in-flight query, so scratch never crosses threads.
 
 #ifndef EXPFINDER_MATCHING_MATCH_CONTEXT_H_
 #define EXPFINDER_MATCHING_MATCH_CONTEXT_H_
@@ -35,7 +33,6 @@
 #include <vector>
 
 #include "src/graph/bfs.h"
-#include "src/graph/csr.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_snapshot.h"
 #include "src/graph/khop_index.h"
@@ -43,73 +40,29 @@
 
 namespace expfinder {
 
-/// \brief Versioned CSR snapshot cache + reusable matcher scratch.
+/// \brief Reusable matcher scratch, bound to one published snapshot at a
+/// time.
 class MatchContext {
  public:
   MatchContext() = default;
   MatchContext(const MatchContext&) = delete;
   MatchContext& operator=(const MatchContext&) = delete;
 
-  /// Binds this context to a published GraphSnapshot: while bound, every
-  /// SnapshotFor / BallIndexFor / CachedBallIndex call against the
-  /// snapshot's graph is answered from the snapshot itself — the shared,
-  /// pre-built CSR and the shared lazily-built ball index — instead of the
-  /// context's private (uid, version)-keyed slots. The context retains the
-  /// handle, pinning the snapshot for as long as the binding lasts (a
-  /// worker binds per request; the engine rebinds at each publish).
-  /// Binding nullptr unbinds. The private slots are untouched either way,
-  /// so unbound use (the pre-snapshot paths, tests, oracles) behaves
-  /// exactly as before.
+  /// Binds this context to a published GraphSnapshot, whose CSR and shared
+  /// index slots the matchers then read. The context retains the handle,
+  /// pinning the snapshot for as long as the binding lasts (a worker binds
+  /// per request; the snapshot matcher overloads bind on entry). Binding
+  /// nullptr unbinds.
   void BindSnapshot(SnapshotPtr snapshot) { snapshot_ = std::move(snapshot); }
   const SnapshotPtr& bound_snapshot() const { return snapshot_; }
 
-  /// The CSR snapshot of `g`, rebuilt only when the cached snapshot was
-  /// taken from a different graph — keyed on (address, Graph::uid(),
-  /// version()); the uid catches a Graph re-constructed in place whose
-  /// restarted version counter collides with the cached one. The reference
-  /// stays valid until the next SnapshotFor with a changed graph. When `g`
-  /// is the bound snapshot's graph, returns the snapshot's shared CSR
-  /// without building anything.
-  const Csr& SnapshotFor(const Graph& g);
-
-  /// Drops the cached snapshot and the ball index derived from it (next
-  /// SnapshotFor / BallIndexFor rebuild).
-  void InvalidateSnapshot();
-
-  /// How many times a snapshot has been (re)built — the steady-state
-  /// regression signal: repeated queries on an unmutated graph must not
-  /// increase this.
-  size_t snapshot_builds() const { return snapshot_builds_; }
-
-  /// The cached k-hop ball index for `g` at (at least) `depth`, building it
-  /// if needed, or nullptr when the matcher must BFS instead: the index is
-  /// disabled, `depth` is 0 / unbounded / beyond limits.max_depth, or the
-  /// build blew limits.max_total_entries (the failure is memoized per
-  /// (graph, version, limits) so refused queries don't re-pay the build).
-  /// Keyed like SnapshotFor — (address, uid, version) — plus the limits, so
-  /// a per-request cap change never serves an index built under different
-  /// caps. Grow-only in depth within one key: a deeper request rebuilds,
-  /// shallower requests reuse (smaller balls are prefixes of deeper ones).
-  /// Build is additionally *deferred*: the first
-  /// BallIndexOptions::build_after_uses - 1 calls against a fresh key
-  /// return nullptr without building, so only graph versions with
-  /// demonstrated reuse pay the O(n) construction.
-  const KhopIndex* BallIndexFor(const Graph& g, Distance depth,
-                                const BallIndexOptions& limits, uint32_t num_threads);
-
-  /// The already-built index for `g` at its current version, or nullptr —
-  /// never builds, never counts a use. For secondary consumers
-  /// (ResultGraph construction) that ride on whatever the matchers warmed.
-  const KhopIndex* CachedBallIndex(const Graph& g) const {
-    if (snapshot_ != nullptr && &snapshot_->graph() == &g) {
-      return snapshot_->CachedBallIndex();
-    }
-    if (ball_index_ != nullptr && ball_graph_ == &g && ball_uid_ == g.uid() &&
-        ball_version_ == g.version()) {
-      return ball_index_.get();
-    }
-    return nullptr;
-  }
+  /// The bound snapshot's shared k-hop ball index at (at least) `depth`, or
+  /// nullptr when the matcher must BFS instead (see GraphSnapshot::BallIndex
+  /// for the deferred-build, failure-memo and grow-only policy). A build
+  /// this call triggers runs on this context's seeding pool and counts in
+  /// ball_index_builds(). Requires a bound snapshot.
+  const KhopIndex* BallIndexFor(Distance depth, const BallIndexOptions& limits,
+                                uint32_t num_threads);
 
   /// Successful ball-index (re)builds, and the matchers' traversal-path
   /// tallies: ball_hits counts traversals served from the index,
@@ -129,10 +82,8 @@ class MatchContext {
 
   /// The shared topic inverted index of the bound snapshot's graph, building
   /// it if this call crosses its deferred threshold (counted in
-  /// topic_index_builds). The topic index lives on published snapshots only:
-  /// an unbound context — or a call against some other graph — returns
-  /// nullptr and the caller keeps its scans, which preserves the
-  /// pre-snapshot paths (tests, oracles, incremental bases) untouched.
+  /// topic_index_builds). An unbound context, or a call against any graph
+  /// but the bound snapshot's, gets nullptr and the caller keeps its scans.
   const TopicIndex* TopicIndexFor(const Graph& g, const TopicIndexOptions& limits);
 
   /// Topic-index builds this context triggered, and the seeding tallies
@@ -175,25 +126,9 @@ class MatchContext {
   size_t SeedWorkers(uint32_t requested, size_t work_items) const;
 
  private:
-  /// Bound published snapshot (nullptr = unbound, private slots serve).
+  /// Bound published snapshot (nullptr = unbound).
   SnapshotPtr snapshot_;
 
-  const Graph* snapshot_graph_ = nullptr;
-  uint64_t snapshot_uid_ = 0;
-  uint64_t snapshot_version_ = 0;
-  std::unique_ptr<Csr> csr_;
-  size_t snapshot_builds_ = 0;
-
-  std::unique_ptr<KhopIndex> ball_index_;
-  const Graph* ball_graph_ = nullptr;
-  uint64_t ball_uid_ = 0;
-  uint64_t ball_version_ = 0;
-  BallIndexOptions ball_limits_;
-  /// Smallest depth whose build failed under the current key (0 = none):
-  /// deeper builds can only be bigger, so they are refused without retrying.
-  Distance ball_failed_depth_ = 0;
-  /// Matcher runs observed against the current key (drives deferred build).
-  size_t ball_key_uses_ = 0;
   size_t ball_index_builds_ = 0;
   size_t ball_hits_ = 0;
   size_t bfs_fallbacks_ = 0;

@@ -41,20 +41,21 @@ ResultGraph::ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& 
   in_.resize(nodes_.size());
   if (nodes_.empty() || q.NumEdges() == 0) return;
 
-  // Context-provided snapshot/buffers when available; otherwise local (the
-  // standalone construction path used by tests and one-off callers). The
-  // ball index is strictly opportunistic: whatever the matcher that
-  // produced `m` warmed in this context — never built here.
+  // The bound snapshot's CSR and the context's buffers when available;
+  // otherwise local (the one-shot path). The ball index is strictly
+  // opportunistic: whatever the matchers warmed on the snapshot — never
+  // built here.
   std::optional<Csr> local_csr;
   BfsBuffers local_buf;
   const Csr* csr;
   BfsBuffers* buf;
   const KhopIndex* ball = nullptr;
   if (ctx != nullptr) {
-    csr = &ctx->SnapshotFor(g);
+    const GraphSnapshot& s = *ctx->bound_snapshot();
+    csr = &s.csr();
     ctx->EnsureBuffers(1, g.NumNodes());
     buf = &ctx->Buffers(0);
-    ball = ctx->CachedBallIndex(g);
+    ball = s.CachedBallIndex();
   } else {
     local_csr.emplace(g);
     csr = &*local_csr;

@@ -28,18 +28,14 @@ class ResultGraph {
   /// 0 < dist(v, v') <= k, an edge (v, v') with weight dist(v, v'). Parallel
   /// derivations keep the smallest weight.
   ///
-  /// The ctx overload reuses the context's CSR snapshot and BFS buffers
-  /// (the engine shares one context between the matcher and this
-  /// construction, so a steady-state query builds no per-query CSR at all);
-  /// ctx may be nullptr, which falls back to a local snapshot.
-  ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& m,
-              MatchContext* ctx);
+  /// One-shot form: builds a local CSR of `g` and local BFS buffers.
   ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& m)
       : ResultGraph(g, q, m, nullptr) {}
 
   /// Snapshot form: builds over a published immutable GraphSnapshot,
   /// binding `ctx` (required) to it — the construction rides the
-  /// snapshot's shared CSR and whatever ball index the matchers warmed.
+  /// snapshot's shared CSR and whatever ball index the matchers warmed, and
+  /// reuses the context's BFS buffers, so a serving read builds no CSR.
   ResultGraph(const SnapshotPtr& s, const Pattern& q, const MatchRelation& m,
               MatchContext* ctx);
 
@@ -60,6 +56,11 @@ class ResultGraph {
   const std::vector<uint32_t>& MatchesOf(PatternNodeId u) const { return matches_of_[u]; }
 
  private:
+  /// Shared body. `ctx`, when set, is bound to the snapshot whose graph is
+  /// `g`; nullptr selects the one-shot path.
+  ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& m,
+              MatchContext* ctx);
+
   std::vector<NodeId> nodes_;  // sorted data ids
   std::unordered_map<NodeId, uint32_t> index_;
   WeightedAdjacency out_, in_;

@@ -7,19 +7,21 @@
 
 namespace expfinder {
 
-MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
+MatchRelation ComputeSimulation(const SnapshotPtr& s, const Pattern& q,
                                 const MatchOptions& options, MatchContext* ctx) {
   EF_CHECK(q.IsSimulationPattern())
       << "ComputeSimulation requires all bounds == 1; use bounded simulation";
+  ctx->BindSnapshot(s);
+  const Graph& g = s->graph();
   const size_t n = g.NumNodes();
   const size_t ne = q.NumEdges();
 
   CandidateSets cand = ComputeCandidates(g, q, options, ctx);
   DenseBitset mat = cand.bitmap;  // in-relation bit matrix
   auto& cnt = ctx->Counters(0, ne, n);
-  // Walk the CSR, not the Graph's paged adjacency lists: contiguous, and
-  // the bound snapshot's own, so a serving read builds nothing.
-  const Csr& csr = ctx->SnapshotFor(g);
+  // Walk the snapshot's CSR, not the Graph's paged adjacency lists:
+  // contiguous, and built once at publish, so a serving read builds nothing.
+  const Csr& csr = s->csr();
 
   // Pending invalidated pairs.
   std::deque<std::pair<PatternNodeId, NodeId>> worklist;
@@ -60,13 +62,7 @@ MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
 MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
                                 const MatchOptions& options) {
   MatchContext ctx;
-  return ComputeSimulation(g, q, options, &ctx);
-}
-
-MatchRelation ComputeSimulation(const SnapshotPtr& s, const Pattern& q,
-                                const MatchOptions& options, MatchContext* ctx) {
-  ctx->BindSnapshot(s);
-  return ComputeSimulation(s->graph(), q, options, ctx);
+  return ComputeSimulation(GraphSnapshot::Capture(g), q, options, &ctx);
 }
 
 MatchRelation ComputeSimulationNaive(const Graph& g, const Pattern& q) {

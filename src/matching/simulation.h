@@ -24,18 +24,18 @@ namespace expfinder {
 class MatchContext;
 
 /// Computes M(Q,G) under graph-simulation semantics. Every edge bound must
-/// be 1 (checked); use ComputeBoundedSimulation otherwise. The ctx overload
-/// reuses the context's versioned CSR snapshot and counter arrays across
-/// calls; the ctx-less overload constructs a fresh context per call.
-MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
-                                const MatchOptions& options, MatchContext* ctx);
-MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
-                                const MatchOptions& options = {});
-
+/// be 1 (checked); use ComputeBoundedSimulation otherwise.
+///
 /// Snapshot form: evaluates against a published immutable GraphSnapshot,
-/// binding `ctx` (required) to it. See bounded_simulation.h.
+/// binding `ctx` (required) to it and reusing its counter arrays across
+/// calls. See bounded_simulation.h.
 MatchRelation ComputeSimulation(const SnapshotPtr& s, const Pattern& q,
                                 const MatchOptions& options, MatchContext* ctx);
+
+/// One-shot form: captures a snapshot of `g` and evaluates it with a fresh
+/// context (see bounded_simulation.h).
+MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
+                                const MatchOptions& options = {});
 
 /// Reference implementation (slow, obviously-correct); test oracle.
 MatchRelation ComputeSimulationNaive(const Graph& g, const Pattern& q);

@@ -68,8 +68,10 @@ Result<Pattern> LoadPatternStream(std::istream& is) {
         if (tokens[3] == "*") {
           bound = kUnboundedEdge;
         } else {
+          // `*` is the only spelling of unbounded: a numeric bound must
+          // fit below kUnboundedEdge.
           int64_t b;
-          if (!ParseInt64(tokens[3], &b) || b < 1) {
+          if (!ParseInt64(tokens[3], &b) || b < 1 || b >= kUnboundedEdge) {
             return ParseError(line_no, "bad bound '" + tokens[3] + "'");
           }
           bound = static_cast<Distance>(b);

@@ -96,10 +96,15 @@ bool ReplicaFleet::Bootstrap(Slot* slot) {
     if (!options_.checkpoint_dir.empty()) {
       auto bootstrap =
           LoadReplicaBootstrap(options_.checkpoint_dir, options_.file_ops);
-      if (bootstrap.ok()) {
+      // A re-anchor never moves a replica backwards: a checkpoint older than
+      // the state the replica holds would roll it back, and it would serve
+      // the older version until it replayed the gap. The snapshot install
+      // wins then, or, without one, the replica keeps its state.
+      if (bootstrap.ok() && bootstrap->next_lsn >= slot->replica.next_lsn()) {
         slot->replica.Install(std::move(*bootstrap));
         return true;
       }
+      if (bootstrap.ok() && !install_) return true;
     }
     if (install_) {
       slot->replica.Install(install_());

@@ -14,7 +14,10 @@
 //   re-anchor: a lost prefix (WAL truncated / window evicted below the
 //              cursor) or an apply-side DataLoss re-runs bootstrap. Counted
 //              per replica — a nonzero rebootstrap count is the signal that
-//              a replica fell off the tail.
+//              a replica fell off the tail. A re-anchor never moves a
+//              replica backwards: a checkpoint older than its cursor is
+//              skipped for the snapshot install (or, without an install
+//              function, the replica keeps its state).
 //   self-healing (PR 10): every fetch/apply outcome feeds a per-replica
 //              ReplicaHealth watchdog. Isolated failures get a brief retry
 //              pause (the replica keeps serving its last snapshot); N

@@ -23,8 +23,9 @@ bool CancelRequested(const PendingQuery& pending) {
   return pending.ticket->cancelled.load(std::memory_order_acquire);
 }
 
-/// Idle contexts retained between queries. Each WorkerContext can hold two
-/// CSR snapshots plus a parked seeding pool, so a burst wider than this
+/// Idle contexts retained between queries. Each WorkerContext holds two
+/// contexts' scratch (BFS buffers, counter arrays, a parked seeding pool)
+/// and pins the snapshots they last bound, so a burst wider than this
 /// drops the surplus on release instead of keeping peak-concurrency memory
 /// for the service's lifetime.
 size_t IdleContextCap() {

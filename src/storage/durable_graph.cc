@@ -59,7 +59,7 @@ Status DurableGraph::ApplyRecord(Graph* g, std::string_view payload) {
       int64_t src, dst;
       if (tokens.size() != 3 || (tokens[0] != "+" && tokens[0] != "-") ||
           !ParseInt64(tokens[1], &src) || !ParseInt64(tokens[2], &dst) ||
-          src < 0 || dst < 0) {
+          src < 0 || dst < 0 || src >= kInvalidNode || dst >= kInvalidNode) {
         return Status::Corruption("bad update line in WAL batch record: " +
                                   std::string(sv));
       }

@@ -249,7 +249,7 @@ Result<MatchRelation> ParseMatchRelation(const std::string& text) {
       for (size_t i = 2; i < tokens.size(); ++i) {
         if (tokens[i].empty()) continue;
         int64_t v;
-        if (!ParseInt64(tokens[i], &v) || v < 0) {
+        if (!ParseInt64(tokens[i], &v) || v < 0 || v >= kInvalidNode) {
           return Status::Corruption("bad node id at line " + std::to_string(line_no));
         }
         nodes.push_back(static_cast<NodeId>(v));

@@ -48,9 +48,10 @@ TEST(BuildSanityTest, EveryModuleLinks) {
 
   // matching + result graph.
   MatchContext ctx;
-  MatchRelation m = ComputeBoundedSimulation(g, q, MatchOptions{}, &ctx);
-  EXPECT_EQ(ctx.snapshot_builds(), 1u);
-  ResultGraph gr(g, q, m, &ctx);
+  SnapshotPtr snap = g.Publish();
+  MatchRelation m = ComputeBoundedSimulation(snap, q, MatchOptions{}, &ctx);
+  EXPECT_EQ(ctx.bound_snapshot(), snap);
+  ResultGraph gr(snap, q, m, &ctx);
   EXPECT_EQ(gr.NumNodes(), m.MatchesOf(*pa).size());
 
   // ranking.

@@ -7,7 +7,6 @@
 #include <numeric>
 #include <vector>
 
-#include "src/generator/generators.h"
 #include "src/matching/match_context.h"
 #include "src/util/dense_bitset.h"
 #include "src/util/thread_pool.h"
@@ -157,35 +156,6 @@ TEST(ThreadPoolTest, ResolveThreads) {
   EXPECT_EQ(ThreadPool::ResolveThreads(3), 3u);
   EXPECT_EQ(ThreadPool::ResolveThreads(1), 1u);
   EXPECT_GE(ThreadPool::ResolveThreads(0), 1u);
-}
-
-TEST(MatchContextTest, SnapshotRebuiltOnlyOnVersionChange) {
-  Graph g = gen::BuildFig1Graph();
-  MatchContext ctx;
-  const Csr* first = &ctx.SnapshotFor(g);
-  EXPECT_EQ(ctx.snapshot_builds(), 1u);
-  EXPECT_EQ(&ctx.SnapshotFor(g), first);
-  EXPECT_EQ(ctx.snapshot_builds(), 1u);
-
-  auto [src, dst] = gen::Fig1EdgeE1();
-  ASSERT_TRUE(g.AddEdge(src, dst).ok());
-  const Csr& rebuilt = ctx.SnapshotFor(g);
-  EXPECT_EQ(ctx.snapshot_builds(), 2u);
-  EXPECT_EQ(rebuilt.NumEdges(), g.NumEdges());
-  EXPECT_EQ(&ctx.SnapshotFor(g), &rebuilt);
-  EXPECT_EQ(ctx.snapshot_builds(), 2u);
-}
-
-TEST(MatchContextTest, SnapshotTracksGraphIdentity) {
-  Graph a = gen::BuildFig1Graph();
-  Graph b = gen::BuildFig1Graph();
-  MatchContext ctx;
-  (void)ctx.SnapshotFor(a);
-  (void)ctx.SnapshotFor(b);
-  EXPECT_EQ(ctx.snapshot_builds(), 2u);
-  ctx.InvalidateSnapshot();
-  (void)ctx.SnapshotFor(b);
-  EXPECT_EQ(ctx.snapshot_builds(), 3u);
 }
 
 TEST(MatchContextTest, SeedWorkersPolicy) {

@@ -176,11 +176,12 @@ TEST(DualSimulationTest, EdgeLessPatternOnFreshContext) {
     EXPECT_EQ(m.MatchesOf(0), sa);
     EXPECT_EQ(m.MatchesOf(1), sd);
   };
-  MatchContext bounded_graph_ctx, bounded_snap_ctx, dual_graph_ctx, dual_snap_ctx;
-  check(ComputeBoundedSimulation(g, q, {}, &bounded_graph_ctx));
-  check(ComputeBoundedSimulation(snap, q, {}, &bounded_snap_ctx));
-  check(ComputeDualSimulation(g, q, {}, &dual_graph_ctx));
-  check(ComputeDualSimulation(snap, q, {}, &dual_snap_ctx));
+  // The one-shot form constructs its own fresh context.
+  check(ComputeBoundedSimulation(g, q));
+  check(ComputeDualSimulation(g, q));
+  MatchContext bounded_ctx, dual_ctx;
+  check(ComputeBoundedSimulation(snap, q, {}, &bounded_ctx));
+  check(ComputeDualSimulation(snap, q, {}, &dual_ctx));
 }
 
 }  // namespace

@@ -330,10 +330,14 @@ TEST(DurableRecordCodecTest, InconsistentRecordsAreDataLoss) {
 TEST(DurableRecordCodecTest, GarbagePayloadIsCorruption) {
   Graph g;
   g.AddNode("A");
+  g.AddNode("B");
   EXPECT_TRUE(DurableGraph::ApplyRecord(&g, "not a record").IsCorruption());
   EXPECT_TRUE(DurableGraph::ApplyRecord(&g, "batch nope").IsCorruption());
   EXPECT_TRUE(DurableGraph::ApplyRecord(&g, "batch 1\n* 0 0").IsCorruption());
   EXPECT_TRUE(DurableGraph::ApplyRecord(&g, "addnode").IsCorruption());
+  // An endpoint that does not fit 32 bits (it would truncate to node 0).
+  EXPECT_TRUE(DurableGraph::ApplyRecord(&g, "batch 1\n+ 4294967296 1").IsCorruption());
+  EXPECT_EQ(g.NumEdges(), 0u);
 }
 
 }  // namespace

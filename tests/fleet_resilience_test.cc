@@ -12,7 +12,8 @@
 //   * A fleet fed a poisoned transport quarantines the sick replica and
 //     auto-restarts it from a fresh anchor — converging to the primary even
 //     while the faults persist, because the install path bypasses the
-//     transport.
+//     transport. A re-anchor never rolls a replica back to a checkpoint
+//     older than its state.
 //   * Acquire fails fast (AcquireOutcome::kUnavailable) when no applier can
 //     recover, and waiters are woken on replica death instead of sleeping
 //     out their deadline.
@@ -27,6 +28,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -43,6 +45,7 @@
 #include "src/replication/fleet.h"
 #include "src/replication/health.h"
 #include "src/service/expfinder_service.h"
+#include "src/storage/checkpoint.h"
 #include "src/storage/durable_graph.h"
 #include "src/util/clock.h"
 
@@ -474,6 +477,55 @@ TEST(FleetResilienceTest, WatchdogQuarantinesAndAutoRestartsPoisonedReplica) {
       << "replica never converged after faults were disarmed";
 
   fleet.Stop();
+  EXPECT_EQ(GraphText(fleet.replica(0).graph()), GraphText(primary.graph()));
+}
+
+TEST(FleetResilienceTest, ReanchorNeverMovesReplicaBehindItsState) {
+  gen::CollaborationConfig cfg;
+  cfg.num_people = 48;
+  cfg.num_teams = 8;
+  InProcessDeltaSource source({}, 0);
+  FleetHarness primary(gen::CollaborationNetwork(cfg), &source);
+
+  // A checkpoint at LSN 1, then one more record: the head is past it.
+  primary.ShipBatch(GenerateUpdateStream(primary.graph(), 8, 0.5, 601));
+  const std::string dir = ::testing::TempDir() + "/fleet_reanchor_checkpoint";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  CheckpointOptions copts;
+  copts.dir = dir;
+  const ReplicaBootstrap checkpointed = primary.Install();
+  ASSERT_TRUE(WriteCheckpoint(copts, checkpointed.graph, checkpointed.next_lsn).ok());
+  primary.ShipBatch(GenerateUpdateStream(primary.graph(), 8, 0.5, 602));
+  const uint64_t head = primary.version();
+  ASSERT_NE(head, checkpointed.graph.version());
+
+  FaultyDeltaSource faulty({}, &source);
+  FleetOptions fopts;
+  fopts.num_replicas = 1;
+  fopts.poll_interval_ms = 1.0;
+  fopts.checkpoint_dir = dir;
+  ReplicaFleet fleet(fopts, &faulty, [&] { return primary.Install(); });
+  fleet.Start();
+  // Bootstrap from the checkpoint, then replay the tail to the head.
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        auto rs = fleet.Replicas()[0];
+        return rs.alive && rs.version == head;
+      },
+      5000.0));
+
+  // Every fetch now claims a lost prefix, so every round re-anchors. The
+  // newest checkpoint is behind the replica's state: loading it would roll
+  // the replica back to the checkpoint's version, so the snapshot install
+  // must win.
+  DeltaFaultPlan lost;
+  lost.lost_prefix_prob = 1.0;
+  faulty.SetPlan(lost);
+  ASSERT_TRUE(WaitFor([&] { return fleet.Replicas()[0].rebootstraps >= 2; }, 5000.0));
+  EXPECT_EQ(fleet.Replicas()[0].version, head);
+  fleet.Stop();
+  EXPECT_EQ(fleet.replica(0).version(), head);
   EXPECT_EQ(GraphText(fleet.replica(0).graph()), GraphText(primary.graph()));
 }
 

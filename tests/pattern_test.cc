@@ -154,6 +154,14 @@ TEST(PatternTextTest, RejectsMalformedInputs) {
   EXPECT_TRUE(ParsePatternText("node a SA\nedge a a 0\noutput a\n")
                   .status()
                   .IsCorruption());
+  // Bounds that do not fit 32 bits, and the unbounded sentinel spelled as a
+  // number (only `*` means unbounded).
+  EXPECT_TRUE(ParsePatternText("node a SA\nedge a a 4294967297\noutput a\n")
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(ParsePatternText("node a SA\nedge a a 4294967295\noutput a\n")
+                  .status()
+                  .IsCorruption());
   // Valid lines but no output directive.
   EXPECT_TRUE(ParsePatternText("node a SA\n").status().IsInvalidArgument());
 }

@@ -148,10 +148,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RngSweep, ::testing::Values(1, 2, 3, 42, 1234, 9
 // --- Randomized equivalence: optimized matchers vs. naive oracles ---------
 //
 // The optimized bounded/dual matchers differ from the references in every
-// dimension the hot-path overhauls touched: they reuse a MatchContext (CSR
-// snapshot, BFS buffers, counter arrays, k-hop ball index) across calls,
-// store membership in flat bitsets, traverse precomputed balls instead of
-// re-running BFS, and fan the seeding phase out over a thread pool. This
+// dimension the hot-path overhauls touched: they walk a snapshot's CSR and
+// k-hop ball index, reuse a MatchContext (BFS buffers, counter arrays,
+// seeding pool) across calls, store membership in flat bitsets, traverse
+// precomputed balls instead of re-running BFS, and fan the seeding phase
+// out over a thread pool (which also builds the ball index). This
 // sweep pins all of that to the naive dense-distance-matrix fixpoints on
 // random graph/pattern pairs, for thread counts {1, 4} crossed with every
 // ball-index posture — enabled, disabled, and capped so hard that every
@@ -163,9 +164,9 @@ TEST(RandomEquivalenceTest, OptimizedMatchersMatchNaiveOraclesAcrossThreadCounts
     const char* name;
     BallIndexOptions options;
   };
-  // build_after_uses = 1 forces the eager build: each (graph, pattern)
-  // round uses a fresh graph identity, so the default deferred policy would
-  // never build at all and the index paths would go untested.
+  // build_after_uses = 1 forces the eager build: each evaluation captures a
+  // fresh snapshot, so the default deferred policy would never build at all
+  // and the index paths would go untested.
   const BallConfig configs[] = {
       {"ball-on", {.build_after_uses = 1}},
       {"ball-off", {.enabled = false}},
@@ -176,9 +177,10 @@ TEST(RandomEquivalenceTest, OptimizedMatchersMatchNaiveOraclesAcrossThreadCounts
       {"ball-capped-total", {.max_total_entries = 1, .build_after_uses = 1}},
   };
   // One context per (thread count, config), deliberately reused across all
-  // iterations so snapshot/index invalidation (new graph identity every
-  // round) and counter re-zeroing are exercised, not just the happy first
-  // call.
+  // iterations so rebinding to a new snapshot every call and counter
+  // re-zeroing are exercised, not just the happy first call. Each evaluation
+  // captures its own snapshot: a snapshot's ball slot keeps the first limits
+  // it sees, so a shared one would serve every later config from BFS.
   MatchContext ctxs[2][4];
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     const size_t n = 20 + (seed * 13) % 90;
@@ -197,10 +199,12 @@ TEST(RandomEquivalenceTest, OptimizedMatchersMatchNaiveOraclesAcrossThreadCounts
         opts.num_threads = threads;
         opts.ball_index = configs[c].options;
         MatchContext& ctx = ctxs[threads == 1 ? 0 : 1][c];
-        EXPECT_TRUE(ComputeBoundedSimulation(g, q, opts, &ctx) == naive_bounded)
+        EXPECT_TRUE(ComputeBoundedSimulation(GraphSnapshot::Capture(g), q, opts, &ctx) ==
+                    naive_bounded)
             << "bounded mismatch: seed=" << seed << " threads=" << threads
             << " config=" << configs[c].name;
-        EXPECT_TRUE(ComputeDualSimulation(g, q, opts, &ctx) == naive_dual)
+        EXPECT_TRUE(ComputeDualSimulation(GraphSnapshot::Capture(g), q, opts, &ctx) ==
+                    naive_dual)
             << "dual mismatch: seed=" << seed << " threads=" << threads
             << " config=" << configs[c].name;
       }
@@ -213,19 +217,20 @@ TEST(RandomEquivalenceTest, ThreadCountsProduceBitIdenticalRelations) {
   // recomputation here, so size is cheap): every thread count must yield
   // the exact same relation as the serial pass.
   Graph g = gen::ErdosRenyi(1500, 9000, 99);
+  SnapshotPtr snap = g.Publish();
   for (int i = 0; i < 4; ++i) {
     Pattern q = gen::RandomPattern(4, 6, 2, 0.3, 1000 + i);
     MatchOptions serial;
     serial.num_threads = 1;
     MatchContext ctx;
-    MatchRelation reference_b = ComputeBoundedSimulation(g, q, serial, &ctx);
-    MatchRelation reference_d = ComputeDualSimulation(g, q, serial, &ctx);
+    MatchRelation reference_b = ComputeBoundedSimulation(snap, q, serial, &ctx);
+    MatchRelation reference_d = ComputeDualSimulation(snap, q, serial, &ctx);
     for (uint32_t threads : {2u, 4u, 8u}) {
       MatchOptions opts;
       opts.num_threads = threads;
-      EXPECT_TRUE(ComputeBoundedSimulation(g, q, opts, &ctx) == reference_b)
+      EXPECT_TRUE(ComputeBoundedSimulation(snap, q, opts, &ctx) == reference_b)
           << "pattern " << i << " threads " << threads;
-      EXPECT_TRUE(ComputeDualSimulation(g, q, opts, &ctx) == reference_d)
+      EXPECT_TRUE(ComputeDualSimulation(snap, q, opts, &ctx) == reference_d)
           << "pattern " << i << " threads " << threads;
     }
   }

@@ -247,6 +247,9 @@ TEST(MatchRelationSerializationTest, RejectsMalformed) {
   EXPECT_TRUE(
       ParseMatchRelation("patternnodes 1\nmatch 0 3 1\n").status().IsCorruption());
   EXPECT_TRUE(ParseMatchRelation("").status().IsCorruption());
+  // A node id that does not fit 32 bits.
+  EXPECT_TRUE(
+      ParseMatchRelation("patternnodes 1\nmatch 0 4294967296\n").status().IsCorruption());
 }
 
 TEST(MatchRelationSerializationTest, OversizedCountIsCorruptionNotAllocation) {
