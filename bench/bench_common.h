@@ -31,6 +31,12 @@ inline Graph MakeEr(size_t n, uint64_t seed = 1) {
   return gen::ErdosRenyi(n, 5 * n, seed);
 }
 
+/// MakeEr with topic-labelled nodes: every node lists expertise topics, so
+/// topic queries and fusion ranking have text to work on.
+inline Graph MakeTopicEr(size_t n, uint64_t seed = 1) {
+  return gen::ErdosRenyi(n, 5 * n, seed, gen::TopicExpertiseModel());
+}
+
 inline void Header(const std::string& experiment, const std::string& claim) {
   std::printf("\n=== %s ===\n", experiment.c_str());
   std::printf("paper claim: %s\n\n", claim.c_str());

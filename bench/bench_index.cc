@@ -14,10 +14,6 @@ using namespace expfinder::bench;
 
 namespace {
 
-Graph MakeTopicEr(size_t n, uint64_t seed = 1) {
-  return gen::ErdosRenyi(n, 5 * n, seed, gen::TopicExpertiseModel());
-}
-
 /// One output node demanding a rare-ish phrase, one structural peer: the
 /// canonical compiled topic query.
 Pattern TopicQuery() {

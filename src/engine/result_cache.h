@@ -7,6 +7,11 @@
 // (`as_of_version`) can never be served a newer relation. Entries for
 // superseded versions are not proactively dropped; they keep serving pinned
 // reads until LRU pressure evicts them.
+//
+// An answer also carries the ranked lists served from it (RankedListMemo,
+// ranking/ranked_list_memo.h): each (output node, metric, topic tokens)
+// ranking is computed once per cached answer, and a later hit copies its
+// prefix. The lists are freed with their answer when LRU evicts it.
 
 #ifndef EXPFINDER_ENGINE_RESULT_CACHE_H_
 #define EXPFINDER_ENGINE_RESULT_CACHE_H_
@@ -18,13 +23,21 @@
 
 #include "src/matching/match_relation.h"
 #include "src/matching/result_graph.h"
+#include "src/ranking/ranked_list_memo.h"
 
 namespace expfinder {
 
-/// \brief A cached evaluation: the match relation plus its result graph.
+/// \brief A cached evaluation: the match relation plus its result graph,
+/// both immutable once built, and the ranked lists served from them so far.
+/// `QueryAnswer{matches, result_graph}` starts with an empty memo, as does a
+/// copy.
 struct QueryAnswer {
   MatchRelation matches;
   ResultGraph result_graph;
+  /// Top-k lists ranked over `result_graph` (see RankedListMemo). Mutable:
+  /// answers are shared as `shared_ptr<const QueryAnswer>`, and the memo
+  /// is the one part that grows, under its own mutex.
+  mutable RankedListMemo ranked_lists{};
 };
 
 /// \brief LRU map (fingerprint, graph version) -> QueryAnswer.

@@ -55,6 +55,7 @@
 // Ranking.
 #include "src/ranking/fusion.h"
 #include "src/ranking/metrics.h"
+#include "src/ranking/ranked_list_memo.h"
 #include "src/ranking/social_impact.h"
 #include "src/ranking/topk.h"
 

@@ -127,10 +127,7 @@ bool HasTextPredicates(const Pattern& q) {
 }
 
 Pattern CompileTopicTerms(const Pattern& q, const std::vector<std::string>& terms) {
-  std::vector<std::string> tokens;
-  for (const std::string& t : terms) AppendTopicTokens(t, &tokens);
-  std::sort(tokens.begin(), tokens.end());
-  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  std::vector<std::string> tokens = SortedTopicTokens(terms);
   Pattern out = q;
   const std::optional<PatternNodeId> output = out.output_node();
   if (!output) return out;

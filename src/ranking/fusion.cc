@@ -101,12 +101,7 @@ Result<std::vector<RankedMatch>> TopKTopicFusion(const ResultGraph& gr,
   if (!output) return Status::InvalidArgument("pattern has no output node");
   const size_t n = gr.NumNodes();
   if (n == 0) return std::vector<RankedMatch>{};  // nothing matched, nothing to rank
-  std::vector<std::string> query_tokens;
-  for (const std::string& t : terms) AppendTopicTokens(t, &query_tokens);
-  std::sort(query_tokens.begin(), query_tokens.end());
-  query_tokens.erase(std::unique(query_tokens.begin(), query_tokens.end()),
-                     query_tokens.end());
-
+  const std::vector<std::string> query_tokens = SortedTopicTokens(terms);
   const std::vector<double> topic = TopicRelevance(gr, g, query_tokens);
   RankingMetric structure_metric = opts.structure_metric == RankingMetric::kTopicFusion
                                        ? RankingMetric::kSocialImpact

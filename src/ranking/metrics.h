@@ -5,6 +5,7 @@
 #ifndef EXPFINDER_RANKING_METRICS_H_
 #define EXPFINDER_RANKING_METRICS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -32,6 +33,8 @@ enum class RankingMetric {
   /// structure half (kSocialImpact).
   kTopicFusion,
 };
+
+inline constexpr size_t kNumRankingMetrics = 5;
 
 std::string_view RankingMetricName(RankingMetric metric);
 std::optional<RankingMetric> ParseRankingMetric(std::string_view name);

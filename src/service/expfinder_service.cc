@@ -7,6 +7,7 @@
 #include "src/index/topic_index.h"
 #include "src/matching/result_graph.h"
 #include "src/ranking/fusion.h"
+#include "src/ranking/ranked_list_memo.h"
 #include "src/ranking/topk.h"
 #include "src/util/timer.h"
 
@@ -243,18 +244,21 @@ QueryTicket ExpFinderService::Submit(QueryRequest request) {
   auto state = std::make_shared<TicketState>();
   QueryTicket ticket(state);
   queries_.fetch_add(1, std::memory_order_relaxed);
-  if (Status st = request.pattern.Validate(); !st.ok()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    CompleteTicket(state, std::move(st));
-    return ticket;
+  Status valid = request.pattern.Validate();
+  // The priority indexes a queue lane and the metric picks a scorer; values
+  // cast from untrusted input must be refused here, not used out of range
+  // there (an unknown metric would rank by node id with all-zero scores).
+  if (valid.ok() && static_cast<size_t>(request.priority) >= kNumQueryPriorities) {
+    valid = Status::InvalidArgument("unknown QueryPriority " +
+                                    std::to_string(static_cast<int>(request.priority)));
   }
-  // The priority indexes a queue lane; a value cast from untrusted input
-  // must be refused here, not written out of bounds there.
-  if (static_cast<size_t>(request.priority) >= kNumQueryPriorities) {
+  if (valid.ok() && static_cast<size_t>(request.metric) >= kNumRankingMetrics) {
+    valid = Status::InvalidArgument("unknown RankingMetric " +
+                                    std::to_string(static_cast<int>(request.metric)));
+  }
+  if (!valid.ok()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    CompleteTicket(state, Status::InvalidArgument(
-                              "unknown QueryPriority " +
-                              std::to_string(static_cast<int>(request.priority))));
+    CompleteTicket(state, std::move(valid));
     return ticket;
   }
   auto pending = std::make_unique<PendingQuery>();
@@ -508,15 +512,25 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
     if (OverBudget(request, timer)) {
       return Status::DeadlineExceeded("time budget exhausted before ranking");
     }
-    Result<std::vector<RankedMatch>> ranked =
-        request.metric == RankingMetric::kTopicFusion
-            ? TopKTopicFusion(response.answer->result_graph, pattern,
-                              snap->graph->graph(), request.topic_terms,
-                              *request.top_k)
-            : TopKMatchesWith(response.answer->result_graph, pattern,
-                              *request.top_k, request.metric);
-    if (!ranked.ok()) return ranked.status();  // classification kept (see above)
-    response.ranked = std::move(ranked).value();
+    // Each ranking of an answer runs once: a later request whose k the
+    // memoized list covers copies its prefix. A miss ranks with its own k,
+    // outside every lock, and offers the list back to the memo. (Submit's
+    // Validate guarantees the output node.)
+    const RankedListKey rank_key = MakeRankedListKey(
+        pattern.output_node().value_or(0), request.metric, request.topic_terms);
+    RankedListMemo& memo = response.answer->ranked_lists;
+    if (!memo.Find(rank_key, *request.top_k, &response.ranked)) {
+      Result<std::vector<RankedMatch>> ranked =
+          request.metric == RankingMetric::kTopicFusion
+              ? TopKTopicFusion(response.answer->result_graph, pattern,
+                                snap->graph->graph(), request.topic_terms,
+                                *request.top_k)
+              : TopKMatchesWith(response.answer->result_graph, pattern,
+                                *request.top_k, request.metric);
+      if (!ranked.ok()) return ranked.status();  // classification kept (see above)
+      response.ranked = std::move(ranked).value();
+      memo.Store(rank_key, *request.top_k, response.ranked);
+    }
   }
   response.eval_ms = timer.ElapsedMillis();
   return response;

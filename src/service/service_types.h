@@ -79,7 +79,8 @@ struct QueryRequest {
   QueryPriority priority = QueryPriority::kNormal;
   /// When set, the response carries the top-K ranked output-node matches.
   std::optional<size_t> top_k;
-  /// Ranking metric used when top_k is set.
+  /// Ranking metric used when top_k is set. A value outside the enum is
+  /// refused at Submit with InvalidArgument.
   RankingMetric metric = RankingMetric::kSocialImpact;
   /// Per-request cache override; absent = the service's configured default.
   std::optional<bool> use_cache;
@@ -137,9 +138,14 @@ struct QueryRequest {
 /// \brief The answer to one QueryRequest.
 struct QueryResponse {
   /// The match relation + result graph, shared and immutable (cache hits
-  /// return the same object the original evaluation produced).
+  /// return the same object the original evaluation produced), plus the
+  /// ranked lists memoized on it (QueryAnswer::ranked_lists).
   std::shared_ptr<const QueryAnswer> answer;
-  /// Top-K ranked matches; filled iff the request set top_k.
+  /// Top-K ranked matches; filled iff the request set top_k. This
+  /// response's own copy: the prefix of the answer's memoized list when it
+  /// covers K, else ranked for this request (and then offered to the memo).
+  /// Either way it equals TopKMatchesWith / TopKTopicFusion over
+  /// `answer->result_graph`.
   std::vector<RankedMatch> ranked;
   /// Which serving path produced `answer`.
   ServingPath path = ServingPath::kDirect;

@@ -1,5 +1,6 @@
 #include "src/util/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -110,6 +111,14 @@ std::vector<std::string> TopicTokens(std::string_view s) {
   std::vector<std::string> out;
   AppendTopicTokens(s, &out);
   return out;
+}
+
+std::vector<std::string> SortedTopicTokens(const std::vector<std::string>& terms) {
+  std::vector<std::string> tokens;
+  for (const std::string& t : terms) AppendTopicTokens(t, &tokens);
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+  return tokens;
 }
 
 uint64_t Fnv1a(std::string_view s, uint64_t seed) {

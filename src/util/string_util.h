@@ -55,6 +55,11 @@ void AppendTopicTokens(std::string_view s, std::vector<std::string>* out);
 /// Convenience form of AppendTopicTokens returning a fresh vector.
 std::vector<std::string> TopicTokens(std::string_view s);
 
+/// The topic tokens of every term, sorted and deduplicated: the one form of
+/// a query's free-text terms that topic-term compilation, fusion ranking and
+/// the ranked-list memo's key all use.
+std::vector<std::string> SortedTopicTokens(const std::vector<std::string>& terms);
+
 /// Three-way comparison of `run`, a raw run of ASCII alphanumerics, with an
 /// already-normalized topic token, lowercasing `run` inline the way
 /// AppendTopicTokens would.

@@ -464,6 +464,20 @@ TEST_F(ServiceFixture, UnknownPriorityRejectedAtSubmit) {
   EXPECT_EQ(service.stats().ClassifiedQueries(), service.stats().queries);
 }
 
+TEST_F(ServiceFixture, UnknownMetricRejectedAtSubmit) {
+  // An unknown metric has no scorer: ranking by it would order the matches
+  // by node id with all-zero scores and report OK.
+  ExpFinderService service(&g_);
+  QueryRequest req = UncachedFig1Request();
+  req.metric = static_cast<RankingMetric>(9);
+  req.top_k = 5;
+  auto resp = service.Query(req);
+  EXPECT_FALSE(resp.ok());
+  EXPECT_TRUE(resp.status().IsInvalidArgument()) << resp.status();
+  EXPECT_EQ(service.stats().rejected, 1u);
+  EXPECT_EQ(service.stats().ClassifiedQueries(), service.stats().queries);
+}
+
 TEST_F(ServiceFixture, CancelWhileQueuedNeverTouchesTheEngine) {
   ExpFinderService service(&g_, PausedOptions());
   QueryTicket doomed = service.Submit(UncachedFig1Request());
