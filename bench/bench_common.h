@@ -27,6 +27,16 @@ inline Graph MakeTwitter(size_t n, uint64_t seed = 1) {
   return gen::TwitterLike(cfg);
 }
 
+/// MakeTwitter with topic-expertise labels and attributes (name,
+/// experience, specialty, topics) on every node.
+inline Graph MakeTopicTwitter(size_t n, uint64_t seed = 7) {
+  gen::TwitterLikeConfig cfg;
+  cfg.n = n;
+  cfg.seed = seed;
+  cfg.labels = gen::TopicExpertiseModel();
+  return gen::TwitterLike(cfg);
+}
+
 inline Graph MakeEr(size_t n, uint64_t seed = 1) {
   return gen::ErdosRenyi(n, 5 * n, seed);
 }

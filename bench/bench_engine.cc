@@ -71,6 +71,29 @@ void BM_EngineMaintainedUnderUpdates(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineMaintainedUnderUpdates);
 
+/// The graph half of a publish: capture a snapshot right after one 4-edge
+/// batch (random edge flips) on the 10k-node TwitterLike graph. The batch
+/// and the release of the previous snapshot are not timed.
+void BM_SnapshotCaptureAfterBatch(benchmark::State& state) {
+  Graph g = MakeTopicTwitter(10000);
+  Rng rng(19);
+  SnapshotPtr snap = g.Publish();
+  for (auto _ : state) {
+    state.PauseTiming();
+    snap.reset();
+    for (int i = 0; i < 4; ++i) {
+      const auto a = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+      const auto b = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+      const Status st = g.HasEdge(a, b) ? g.RemoveEdge(a, b) : g.AddEdge(a, b);
+      EF_CHECK(st.ok());
+    }
+    state.ResumeTiming();
+    snap = g.Publish();
+    benchmark::DoNotOptimize(snap);
+  }
+}
+BENCHMARK(BM_SnapshotCaptureAfterBatch)->Unit(benchmark::kMicrosecond);
+
 void ServingPathTable() {
   Header("E2 engine serving paths",
          "cached results return immediately; compressed evaluation beats "

@@ -64,6 +64,30 @@ void BM_TextSeedingPostings(benchmark::State& state) {
 }
 BENCHMARK(BM_TextSeedingPostings)->Arg(4000)->Arg(16000)->Arg(64000)->Complexity();
 
+/// Seeding of an `experience >= k` pattern (one condition on each of three
+/// labelled nodes, as loadbench's team patterns) on the 10k-node
+/// TopicExpertise-labelled TwitterLike graph; arg = k. Only the attribute
+/// reads separate the runs: no text predicates, no topic index.
+void BM_IntPredicateSeeding(benchmark::State& state) {
+  Graph g = MakeTopicTwitter(10000);
+  const int64_t k = state.range(0);
+  PatternBuilder b;
+  auto sa = b.Node("SA", "SA").Where("experience", CmpOp::kGe, k).Output();
+  auto sd = b.Node("SD", "SD").Where("experience", CmpOp::kGe, k);
+  auto st = b.Node("ST", "ST").Where("experience", CmpOp::kGe, k);
+  b.Edge(sa, sd, 2);
+  b.Edge(sd, st, 2);
+  const Pattern q = b.Build().value();
+  size_t candidates = 0;
+  for (auto _ : state) {
+    CandidateSets cand = ComputeCandidates(g, q, {});
+    candidates = cand.list[0].size() + cand.list[1].size() + cand.list[2].size();
+    benchmark::DoNotOptimize(cand);
+  }
+  state.counters["candidates"] = static_cast<double>(candidates);
+}
+BENCHMARK(BM_IntPredicateSeeding)->Arg(2)->Arg(8)->Unit(benchmark::kMicrosecond);
+
 void BM_BoundedSimTopicQuery(benchmark::State& state) {
   // Whole-matcher view of the same ablation: arg 1 toggles the index.
   size_t n = static_cast<size_t>(state.range(0));

@@ -13,6 +13,10 @@
 #   BENCH_MIN_TIME   per-benchmark min time in seconds, e.g. 0.01 for a
 #                    smoke run (default: 0.2; plain double — older Google
 #                    Benchmark releases reject the "s"-suffixed form)
+#   BENCH_REPETITIONS  repetitions per benchmark (default: 3). Above 1,
+#                    only the aggregates are reported and each benchmark
+#                    records its median plus "spread" (stddev / median);
+#                    1 records the single run (CI's smoke does that)
 #   BENCH_FILTER     --benchmark_filter regex (default: run everything)
 #   BENCH_BUILD_DIR  build directory (default: build)
 #   BENCH_BUILD_TYPE CMAKE_BUILD_TYPE for the bench build (default:
@@ -32,6 +36,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BENCH_BUILD_DIR:-build}
 LABEL=${BENCH_LABEL:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabelled)}
 MIN_TIME=${BENCH_MIN_TIME:-0.2}
+REPETITIONS=${BENCH_REPETITIONS:-3}
 FILTER=${BENCH_FILTER:-}
 SUITES=${BENCH_SUITES:-"matching engine service storage index replication topk"}
 BUILD_TYPE=${BENCH_BUILD_TYPE:-Release}
@@ -52,11 +57,13 @@ for suite in $SUITES; do
   fi
   out=$(mktemp)
   args=(--benchmark_out="$out" --benchmark_out_format=json
-        --benchmark_min_time="$MIN_TIME")
+        --benchmark_min_time="$MIN_TIME"
+        --benchmark_repetitions="$REPETITIONS"
+        --benchmark_report_aggregates_only=true)
   if [[ -n "$FILTER" ]]; then
     args+=(--benchmark_filter="$FILTER")
   fi
-  echo "=== bench_$suite (label: $LABEL, min_time: $MIN_TIME) ==="
+  echo "=== bench_$suite (label: $LABEL, min_time: $MIN_TIME, repetitions: $REPETITIONS) ==="
   "$bin" "${args[@]}" >/dev/null
   python3 scripts/bench_append.py "BENCH_$suite.json" "$LABEL" "$out" "$BUILD_TYPE"
   rm -f "$out"

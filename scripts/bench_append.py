@@ -13,10 +13,18 @@ pre-PR-5 trajectory entries.
 The trajectory file holds {"entries": [...]}, one entry per recorded run:
   {"label": ..., "date": ..., "host": {...}, "benchmarks":
       [{"name": ..., "real_time_ms": ..., "cpu_time_ms": ..., "iterations": ...,
-        "counters": {...}}]}
+        "repetitions": ..., "spread": ..., "counters": {...}}]}
 where "counters" carries any user counters the benchmark reported (e.g.
 bench_service's queue_ms_mean admission-queue latency) and is omitted when
 there are none.
+
+A run with --benchmark_repetitions=N (N > 1) and
+--benchmark_report_aggregates_only=true reports aggregate rows only. Each
+benchmark then records its median's times, "repetitions": N, and "spread",
+the standard deviation of its real time over the repetitions divided by the
+median (0.05 = the runs scatter by about 5% of the median); "iterations" is
+left out, since the aggregate rows do not carry it. A single-repetition run
+records its one row as before, with "iterations" and without "spread".
 
 Entries with the same label are replaced (re-running a label refreshes its
 numbers instead of piling up duplicates). After appending, the deltas
@@ -63,6 +71,34 @@ def _benchmark_entry(b: dict) -> dict:
     return entry
 
 
+def _median_entry(median: dict, stddev) -> dict:
+    """The row of one repeated benchmark: its median's times plus spread."""
+    entry = _benchmark_entry(median)
+    entry["name"] = median["run_name"]
+    del entry["iterations"]  # an aggregate row's count is the repetitions
+    entry["repetitions"] = median.get("repetitions")
+    if stddev is not None and median["real_time"] > 0:
+        entry["spread"] = round(stddev["real_time"] / median["real_time"], 4)
+    return entry
+
+
+def _benchmark_entries(rows: list) -> list:
+    """Median + spread per benchmark when the run has aggregate rows, else
+    the plain iteration rows (a single repetition)."""
+    medians, stddevs = {}, {}
+    for b in rows:
+        if b.get("run_type") != "aggregate":
+            continue
+        if b.get("aggregate_name") == "median":
+            medians[b["run_name"]] = b
+        elif b.get("aggregate_name") == "stddev":
+            stddevs[b["run_name"]] = b
+    if not medians:
+        return [_benchmark_entry(b) for b in rows
+                if b.get("run_type", "iteration") == "iteration"]
+    return [_median_entry(b, stddevs.get(name)) for name, b in medians.items()]
+
+
 def main() -> int:
     if len(sys.argv) not in (4, 5):
         print(__doc__, file=sys.stderr)
@@ -81,11 +117,7 @@ def main() -> int:
             "mhz_per_cpu": ctx.get("mhz_per_cpu"),
             "build_type": build_type or ctx.get("library_build_type"),
         },
-        "benchmarks": [
-            _benchmark_entry(b)
-            for b in run.get("benchmarks", [])
-            if b.get("run_type", "iteration") == "iteration"
-        ],
+        "benchmarks": _benchmark_entries(run.get("benchmarks", [])),
     }
 
     try:

@@ -6,8 +6,10 @@ Usage: bench_compare.py [--base LABEL] [--head LABEL] [--advisory]
 
 For every file, compares the entry labelled --base with the one labelled
 --head (by default the second-to-last and the last entry). Prints each
-benchmark's real_time_ms on both sides with the head/base ratio, flags moves
-over 10% either way, and lists benchmarks that only one side has.
+benchmark's real_time_ms on both sides, each with its recorded spread
+(stddev / median over the repetitions; "-" for a single-run entry), and the
+head/base ratio. Flags moves over 10% either way, and lists benchmarks that
+only one side has.
 
 Two entries recorded on hosts with a different host.num_cpus or
 host.build_type are not comparable: the file prints "not comparable" instead
@@ -22,6 +24,10 @@ import sys
 
 # A move larger than this fraction of the base time is flagged.
 FLAG_FRACTION = 0.10
+
+
+def _spread(fraction):
+    return "-" if fraction is None else f"{fraction:.0%}"
 
 
 def _pick(entries, label, default_index):
@@ -58,14 +64,18 @@ def _compare(path, base_label, head_label):
 
     base_ms = {b["name"]: b["real_time_ms"] for b in base.get("benchmarks", [])}
     head_ms = {b["name"]: b["real_time_ms"] for b in head.get("benchmarks", [])}
+    base_spread = {b["name"]: b.get("spread") for b in base.get("benchmarks", [])}
+    head_spread = {b["name"]: b.get("spread") for b in head.get("benchmarks", [])}
     common = [name for name in head_ms if name in base_ms]
     width = max([len(name) for name in common] + [len("benchmark")])
-    print(f"  {'benchmark':{width}s} {'base ms':>12s} {'head ms':>12s} {'head/base':>10s}")
+    print(f"  {'benchmark':{width}s} {'base ms':>12s} {'spread':>7s} {'head ms':>12s} "
+          f"{'spread':>7s} {'head/base':>10s}")
     flagged = 0
     for name in common:
         before, after = base_ms[name], head_ms[name]
         ratio = after / before if before > 0 else float("inf")
-        line = f"  {name:{width}s} {before:12.4f} {after:12.4f} {ratio:9.2f}x"
+        line = (f"  {name:{width}s} {before:12.4f} {_spread(base_spread[name]):>7s} "
+                f"{after:12.4f} {_spread(head_spread[name]):>7s} {ratio:9.2f}x")
         if before > 0 and abs(after - before) > FLAG_FRACTION * before:
             flagged += 1
             change = (after - before) / before * 100.0

@@ -77,13 +77,13 @@ std::shared_ptr<const EngineSnapshot> QueryEngine::Publish() {
   auto next = std::make_shared<EngineSnapshot>();
   // Reuse the published graph handle when the graph itself didn't change
   // (e.g. a republish owed to RegisterMaintainedQuery): no copy, no CSR
-  // build, and the shared ball index stays warm.
+  // chunks, and the shared ball index stays warm.
   if (published_ != nullptr && published_->graph->uid() == g_->uid() &&
       published_->graph->version() == g_->version()) {
     next->graph = published_->graph;
   } else {
     next->graph = g_->Publish();
-    ++stats_.csr_builds;
+    stats_.csr_builds += next->graph->chunks_built();
   }
   if (options_.use_compression && compression_ != nullptr &&
       compression_->current().source_version() == g_->version()) {
@@ -98,9 +98,11 @@ std::shared_ptr<const EngineSnapshot> QueryEngine::Publish() {
       next->compressed = published_->compressed;
       next->compressed_graph = published_->compressed_graph;
     } else {
+      // Capture before copying: the copy would seal the pages itself, and
+      // the chunks it built would go uncounted.
+      next->compressed_graph = cg.gc().Publish();
+      stats_.csr_builds += next->compressed_graph->chunks_built();
       next->compressed = std::make_shared<const CompressedGraph>(cg);
-      next->compressed_graph = next->compressed->gc().Publish();
-      ++stats_.csr_builds;
     }
   }
   next->maintained.reserve(maintained_.size());

@@ -3,7 +3,7 @@
 // incremental computation module (maintained queries) and the graph
 // compression module — and freezes it into immutable EngineSnapshots:
 //
-//   Publish():     freeze (page-sharing graph copy + CSR, current
+//   Publish():     freeze (page-sharing graph copy + CSR table, current
 //                  compressed view, materialized maintained relations)
 //                  into a refcounted EngineSnapshot. Lazy: republishes
 //                  only when a mutation happened since the last publish,
@@ -40,9 +40,10 @@ namespace expfinder {
 struct EngineStats {
   size_t batches_applied = 0;
   size_t updates_applied = 0;
-  /// CSR builds paid by Publish(): one per captured graph version plus one
-  /// per frozen compressed view. Steady state (no mutations) must not grow
-  /// this.
+  /// CSR chunks built by Publish() (GraphSnapshot::chunks_built): one per
+  /// adjacency page and direction sealed by a capture of the graph or of a
+  /// frozen compressed view. A publish after a batch pays only for the
+  /// pages the batch touched; steady state (no mutations) builds none.
   size_t csr_builds = 0;
 };
 
@@ -57,9 +58,10 @@ class QueryEngine {
 
   /// The current published snapshot, republishing first when any mutation
   /// happened since the last publish. Cheap when current (two integer
-  /// compares); a republish costs the CSR build (the graph copy shares the
-  /// live graph's pages, see graph.h) plus the materialization of
-  /// maintained relations and the compressed view.
+  /// compares); a republish costs one CSR chunk per page mutated since the
+  /// last publish (the graph copy shares the live graph's pages, see
+  /// graph.h) plus the materialization of maintained relations and the
+  /// compressed view.
   /// Handles unchanged by the mutation (e.g. the graph after
   /// RegisterMaintainedQuery) are reused, not recaptured. Readers consume
   /// the returned handle, never the engine.

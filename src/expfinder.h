@@ -39,6 +39,7 @@
 #include "src/query/pattern_parser.h"
 
 // Topic inverted index (free-text expert search).
+#include "src/index/attr_columns.h"
 #include "src/index/topic_index.h"
 
 // Matching engines.

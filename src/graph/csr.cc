@@ -1,21 +1,18 @@
 #include "src/graph/csr.h"
 
+#include "src/util/logging.h"
+
 namespace expfinder {
 
-Csr::Csr(const Graph& g) : num_nodes_(g.NumNodes()) {
-  out_off_.assign(num_nodes_ + 1, 0);
-  in_off_.assign(num_nodes_ + 1, 0);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    out_off_[v + 1] = out_off_[v] + g.OutDegree(v);
-    in_off_[v + 1] = in_off_[v] + g.InDegree(v);
-  }
-  out_nbrs_.resize(out_off_[num_nodes_]);
-  in_nbrs_.resize(in_off_[num_nodes_]);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    uint64_t o = out_off_[v];
-    for (NodeId w : g.OutNeighbors(v)) out_nbrs_[o++] = w;
-    uint64_t i = in_off_[v];
-    for (NodeId w : g.InNeighbors(v)) in_nbrs_[i++] = w;
+Csr::Csr(const Graph& frozen)
+    : num_nodes_(frozen.NumNodes()), num_edges_(frozen.NumEdges()) {
+  const size_t pages = frozen.NumPages();
+  out_.resize(pages);
+  in_.resize(pages);
+  for (size_t p = 0; p < pages; ++p) {
+    out_[p] = frozen.OutChunk(p);
+    in_[p] = frozen.InChunk(p);
+    EF_DCHECK(out_[p] != nullptr && in_[p] != nullptr) << "page " << p << " not sealed";
   }
 }
 

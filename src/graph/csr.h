@@ -1,9 +1,21 @@
-// Immutable compressed-sparse-row snapshot of a Graph's topology.
+// Compressed-sparse-row view of a frozen Graph's topology.
 //
-// Matching engines run their fixpoints over the CSR a GraphSnapshot builds
-// once per published version: BFS over flat arrays is markedly faster than
-// chasing per-node vectors, and the snapshot pins the topology against
-// concurrent mutation.
+// Matching engines run their fixpoints over the Csr of a published
+// GraphSnapshot: BFS over flat arrays is markedly faster than chasing
+// per-node vectors, and the snapshot pins the topology against concurrent
+// mutation.
+//
+// The flat arrays are per page, not per graph. Sealing a 64-node adjacency
+// page (graph.h) builds its CSR chunk once, in one allocation:
+//
+//   chunk[0 .. 64]    offsets: node i's neighbours are nbrs[chunk[i],
+//                     chunk[i + 1]), where nbrs = chunk + 65
+//   chunk[65 ..]      the page's neighbours, each list in the page's order
+//
+// A sealed page never changes, so its chunk serves every graph and snapshot
+// sharing the page. A Csr is the table of its frozen graph's chunk pointers,
+// one per page and direction: building it costs O(n / 64), and a publish
+// after a small batch builds chunks only for the pages the batch touched.
 
 #ifndef EXPFINDER_GRAPH_CSR_H_
 #define EXPFINDER_GRAPH_CSR_H_
@@ -17,29 +29,37 @@
 
 namespace expfinder {
 
-/// \brief Flat forward + reverse adjacency arrays for a fixed topology.
+/// \brief Forward + reverse adjacency of a frozen topology, read through the
+/// CSR chunks of its sealed pages.
 class Csr {
  public:
-  /// Snapshots the topology of `g` (labels/attributes are not copied; keep
-  /// the Graph alive for those).
-  explicit Csr(const Graph& g);
-
   size_t NumNodes() const { return num_nodes_; }
-  size_t NumEdges() const { return out_nbrs_.size(); }
+  size_t NumEdges() const { return num_edges_; }
 
-  std::span<const NodeId> Out(NodeId v) const {
-    return {out_nbrs_.data() + out_off_[v], out_off_[v + 1] - out_off_[v]};
-  }
-  std::span<const NodeId> In(NodeId v) const {
-    return {in_nbrs_.data() + in_off_[v], in_off_[v + 1] - in_off_[v]};
-  }
-  size_t OutDegree(NodeId v) const { return out_off_[v + 1] - out_off_[v]; }
-  size_t InDegree(NodeId v) const { return in_off_[v + 1] - in_off_[v]; }
+  std::span<const NodeId> Out(NodeId v) const { return Row(out_[v >> kShift], v & kMask); }
+  std::span<const NodeId> In(NodeId v) const { return Row(in_[v >> kShift], v & kMask); }
+  size_t OutDegree(NodeId v) const { return Out(v).size(); }
+  size_t InDegree(NodeId v) const { return In(v).size(); }
 
  private:
+  friend class GraphSnapshot;
+
+  static constexpr size_t kShift = Graph::kPageShift;
+  static constexpr size_t kMask = Graph::kPageMask;
+  static constexpr size_t kNbrsAt = Graph::kPageNodes + 1;
+
+  /// Tables the chunks of `frozen`, whose pages must all be sealed (a
+  /// snapshot's graph copy). `frozen` must outlive the Csr: it holds the
+  /// pages, and so the chunks.
+  explicit Csr(const Graph& frozen);
+
+  static std::span<const NodeId> Row(const NodeId* chunk, size_t i) {
+    return {chunk + kNbrsAt + chunk[i], chunk[i + 1] - chunk[i]};
+  }
+
   size_t num_nodes_;
-  std::vector<uint64_t> out_off_, in_off_;
-  std::vector<NodeId> out_nbrs_, in_nbrs_;
+  size_t num_edges_;
+  std::vector<const NodeId*> out_, in_;  // chunk per page
 };
 
 }  // namespace expfinder

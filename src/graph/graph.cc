@@ -22,6 +22,27 @@ std::shared_ptr<const GraphSnapshot> Graph::Publish() const {
   return GraphSnapshot::Capture(*this);
 }
 
+NodeId* Graph::BuildCsrChunk(const std::array<Adjacency, kPageNodes>& slots) {
+  size_t total = 0;
+  for (const Adjacency& list : slots) total += list.size();
+  EF_CHECK(total <= kInvalidNode) << "page of " << total << " neighbours";
+  NodeId* chunk = new NodeId[kPageNodes + 1 + total];
+  NodeId* nbrs = chunk + kPageNodes + 1;
+  NodeId off = 0;
+  for (size_t i = 0; i < kPageNodes; ++i) {
+    chunk[i] = off;
+    std::copy(slots[i].begin(), slots[i].end(), nbrs + off);
+    off += static_cast<NodeId>(slots[i].size());
+  }
+  chunk[kPageNodes] = off;
+  return chunk;
+}
+
+size_t Graph::Seal() const {
+  attrs_.Seal();
+  return out_.Seal() + in_.Seal();
+}
+
 NodeId Graph::AddNode(std::string_view label) {
   LabelId lid = label_interner_.Intern(label);
   NodeId id = static_cast<NodeId>(labels_.size());

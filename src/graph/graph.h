@@ -19,6 +19,12 @@
 // touches and never changes what another copy (e.g. a published snapshot)
 // sees. A sealed page is never written again by anyone: readers may scan it
 // lock-free for as long as they hold a copy.
+//
+// Sealing an adjacency page also gives it its flat read form, a CSR chunk
+// (csr.h): the page's offsets and neighbours in one allocation, built once
+// and shared by every copy that shares the page — primary and replica graphs
+// and every snapshot alike. A snapshot's Csr is a table of its pages' chunks,
+// so a publish builds chunks only for the pages its batch touched.
 
 #ifndef EXPFINDER_GRAPH_GRAPH_H_
 #define EXPFINDER_GRAPH_GRAPH_H_
@@ -30,6 +36,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -140,6 +147,12 @@ class Graph {
   /// readers holding the handle.
   std::shared_ptr<const GraphSnapshot> Publish() const;
 
+  /// Nodes per page (see the file comment); a Csr indexes chunks by
+  /// v >> kPageShift.
+  static constexpr size_t kPageShift = 6;
+  static constexpr size_t kPageNodes = size_t{1} << kPageShift;  // 64
+  static constexpr size_t kPageMask = kPageNodes - 1;
+
   /// Process-unique construction identity. Every default-constructed Graph
   /// draws a fresh uid; copies/moves carry their source's uid. Snapshot
   /// caches key on (address, uid, version): the version counter alone is
@@ -167,9 +180,23 @@ class Graph {
   /// churning an allocation per AddNode/SetAttr.
   void InvalidateTopicSlot();
 
-  static constexpr size_t kPageShift = 6;
-  static constexpr size_t kPageNodes = size_t{1} << kPageShift;  // 64
-  static constexpr size_t kPageMask = kPageNodes - 1;
+  friend class Csr;
+  friend class GraphSnapshot;
+
+  using Adjacency = std::vector<NodeId>;
+
+  /// The CSR chunk of one adjacency page (layout in csr.h), in one
+  /// allocation. Checks that the page's neighbour count fits a NodeId.
+  static NodeId* BuildCsrChunk(const std::array<Adjacency, kPageNodes>& slots);
+
+  /// Seals every page, building the CSR chunk of each adjacency page sealed
+  /// now. Returns the number of chunks this call built.
+  size_t Seal() const;
+
+  /// The chunks of adjacency page `page` (which must be sealed).
+  const NodeId* OutChunk(size_t page) const { return out_.Chunk(page); }
+  const NodeId* InChunk(size_t page) const { return in_.Chunk(page); }
+  size_t NumPages() const { return out_.NumPages(); }
 
   /// One Slot per node, stored in fixed pages of kPageNodes. Copies share
   /// the pages and seal them; Mutable() clones a sealed page before handing
@@ -177,7 +204,8 @@ class Graph {
   /// in-place write: an unsealed page was created by this object's writer
   /// and has never been shared. (use_count() == 1 would not do: a lock-free
   /// reader's last reads of a page are not ordered before a relaxed count
-  /// load, so the write could race them.)
+  /// load, so the write could race them.) A sealed adjacency page also
+  /// carries its CSR chunk, installed by the first seal and never changed.
   template <typename Slot>
   class PagedSlots {
    public:
@@ -214,24 +242,53 @@ class Graph {
       if ((v & kPageMask) == 0) pages_.push_back(std::make_shared<Page>());
     }
 
+    /// Seals every page; for adjacency slots, builds the chunk of each page
+    /// that has none yet. Returns the number of chunks built. Concurrent
+    /// seals of one page (copies of one unmutated graph on several threads)
+    /// are safe: each may build, the first to install wins.
+    size_t Seal() const {
+      size_t built = 0;
+      for (const std::shared_ptr<Page>& page : pages_) {
+        // Skip the stores when already sealed: readers scanning the page's
+        // slots on other cores keep their cache line clean.
+        if (page->sealed.load(std::memory_order_acquire)) continue;
+        if constexpr (std::is_same_v<Slot, Adjacency>) {
+          if (page->chunk.load(std::memory_order_acquire) == nullptr) {
+            NodeId* chunk = BuildCsrChunk(page->slots);
+            NodeId* expected = nullptr;
+            if (page->chunk.compare_exchange_strong(expected, chunk,
+                                                    std::memory_order_acq_rel)) {
+              ++built;
+            } else {
+              delete[] chunk;
+            }
+          }
+        }
+        page->sealed.store(true, std::memory_order_release);
+      }
+      return built;
+    }
+
+    /// The chunk of sealed adjacency page `page`.
+    const NodeId* Chunk(size_t page) const {
+      return pages_[page]->chunk.load(std::memory_order_acquire);
+    }
+    size_t NumPages() const { return pages_.size(); }
+
    private:
     struct Page {
       Page() = default;
       explicit Page(const std::array<Slot, kPageNodes>& from) : slots(from) {}
+      Page(const Page&) = delete;
+      Page& operator=(const Page&) = delete;
+      ~Page() { delete[] chunk.load(std::memory_order_relaxed); }
       std::array<Slot, kPageNodes> slots;
       /// Set by the first copy that shares the page; never cleared.
       std::atomic<bool> sealed{false};
+      /// Adjacency pages only: the CSR chunk, installed before `sealed` is
+      /// set and owned by the page. Null on attribute pages.
+      std::atomic<NodeId*> chunk{nullptr};
     };
-
-    void Seal() const {
-      for (const std::shared_ptr<Page>& page : pages_) {
-        // Skip the store when already sealed: readers scanning the page's
-        // slots on other cores keep their cache line clean.
-        if (!page->sealed.load(std::memory_order_relaxed)) {
-          page->sealed.store(true, std::memory_order_release);
-        }
-      }
-    }
 
     std::vector<std::shared_ptr<Page>> pages_;
   };
@@ -239,8 +296,8 @@ class Graph {
   StringInterner label_interner_;
   StringInterner attr_interner_;
   std::vector<LabelId> labels_;                      // per node
-  PagedSlots<std::vector<NodeId>> out_;              // adjacency
-  PagedSlots<std::vector<NodeId>> in_;               // reverse adjacency
+  PagedSlots<Adjacency> out_;                        // adjacency
+  PagedSlots<Adjacency> in_;                         // reverse adjacency
   PagedSlots<std::vector<std::pair<AttrKeyId, AttrValue>>> attrs_;  // per node
   std::vector<std::vector<NodeId>> label_index_;     // label id -> nodes
   std::shared_ptr<TopicIndexSlot> topic_slot_;       // see topic_slot()

@@ -5,8 +5,11 @@
 namespace expfinder {
 
 std::shared_ptr<const GraphSnapshot> GraphSnapshot::Capture(const Graph& g) {
+  // Seal before copying, so the chunks this capture pays for are counted;
+  // the copy then finds every page sealed.
+  const size_t chunks_built = g.Seal();
   // std::make_shared needs a public constructor; new keeps it private.
-  return std::shared_ptr<const GraphSnapshot>(new GraphSnapshot(g));
+  return std::shared_ptr<const GraphSnapshot>(new GraphSnapshot(g, chunks_built));
 }
 
 const KhopIndex* GraphSnapshot::BallIndex(Distance depth,

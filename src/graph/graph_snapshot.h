@@ -13,8 +13,10 @@
 //     capture costs one pointer copy per 64-node page plus the small flat
 //     parts, and a publish after a small batch pays only for the pages the
 //     batch touched,
-//   * the CSR topology snapshot, built eagerly exactly once per published
-//     version and shared by every reader,
+//   * the Csr (csr.h): a table of the frozen pages' CSR chunks. Each chunk
+//     was built once, when its page was sealed, and is shared with every
+//     other snapshot holding the page, so a capture builds chunks only for
+//     the pages mutated since the last one,
 //   * a lazily attached, shared KhopIndex under a deferred-build /
 //     failure-memoization / grow-only-depth policy, built once and scanned
 //     by every reader of this version,
@@ -52,13 +54,16 @@ class TopicIndex;
 struct TopicIndexOptions;
 
 /// \brief One published, immutable version of a Graph: frozen graph copy
-/// (sharing sealed pages with its source) + CSR + lazily attached shared
-/// ball index.
+/// (sharing sealed pages with its source) + CSR table over its pages +
+/// lazily attached shared ball index.
 class GraphSnapshot {
  public:
-  /// Captures the current state of `g`: a page-sharing graph copy (O(n / 64)
-  /// page pointers + labels and label index) plus an O(n + m) CSR build,
-  /// which dominates. Prefer Graph::Publish(), which reads as what it is.
+  /// Captures the current state of `g`: seals its pages, building the CSR
+  /// chunk of each adjacency page not yet sealed, then takes a page-sharing
+  /// graph copy (O(n / 64) page pointers + labels and label index) and
+  /// tables the chunks (O(n / 64)). After a batch that touched k pages this
+  /// costs O(n / 64 + k pages). Prefer Graph::Publish(), which reads as
+  /// what it is.
   static std::shared_ptr<const GraphSnapshot> Capture(const Graph& g);
 
   GraphSnapshot(const GraphSnapshot&) = delete;
@@ -67,9 +72,12 @@ class GraphSnapshot {
   /// The frozen attributed graph. Safe for concurrent readers; nothing ever
   /// mutates it after Capture.
   const Graph& graph() const { return graph_; }
-  /// The frozen topology, built at Capture (snapshot readers never build
+  /// The frozen topology, tabled at Capture (snapshot readers never build
   /// CSRs of their own).
   const Csr& csr() const { return csr_; }
+  /// CSR chunks this capture built: one per adjacency page (out and in
+  /// counted apart) that was unsealed when it ran.
+  size_t chunks_built() const { return chunks_built_; }
 
   uint64_t version() const { return graph_.version(); }
   uint64_t uid() const { return graph_.uid(); }
@@ -115,10 +123,12 @@ class GraphSnapshot {
   const TopicIndex* CachedTopicIndex() const;
 
  private:
-  explicit GraphSnapshot(const Graph& g) : graph_(g), csr_(graph_) {}
+  GraphSnapshot(const Graph& g, size_t chunks_built)
+      : graph_(g), csr_(graph_), chunks_built_(chunks_built) {}
 
-  Graph graph_;  // declared before csr_: the CSR is built over the copy
+  Graph graph_;  // declared before csr_: the CSR tables the copy's pages
   Csr csr_;
+  size_t chunks_built_;
 
   /// Ball-index slot. ball_mu_ serializes builds and all non-atomic state
   /// below; published_ball_ is the read-side publication point.

@@ -115,6 +115,20 @@ const TopicIndex* TopicIndexSlot::Get(const Graph& g, const TopicIndexOptions& l
   return index_.get();
 }
 
+const IntColumns* TopicIndexSlot::IntColumnsFor(const Graph& g) const {
+  if (const IntColumns* p = published_columns_.load(std::memory_order_acquire)) {
+    EF_DCHECK(p->NumNodes() == g.NumNodes());
+    return p;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  touched_.store(true, std::memory_order_release);
+  if (columns_ == nullptr) {
+    columns_ = IntColumns::Build(g);
+    published_columns_.store(columns_.get(), std::memory_order_release);
+  }
+  return columns_.get();
+}
+
 bool HasTextPredicates(const Pattern& q) {
   for (PatternNodeId u = 0; u < q.NumNodes(); ++u) {
     for (const Condition& c : q.node(u).conditions) {

@@ -22,7 +22,8 @@
 // Ownership mirrors the k-hop ball slot (graph/khop_index.h): a
 // TopicIndexSlot hangs off Graph as a shared_ptr that content mutations
 // replace, so snapshots published across pure edge churn share one built
-// index while divergent content can never serve stale postings.
+// index while divergent content can never serve stale postings. The slot
+// also holds the content version's int attribute columns (attr_columns.h).
 
 #ifndef EXPFINDER_INDEX_TOPIC_INDEX_H_
 #define EXPFINDER_INDEX_TOPIC_INDEX_H_
@@ -38,6 +39,7 @@
 
 #include "src/graph/attribute.h"
 #include "src/graph/types.h"
+#include "src/index/attr_columns.h"
 #include "src/query/pattern.h"
 #include "src/util/logging.h"
 
@@ -127,12 +129,14 @@ class TopicIndex {
   size_t total_postings_ = 0;
 };
 
-/// \brief Lazy shared build slot, the exact shape of GraphSnapshot's ball
-/// slot: first limits win, deferred build after `build_after_uses` uses,
-/// over-budget builds memoized as failed. Graph owns one per content
-/// version; every snapshot/copy sharing the slot provably has identical
-/// labels + attributes (content mutations replace the slot), so the slot
-/// needs no key of its own. Thread-safe.
+/// \brief Lazy shared build slot for what derives from one graph content
+/// version: the topic index, with the exact policy of GraphSnapshot's ball
+/// slot (first limits win, deferred build after `build_after_uses` uses,
+/// over-budget builds memoized as failed), and the int attribute columns,
+/// built on first use with no policy. Graph owns one per content version;
+/// every snapshot/copy sharing the slot provably has identical labels +
+/// attributes (content mutations replace the slot), so the slot needs no
+/// key of its own. Thread-safe.
 class TopicIndexSlot {
  public:
   /// Returns the built index, building it if this call crosses the deferred
@@ -150,10 +154,15 @@ class TopicIndexSlot {
     return published_.load(std::memory_order_acquire);
   }
 
+  /// The int attribute columns of `g`, building them on the first call.
+  /// `g` must be a graph sharing this slot. Lock-free once built.
+  const IntColumns* IntColumnsFor(const Graph& g) const;
+
   /// True once any enabled Get() has touched the slot's state (use counting,
-  /// a build, or a memoized refusal). An untouched slot holds nothing derived
-  /// from graph content, so a sole owner may keep it across content mutations
-  /// (see Graph::InvalidateTopicSlot) instead of replacing it.
+  /// a build, or a memoized refusal), or IntColumnsFor has run. An untouched
+  /// slot holds nothing derived from graph content, so a sole owner may keep
+  /// it across content mutations (see Graph::InvalidateTopicSlot) instead of
+  /// replacing it.
   bool Consumed() const { return touched_.load(std::memory_order_acquire); }
 
  private:
@@ -165,6 +174,8 @@ class TopicIndexSlot {
   mutable bool failed_ = false;
   mutable size_t uses_ = 0;
   mutable std::atomic<bool> touched_{false};  // see Consumed()
+  mutable std::unique_ptr<IntColumns> columns_;  // guarded by mu_
+  mutable std::atomic<const IntColumns*> published_columns_{nullptr};
 };
 
 /// True when some pattern node carries a predicate the topic index can

@@ -11,17 +11,73 @@ namespace expfinder {
 
 namespace {
 
+/// `key OP <int>` answered from the key's int column: exactly
+/// Condition::Eval on an int attribute, false when the node lacks it.
+struct IntCond {
+  const IntColumn* column;
+  CmpOp op;
+  int64_t rhs;
+
+  bool Eval(NodeId v) const {
+    if (!column->Present(v)) return false;
+    const int64_t lhs = column->values[v];
+    switch (op) {
+      case CmpOp::kEq: return lhs == rhs;
+      case CmpOp::kNe: return lhs != rhs;
+      case CmpOp::kLt: return lhs < rhs;
+      case CmpOp::kLe: return lhs <= rhs;
+      case CmpOp::kGt: return lhs > rhs;
+      default: return lhs >= rhs;  // kGe; Compile admits nothing else
+    }
+  }
+};
+
+/// True for the conditions an int column can answer: an equality or order
+/// comparison of a named attribute against an int constant.
+bool IsIntComparison(const Condition& cond) {
+  if (cond.is_any_attr() || !cond.rhs().is_int()) return false;
+  switch (cond.op()) {
+    case CmpOp::kEq:
+    case CmpOp::kNe:
+    case CmpOp::kLt:
+    case CmpOp::kLe:
+    case CmpOp::kGt:
+    case CmpOp::kGe:
+      return true;
+    case CmpOp::kContains:
+    case CmpOp::kHasToken:
+      return false;
+  }
+  return false;
+}
+
+/// The int columns of `g`'s content version when `q` has an int comparison
+/// (built on first use), else nullptr: other patterns never build them.
+const IntColumns* IntColumnsFor(const Graph& g, const Pattern& q) {
+  const std::shared_ptr<TopicIndexSlot>& slot = g.topic_slot();
+  if (slot == nullptr) return nullptr;  // a graph that never had content
+  for (PatternNodeId u = 0; u < q.NumNodes(); ++u) {
+    for (const Condition& cond : q.node(u).conditions) {
+      if (IsIntComparison(cond)) return slot->IntColumnsFor(g);
+    }
+  }
+  return nullptr;
+}
+
 struct CompiledNode {
   bool impossible = false;
   bool label_wildcard = false;
   LabelId label = kInvalidLabel;
-  // (resolved key, condition) pairs.
+  // Conditions answered from int columns.
+  std::vector<IntCond> int_conds;
+  // (resolved key, condition) pairs for everything else.
   std::vector<std::pair<AttrKeyId, const Condition*>> conds;
   // Any-attribute ("*") conditions, evaluated over every value of a node.
   std::vector<const Condition*> any_conds;
 };
 
-CompiledNode Compile(const Graph& g, const PatternNode& n) {
+/// `columns` may be nullptr (every condition then keeps Condition::Eval).
+CompiledNode Compile(const Graph& g, const PatternNode& n, const IntColumns* columns) {
   CompiledNode c;
   if (n.label.empty()) {
     c.label_wildcard = true;
@@ -45,6 +101,12 @@ CompiledNode Compile(const Graph& g, const PatternNode& n) {
       c.impossible = true;  // attribute key never set on any node
       return c;
     }
+    const IntColumn* column =
+        columns != nullptr && IsIntComparison(cond) ? columns->Find(*key) : nullptr;
+    if (column != nullptr) {
+      c.int_conds.push_back({column, cond.op(), cond.rhs().AsInt()});
+      continue;
+    }
     c.conds.emplace_back(*key, &cond);
   }
   return c;
@@ -52,6 +114,9 @@ CompiledNode Compile(const Graph& g, const PatternNode& n) {
 
 bool Satisfies(const Graph& g, NodeId v, const CompiledNode& c) {
   if (!c.label_wildcard && g.label(v) != c.label) return false;
+  for (const IntCond& ic : c.int_conds) {
+    if (!ic.Eval(v)) return false;
+  }
   for (const auto& [key, cond] : c.conds) {
     if (!cond->Eval(g.GetAttr(v, key))) return false;
   }
@@ -87,8 +152,9 @@ CandidateSets ComputeCandidatesImpl(const Graph& g, const Pattern& q,
   out.list.resize(nq);
   std::vector<std::string> tokens;
   std::vector<NodeId> posting;
+  const IntColumns* columns = IntColumnsFor(g, q);
   for (PatternNodeId u = 0; u < nq; ++u) {
-    CompiledNode c = Compile(g, q.node(u));
+    CompiledNode c = Compile(g, q.node(u), columns);
     if (c.impossible) continue;
     auto consider = [&](NodeId v) {
       if (Satisfies(g, v, c)) {

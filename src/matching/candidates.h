@@ -4,7 +4,13 @@
 //
 // Conditions are compiled once per (pattern, graph): attribute names resolve
 // to interned key ids, and a pattern node whose label or attribute key does
-// not exist in the graph is marked impossible without scanning.
+// not exist in the graph is marked impossible without scanning. An int
+// comparison (`key ==, !=, <, <=, >, >= <int>`) on a key whose values are all
+// ints reads the key's int column (index/attr_columns.h), built on the first
+// seeding that needs it and shared by every copy of the graph's content
+// version; every other condition evaluates Condition::Eval on the node's
+// attribute. Either way a candidate is exactly a node PatternNode::Matches
+// accepts.
 
 #ifndef EXPFINDER_MATCHING_CANDIDATES_H_
 #define EXPFINDER_MATCHING_CANDIDATES_H_

@@ -1,7 +1,6 @@
 #include "src/matching/result_graph.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "src/graph/bfs.h"
 #include "src/graph/csr.h"
@@ -11,17 +10,21 @@
 
 namespace expfinder {
 
-namespace {
-/// Binds the context to the snapshot, then yields the graph to build over —
-/// lets the snapshot constructor delegate with the binding already in place.
-const Graph& BindAndGraph(const SnapshotPtr& s, MatchContext* ctx) {
-  ctx->BindSnapshot(s);
-  return s->graph();
+ResultGraph::ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& m) {
+  MatchContext ctx;
+  ctx.BindSnapshot(GraphSnapshot::Capture(g));
+  Build(q, m, &ctx);
 }
-}  // namespace
 
-ResultGraph::ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& m,
-                         MatchContext* ctx) {
+ResultGraph::ResultGraph(const SnapshotPtr& s, const Pattern& q,
+                         const MatchRelation& m, MatchContext* ctx) {
+  ctx->BindSnapshot(s);
+  Build(q, m, ctx);
+}
+
+void ResultGraph::Build(const Pattern& q, const MatchRelation& m, MatchContext* ctx) {
+  const GraphSnapshot& s = *ctx->bound_snapshot();
+  const Graph& g = s.graph();
   // Union of matched data nodes, sorted and deduplicated.
   for (PatternNodeId u = 0; u < m.NumPatternNodes(); ++u) {
     const auto& list = m.MatchesOf(u);
@@ -41,27 +44,13 @@ ResultGraph::ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& 
   in_.resize(nodes_.size());
   if (nodes_.empty() || q.NumEdges() == 0) return;
 
-  // The bound snapshot's CSR and the context's buffers when available;
-  // otherwise local (the one-shot path). The ball index is strictly
-  // opportunistic: whatever the matchers warmed on the snapshot — never
-  // built here.
-  std::optional<Csr> local_csr;
-  BfsBuffers local_buf;
-  const Csr* csr;
-  BfsBuffers* buf;
-  const KhopIndex* ball = nullptr;
-  if (ctx != nullptr) {
-    const GraphSnapshot& s = *ctx->bound_snapshot();
-    csr = &s.csr();
-    ctx->EnsureBuffers(1, g.NumNodes());
-    buf = &ctx->Buffers(0);
-    ball = s.CachedBallIndex();
-  } else {
-    local_csr.emplace(g);
-    csr = &*local_csr;
-    local_buf.EnsureSize(g.NumNodes());
-    buf = &local_buf;
-  }
+  // The bound snapshot's CSR and the context's buffers. The ball index is
+  // strictly opportunistic: whatever the matchers warmed on the snapshot —
+  // never built here.
+  const Csr& csr = s.csr();
+  ctx->EnsureBuffers(1, g.NumNodes());
+  BfsBuffers* buf = &ctx->Buffers(0);
+  const KhopIndex* ball = s.CachedBallIndex();
 
   // O(1) membership tests for the BFS inner loop (binary-searching the match
   // lists per visited node dominated construction time on large graphs).
@@ -119,7 +108,7 @@ ResultGraph::ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& 
           for (NodeId w : ball->StratumOut(v, d)) record(vkey, w, d);
         }
       } else {
-        BoundedBfsNonEmpty<true>(*csr, v, depth, buf,
+        BoundedBfsNonEmpty<true>(csr, v, depth, buf,
                                  [&](NodeId w, Distance d) { record(vkey, w, d); });
       }
     }
@@ -162,10 +151,6 @@ ResultGraph::ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& 
     for (const auto& [b, w] : out_[a]) in_[b].emplace_back(a, w);
   }
 }
-
-ResultGraph::ResultGraph(const SnapshotPtr& s, const Pattern& q,
-                         const MatchRelation& m, MatchContext* ctx)
-    : ResultGraph(BindAndGraph(s, ctx), q, m, ctx) {}
 
 std::optional<uint32_t> ResultGraph::PositionOf(NodeId v) const {
   auto it = index_.find(v);

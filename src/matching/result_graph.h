@@ -28,9 +28,9 @@ class ResultGraph {
   /// 0 < dist(v, v') <= k, an edge (v, v') with weight dist(v, v'). Parallel
   /// derivations keep the smallest weight.
   ///
-  /// One-shot form: builds a local CSR of `g` and local BFS buffers.
-  ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& m)
-      : ResultGraph(g, q, m, nullptr) {}
+  /// One-shot form: captures a snapshot of `g` (as the one-shot matchers
+  /// do) and builds over it with a fresh context.
+  ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& m);
 
   /// Snapshot form: builds over a published immutable GraphSnapshot,
   /// binding `ctx` (required) to it — the construction rides the
@@ -56,10 +56,8 @@ class ResultGraph {
   const std::vector<uint32_t>& MatchesOf(PatternNodeId u) const { return matches_of_[u]; }
 
  private:
-  /// Shared body. `ctx`, when set, is bound to the snapshot whose graph is
-  /// `g`; nullptr selects the one-shot path.
-  ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& m,
-              MatchContext* ctx);
+  /// Shared body over the snapshot `ctx` is bound to.
+  void Build(const Pattern& q, const MatchRelation& m, MatchContext* ctx);
 
   std::vector<NodeId> nodes_;  // sorted data ids
   std::unordered_map<NodeId, uint32_t> index_;

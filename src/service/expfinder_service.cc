@@ -256,6 +256,14 @@ QueryTicket ExpFinderService::Submit(QueryRequest request) {
     valid = Status::InvalidArgument("unknown RankingMetric " +
                                     std::to_string(static_cast<int>(request.metric)));
   }
+  // match_threads sizes the leased context's seeding pool and one distance
+  // array per worker; more workers than hardware threads buys nothing.
+  if (valid.ok() && request.match_threads.has_value() &&
+      *request.match_threads > ThreadPool::ResolveThreads(0)) {
+    valid = Status::InvalidArgument(
+        "match_threads " + std::to_string(*request.match_threads) + " exceeds the " +
+        std::to_string(ThreadPool::ResolveThreads(0)) + " hardware threads");
+  }
   if (!valid.ok()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     CompleteTicket(state, std::move(valid));

@@ -85,7 +85,9 @@ struct QueryRequest {
   /// Per-request cache override; absent = the service's configured default.
   std::optional<bool> use_cache;
   /// Per-request matcher seeding threads; absent = engine default
-  /// (see EngineOptions::match_threads).
+  /// (see EngineOptions::match_threads). A value above the hardware thread
+  /// count (ThreadPool::ResolveThreads(0)) is refused at Submit with
+  /// InvalidArgument.
   std::optional<uint32_t> match_threads;
   /// Per-request ball-index participation; absent = engine default (see
   /// EngineOptions::ball_index). Disabling forces the BFS traversal paths

@@ -6,6 +6,7 @@
 #include "src/generator/generators.h"
 #include "src/graph/bfs.h"
 #include "src/graph/csr.h"
+#include "src/graph/graph_snapshot.h"
 #include "src/graph/shortest_paths.h"
 
 namespace expfinder {
@@ -115,7 +116,8 @@ TEST(BoundedBfsNonEmptyTest, BuffersReusableAcrossCalls) {
 
 TEST(BoundedBfsNonEmptyTest, WorksOnCsr) {
   Graph g = Ring4();
-  Csr csr(g);
+  auto snap = g.Publish();
+  const Csr& csr = snap->csr();
   BfsBuffers buf;
   buf.EnsureSize(g.NumNodes());
   std::map<NodeId, Distance> visited;

@@ -33,8 +33,7 @@ TEST(BuildSanityTest, EveryModuleLinks) {
   EXPECT_EQ(stats.num_nodes, 2u);
   EXPECT_EQ(ComputeScc(g).num_components, 2u);
   EXPECT_EQ(SingleSourceDistances(g, a).size(), 2u);
-  Csr csr(g);
-  EXPECT_EQ(csr.Out(a).size(), 1u);
+  EXPECT_EQ(g.Publish()->csr().Out(a).size(), 1u);
 
   // generator.
   Graph fig1 = gen::BuildFig1Graph();

@@ -4,12 +4,14 @@
 // handle identity through Graph::Publish, and the shared lazy ball-index
 // slot: deferred build, grow-only depth, first-limits-wins, failure
 // memoization, and lock-free cached reads — all per snapshot, not per
-// context.
+// context. Last, the CSR chunks the Csr reads: equal to the lists under
+// churn, built once per sealed page, safe to capture concurrently.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -299,6 +301,163 @@ TEST(GraphSnapshotTest, CopyAndSourceMutateConcurrentlyLikeReplicaBootstrap) {
   EXPECT_EQ(Checksum(copy), Checksum(expected_copy));
   EXPECT_EQ(copy.version(), expected_copy.version());
   EXPECT_NE(Checksum(source), Checksum(copy));
+}
+
+
+// --- CSR chunks --------------------------------------------------------------
+// A snapshot's Csr reads the chunk each adjacency page got when it was
+// sealed. Under any churn every row must equal the frozen list element for
+// element, neighbour order included, and a capture builds chunks only for
+// the pages mutated since the previous one.
+
+void ExpectCsrEqualsLists(const GraphSnapshot& snap) {
+  const Graph& g = snap.graph();
+  const Csr& csr = snap.csr();
+  ASSERT_EQ(csr.NumNodes(), g.NumNodes());
+  EXPECT_EQ(csr.NumEdges(), g.NumEdges());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const std::span<const NodeId> out = csr.Out(v);
+    const std::span<const NodeId> in = csr.In(v);
+    EXPECT_EQ(std::vector<NodeId>(out.begin(), out.end()), g.OutNeighbors(v)) << "out " << v;
+    EXPECT_EQ(std::vector<NodeId>(in.begin(), in.end()), g.InNeighbors(v)) << "in " << v;
+  }
+}
+
+size_t NumPages(const Graph& g) {
+  return (g.NumNodes() + Graph::kPageNodes - 1) / Graph::kPageNodes;
+}
+
+TEST(CsrChunkTest, SeededChurnKeepsEveryRowEqualToItsList) {
+  Rng rng(1919);
+  Graph g;
+  for (int i = 0; i < 63; ++i) g.AddNode("P");
+  std::vector<SnapshotPtr> held;  // earlier snapshots must stay intact
+  auto capture = [&] {
+    SnapshotPtr snap = g.Publish();
+    ExpectCsrEqualsLists(*snap);
+    held.push_back(std::move(snap));
+  };
+  // Edge flips only (steps 1-10 add no node), so the page stays 63 full.
+  for (size_t round = 0; round < 4; ++round) {
+    for (size_t step = 1; step <= 10; ++step) RandomWriterStep(&g, &rng, step);
+  }
+  ASSERT_EQ(g.NumNodes(), 63u);
+  capture();
+
+  // Node 63 lands in the last slot of a sealed page (whose chunk predates
+  // it), 64 and 65 in a fresh one; each is captured bare, then wired both
+  // ways and captured again.
+  for (NodeId id : {NodeId{63}, NodeId{64}, NodeId{65}}) {
+    ASSERT_EQ(g.AddNode("P"), id);
+    capture();
+    ASSERT_TRUE(g.AddEdge(id, 0).ok());
+    ASSERT_TRUE(g.AddEdge(1, id).ok());
+    capture();
+  }
+
+  // Deleting the head of a list moves its last entry to the front.
+  ASSERT_TRUE(g.AddEdge(2, 10).ok());
+  ASSERT_TRUE(g.AddEdge(2, 11).ok());
+  ASSERT_TRUE(g.AddEdge(2, 12).ok());
+  const std::vector<NodeId> before = g.OutNeighbors(2);
+  ASSERT_TRUE(g.RemoveEdge(2, before.front()).ok());
+  EXPECT_EQ(g.OutNeighbors(2).front(), before.back());
+  capture();
+
+  for (size_t step = 41; step <= 120; ++step) {
+    RandomWriterStep(&g, &rng, step);
+    if (step % 3 == 0) capture();
+  }
+
+  // A copy shares every sealed page with the writer; each then clones only
+  // what it writes.
+  Graph copy = g;
+  Rng copy_rng(2020);
+  for (size_t step = 121; step <= 160; ++step) {
+    RandomWriterStep(&g, &rng, step);
+    RandomWriterStep(&copy, &copy_rng, step);
+    if (step % 4 == 0) {
+      capture();
+      SnapshotPtr other = copy.Publish();
+      ExpectCsrEqualsLists(*other);
+      held.push_back(std::move(other));
+    }
+  }
+  for (const SnapshotPtr& snap : held) ExpectCsrEqualsLists(*snap);
+}
+
+TEST(CsrChunkTest, OneEdgeBatchBuildsOneChunkPerSide) {
+  Graph g = StressGraph();
+  SnapshotPtr before = g.Publish();
+  EXPECT_EQ(before->chunks_built(), 2 * NumPages(g));
+  EXPECT_EQ(g.Publish()->chunks_built(), 0u);  // nothing mutated since
+
+  // Source on page 1, target on page 5.
+  NodeId src = 70;
+  NodeId dst = 330;
+  while (g.HasEdge(src, dst)) ++dst;
+  ASSERT_TRUE(g.AddEdge(src, dst).ok());
+  SnapshotPtr after = g.Publish();
+  EXPECT_EQ(after->chunks_built(), 2u);
+  ExpectCsrEqualsLists(*after);
+  // Every other page's rows are read from the very chunks `before` reads.
+  const size_t src_page = src / Graph::kPageNodes;
+  const size_t dst_page = dst / Graph::kPageNodes;
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const size_t page = v / Graph::kPageNodes;
+    EXPECT_EQ(after->csr().Out(v).data() == before->csr().Out(v).data(), page != src_page)
+        << "out " << v;
+    EXPECT_EQ(after->csr().In(v).data() == before->csr().In(v).data(), page != dst_page)
+        << "in " << v;
+  }
+}
+
+TEST(CsrChunkTest, ConcurrentCapturesOfPageSharingGraphs) {
+  // Several threads capture one graph no one has sealed yet: each chunk is
+  // installed exactly once, whoever builds it first.
+  Graph fresh = StressGraph();
+  constexpr int kThreads = 4;
+  std::atomic<size_t> built{0};
+  std::vector<SnapshotPtr> snaps(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        snaps[t] = fresh.Publish();
+        built.fetch_add(snaps[t]->chunks_built(), std::memory_order_relaxed);
+      });
+    }
+    for (auto& t : threads) t.join();
+  }
+  EXPECT_EQ(built.load(), 2 * NumPages(fresh));
+  for (const SnapshotPtr& snap : snaps) ExpectCsrEqualsLists(*snap);
+
+  // Copies sharing those sealed pages each mutate and capture on their own
+  // thread, while another thread keeps capturing the shared source.
+  std::vector<Graph> copies(kThreads, fresh);
+  std::atomic<bool> done{false};
+  std::thread source_reader([&] {
+    do {
+      ExpectCsrEqualsLists(*fresh.Publish());
+    } while (!done.load(std::memory_order_acquire));
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      Rng rng(300 + t);
+      std::vector<SnapshotPtr> epochs;
+      for (size_t step = 1; step <= 60; ++step) {
+        RandomWriterStep(&copies[t], &rng, step);
+        epochs.push_back(copies[t].Publish());
+        ExpectCsrEqualsLists(*epochs.back());
+      }
+      for (const SnapshotPtr& snap : epochs) ExpectCsrEqualsLists(*snap);
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  source_reader.join();
+  for (const SnapshotPtr& snap : snaps) ExpectCsrEqualsLists(*snap);
 }
 
 }  // namespace

@@ -310,7 +310,8 @@ TEST(CsrTest, MirrorsGraphTopology) {
   Graph g = Triangle();
   g.AddNode("D");
   ASSERT_TRUE(g.AddEdge(0, 3).ok());
-  Csr csr(g);
+  auto snap = g.Publish();
+  const Csr& csr = snap->csr();
   EXPECT_EQ(csr.NumNodes(), g.NumNodes());
   EXPECT_EQ(csr.NumEdges(), g.NumEdges());
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
@@ -331,7 +332,8 @@ TEST(CsrTest, MirrorsGraphTopology) {
 
 TEST(CsrTest, EmptyGraph) {
   Graph g;
-  Csr csr(g);
+  auto snap = g.Publish();
+  const Csr& csr = snap->csr();
   EXPECT_EQ(csr.NumNodes(), 0u);
   EXPECT_EQ(csr.NumEdges(), 0u);
 }

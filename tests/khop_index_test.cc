@@ -9,6 +9,7 @@
 #include "src/generator/generators.h"
 #include "src/graph/bfs.h"
 #include "src/graph/csr.h"
+#include "src/graph/graph_snapshot.h"
 #include "src/incremental/update.h"
 #include "src/util/thread_pool.h"
 
@@ -54,7 +55,8 @@ void ExpectIndexMatchesBfs(const KhopIndex& index, const Csr& csr) {
 TEST(KhopIndexTest, BallsEqualBfsOnRandomGraphs) {
   for (uint64_t seed : {1u, 7u, 23u}) {
     Graph g = gen::ErdosRenyi(120, 400, seed);
-    Csr csr(g);
+    auto snap = g.Publish();
+  const Csr& csr = snap->csr();
     for (Distance depth : {1u, 2u, 3u}) {
       auto index = KhopIndex::Build(csr, depth, {});
       ASSERT_NE(index, nullptr);
@@ -65,7 +67,8 @@ TEST(KhopIndexTest, BallsEqualBfsOnRandomGraphs) {
 
 TEST(KhopIndexTest, DepthClampAndPrefixProperty) {
   Graph g = gen::ErdosRenyi(60, 200, 5);
-  Csr csr(g);
+  auto snap = g.Publish();
+  const Csr& csr = snap->csr();
   auto index = KhopIndex::Build(csr, 3, {});
   ASSERT_NE(index, nullptr);
   for (NodeId v = 0; v < csr.NumNodes(); ++v) {
@@ -82,7 +85,8 @@ TEST(KhopIndexTest, DepthClampAndPrefixProperty) {
 
 TEST(KhopIndexTest, ParallelBuildBitIdenticalToSerial) {
   Graph g = gen::ErdosRenyi(300, 1500, 11);
-  Csr csr(g);
+  auto snap = g.Publish();
+  const Csr& csr = snap->csr();
   auto serial = KhopIndex::Build(csr, 2, {});
   ASSERT_NE(serial, nullptr);
   ThreadPool pool(4);
@@ -111,7 +115,8 @@ TEST(KhopIndexTest, DenseHubOverflowsPerNodeCapOthersStayIndexed) {
     ASSERT_TRUE(g.AddEdge(0, v).ok());
     ASSERT_TRUE(g.AddEdge(v, 0).ok());
   }
-  Csr csr(g);
+  auto snap = g.Publish();
+  const Csr& csr = snap->csr();
   BallIndexOptions limits;
   limits.max_ball_nodes = 8;  // hub ball is n-1 = 63 at depth 1
   auto index = KhopIndex::Build(csr, 2, limits);
@@ -135,7 +140,8 @@ TEST(KhopIndexTest, DenseHubOverflowsPerNodeCapOthersStayIndexed) {
 
 TEST(KhopIndexTest, TotalBudgetFailsBuild) {
   Graph g = gen::ErdosRenyi(100, 500, 3);
-  Csr csr(g);
+  auto snap = g.Publish();
+  const Csr& csr = snap->csr();
   BallIndexOptions limits;
   limits.max_total_entries = 16;
   EXPECT_EQ(KhopIndex::Build(csr, 2, limits), nullptr);

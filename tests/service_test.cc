@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -476,6 +477,32 @@ TEST_F(ServiceFixture, UnknownMetricRejectedAtSubmit) {
   EXPECT_TRUE(resp.status().IsInvalidArgument()) << resp.status();
   EXPECT_EQ(service.stats().rejected, 1u);
   EXPECT_EQ(service.stats().ClassifiedQueries(), service.stats().queries);
+}
+
+TEST_F(ServiceFixture, SubmitRefusesMatchThreadsAboveHardwareThreads) {
+  // match_threads sizes the seeding pool and one distance array per worker,
+  // so an oversized value must be refused before admission. The service is
+  // paused: nothing is evaluated, and a refusal is the only way to finish.
+  ExpFinderService service(&g_, PausedOptions());
+  const uint32_t cap = static_cast<uint32_t>(ThreadPool::ResolveThreads(0));
+  QueryRequest over = UncachedFig1Request();
+  over.match_threads = std::numeric_limits<uint32_t>::max();
+  QueryTicket refused = service.Submit(over);
+  EXPECT_TRUE(refused.done());
+  over.match_threads = cap + 1;
+  QueryTicket refused_by_one = service.Submit(over);
+  EXPECT_TRUE(refused_by_one.done());
+  QueryRequest at_cap = UncachedFig1Request();
+  at_cap.match_threads = cap;
+  QueryTicket admitted = service.Submit(at_cap);
+  EXPECT_FALSE(admitted.done());  // queued behind the pause
+
+  for (QueryTicket* t : {&refused, &refused_by_one}) {
+    auto resp = t->Get();
+    EXPECT_FALSE(resp.ok());
+    EXPECT_TRUE(resp.status().IsInvalidArgument()) << resp.status();
+  }
+  EXPECT_EQ(service.stats().rejected, 2u);
 }
 
 TEST_F(ServiceFixture, CancelWhileQueuedNeverTouchesTheEngine) {
