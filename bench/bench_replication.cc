@@ -72,19 +72,23 @@ void BM_ReplicaDeltaApply(benchmark::State& state) {
   const size_t records = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    Replica replica(0);
-    ReplicaBootstrap anchor;
-    anchor.graph = stream->base;
-    anchor.next_lsn = 0;
-    replica.Install(std::move(anchor));
-    state.ResumeTiming();
-    DeltaBatch batch;
-    for (size_t i = 0; i < records; ++i) {
-      batch.deltas.clear();
-      batch.deltas.push_back({i, stream->payloads[i]});
-      if (!replica.Apply(batch).ok()) state.SkipWithError("apply failed");
+    {
+      Replica replica(0);
+      ReplicaBootstrap anchor;
+      anchor.graph = stream->base;
+      anchor.next_lsn = 0;
+      replica.Install(std::move(anchor));
+      state.ResumeTiming();
+      DeltaBatch batch;
+      for (size_t i = 0; i < records; ++i) {
+        batch.deltas.clear();
+        batch.deltas.push_back({i, stream->payloads[i]});
+        if (!replica.Apply(batch).ok()) state.SkipWithError("apply failed");
+      }
+      benchmark::DoNotOptimize(replica.version());
+      state.PauseTiming();  // keep the replica's teardown untimed
     }
-    benchmark::DoNotOptimize(replica.version());
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * records));
 }
@@ -98,18 +102,22 @@ void BM_ReplicaCatchUpFromLag(benchmark::State& state) {
   const size_t lag = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
-    Replica replica(0);
-    ReplicaBootstrap anchor;
-    anchor.graph = stream->base;
-    anchor.next_lsn = 0;
-    replica.Install(std::move(anchor));
-    DeltaBatch batch;
-    for (size_t i = 0; i < lag; ++i) {
-      batch.deltas.push_back({i, stream->payloads[i]});
+    {
+      Replica replica(0);
+      ReplicaBootstrap anchor;
+      anchor.graph = stream->base;
+      anchor.next_lsn = 0;
+      replica.Install(std::move(anchor));
+      DeltaBatch batch;
+      for (size_t i = 0; i < lag; ++i) {
+        batch.deltas.push_back({i, stream->payloads[i]});
+      }
+      state.ResumeTiming();
+      if (!replica.Apply(batch).ok()) state.SkipWithError("apply failed");
+      benchmark::DoNotOptimize(replica.next_lsn());
+      state.PauseTiming();  // keep the replica's teardown untimed
     }
     state.ResumeTiming();
-    if (!replica.Apply(batch).ok()) state.SkipWithError("apply failed");
-    benchmark::DoNotOptimize(replica.next_lsn());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * lag));
 }

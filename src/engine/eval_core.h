@@ -96,17 +96,14 @@ struct EngineOptions {
   /// Build and query a compressed graph when the pattern is compatible.
   bool use_compression = false;
   CompressionSchema compression_schema{true, {"experience"}};
-  /// Keep Gc in sync after ApplyUpdates (vs. rebuild-on-demand).
-  bool maintain_compression = true;
-  /// Candidate initialization via label index + selectivity ordering.
-  bool use_planner = true;
   /// Worker threads for the matchers' parallel seeding phase
   /// (0 = hardware_concurrency, 1 = serial; results are identical either
   /// way — see MatchOptions::num_threads).
   uint32_t match_threads = 0;
-  /// Ball-index participation and memory caps for the matchers and the
-  /// incremental maintainers (see khop_index.h). Relations are identical
-  /// with the index on, off, or capped into BFS fallback.
+  /// Ball-index participation and memory caps for the matchers (see
+  /// khop_index.h); the incremental maintainers BFS the live graph and
+  /// ignore it. Relations are identical with the index on, off, or capped
+  /// into BFS fallback.
   BallIndexOptions ball_index;
   /// Topic inverted-index participation for text-predicate seeding (see
   /// index/topic_index.h). Relations are identical with the index on, off,
@@ -153,7 +150,7 @@ struct EngineSnapshot {
 class EvalCore {
  public:
   explicit EvalCore(const EngineOptions& options)
-      : options_(options), planner_(options.use_planner) {}
+      : options_(options), planner_(true) {}
 
   const EngineOptions& options() const { return options_; }
 

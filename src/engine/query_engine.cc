@@ -124,9 +124,7 @@ Result<NodeId> QueryEngine::AddNode(
   for (auto& [fp, m] : maintained_) {
     std::visit([v](auto& inc) { inc.OnNodeAdded(v); }, m);
   }
-  if (compression_ != nullptr && options_.maintain_compression) {
-    compression_->OnNodeAdded(v);
-  }
+  if (compression_ != nullptr) compression_->OnNodeAdded(v);
   BumpEngineSeq();
   return v;
 }
@@ -141,17 +139,12 @@ Status QueryEngine::RegisterMaintainedQuery(const Pattern& q,
   // The maintainer seeds its initial candidates by a label scan: it runs
   // once per registered query, and the graph's topic index would be built
   // for it alone.
-  MatchOptions match_opts;
-  match_opts.ball_index = options_.ball_index;
   if (semantics == MatchSemantics::kDualSimulation) {
-    maintained_.try_emplace(key, std::in_place_type<IncrementalDualSimulation>, g_, q,
-                            match_opts);
+    maintained_.try_emplace(key, std::in_place_type<IncrementalDualSimulation>, g_, q);
   } else if (q.IsSimulationPattern()) {
-    maintained_.try_emplace(key, std::in_place_type<IncrementalSimulation>, g_, q,
-                            match_opts);
+    maintained_.try_emplace(key, std::in_place_type<IncrementalSimulation>, g_, q);
   } else {
-    maintained_.try_emplace(key, std::in_place_type<IncrementalBoundedSimulation>, g_, q,
-                            match_opts);
+    maintained_.try_emplace(key, std::in_place_type<IncrementalBoundedSimulation>, g_, q);
   }
   BumpEngineSeq();
   return Status::OK();
@@ -173,9 +166,7 @@ Status QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
   for (auto& [fp, m] : maintained_) {
     std::visit([&batch](auto& inc) { inc.PostUpdate(batch); }, m);
   }
-  if (compression_ != nullptr && options_.maintain_compression) {
-    compression_->OnGraphUpdated(batch);
-  }
+  if (compression_ != nullptr) compression_->OnGraphUpdated(batch);
   ++stats_.batches_applied;
   stats_.updates_applied += batch.size();
   BumpEngineSeq();

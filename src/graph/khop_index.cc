@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "src/graph/bfs.h"
 #include "src/util/logging.h"
 #include "src/util/thread_pool.h"
 
@@ -18,8 +19,8 @@ namespace {
 /// to strata[0..depth-1]. Returns false, with *out restored and strata
 /// zeroed, as soon as more than max_nodes nodes would be collected: hubs
 /// pay for at most max_nodes + one frontier expansion, not their full ball.
-template <bool Forward, typename GraphLike>
-bool CollectBall(const GraphLike& g, NodeId src, Distance depth, size_t max_nodes,
+template <bool Forward>
+bool CollectBall(const Csr& g, NodeId src, Distance depth, size_t max_nodes,
                  BfsBuffers* buf, std::vector<NodeId>* out, uint32_t* strata) {
   const size_t start = out->size();
   std::fill_n(strata, depth, 0u);
@@ -74,10 +75,11 @@ bool CollectBall(const GraphLike& g, NodeId src, Distance depth, size_t max_node
 /// Builds one direction of the index, fanning node ranges out over the
 /// pool. Returns false when more than budget_entries entries would be
 /// stored.
-template <bool Forward, typename GraphLike>
-bool KhopIndex::BuildSide(const GraphLike& g, size_t n, Distance depth,
-                          const BallIndexOptions& limits, size_t budget_entries,
-                          ThreadPool* pool, size_t workers, Side* side) {
+template <bool Forward>
+bool KhopIndex::BuildSide(const Csr& csr, Distance depth, const BallIndexOptions& limits,
+                          size_t budget_entries, ThreadPool* pool, size_t workers,
+                          Side* side) {
+  const size_t n = csr.NumNodes();
   side->overflow = DenseBitset(1, n);
   std::vector<uint32_t> counts(n * static_cast<size_t>(depth), 0);
   const size_t chunks = (pool != nullptr && workers > 1) ? workers : 1;
@@ -94,7 +96,7 @@ bool KhopIndex::BuildSide(const GraphLike& g, size_t n, Distance depth,
     for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
       if (over_budget.load(std::memory_order_relaxed)) return;
       const size_t before = out.size();
-      if (!CollectBall<Forward>(g, v, depth, limits.max_ball_nodes, &buf, &out,
+      if (!CollectBall<Forward>(csr, v, depth, limits.max_ball_nodes, &buf, &out,
                                 strata.data())) {
         chunk_overflow[chunk].push_back(v);
         continue;
@@ -130,198 +132,22 @@ bool KhopIndex::BuildSide(const GraphLike& g, size_t n, Distance depth,
   return true;
 }
 
-template <typename GraphLike>
-std::unique_ptr<KhopIndex> KhopIndex::BuildOver(const GraphLike& g, size_t n,
-                                                Distance depth,
-                                                const BallIndexOptions& limits,
-                                                ThreadPool* pool, size_t workers) {
+std::unique_ptr<KhopIndex> KhopIndex::Build(const Csr& csr, Distance depth,
+                                            const BallIndexOptions& limits,
+                                            ThreadPool* pool, size_t workers) {
   EF_CHECK(depth >= 1 && depth != kUnreachable) << "ball index depth must be finite";
   auto idx = std::unique_ptr<KhopIndex>(new KhopIndex());
-  idx->n_ = n;
+  idx->n_ = csr.NumNodes();
   idx->depth_ = depth;
-  if (!BuildSide<true>(g, n, depth, limits, limits.max_total_entries, pool, workers,
+  if (!BuildSide<true>(csr, depth, limits, limits.max_total_entries, pool, workers,
                        &idx->fwd_)) {
     return nullptr;
   }
   const size_t remaining = limits.max_total_entries - idx->fwd_.nodes.size();
-  if (!BuildSide<false>(g, n, depth, limits, remaining, pool, workers, &idx->rev_)) {
+  if (!BuildSide<false>(csr, depth, limits, remaining, pool, workers, &idx->rev_)) {
     return nullptr;
   }
   return idx;
-}
-
-std::unique_ptr<KhopIndex> KhopIndex::Build(const Csr& csr, Distance depth,
-                                            const BallIndexOptions& limits,
-                                            ThreadPool* pool, size_t workers) {
-  return BuildOver(csr, csr.NumNodes(), depth, limits, pool, workers);
-}
-
-// --- MaintainedBallIndex ---------------------------------------------------
-
-std::unique_ptr<MaintainedBallIndex> MaintainedBallIndex::Build(
-    const Graph& g, Distance depth, const BallIndexOptions& limits) {
-  auto idx =
-      std::unique_ptr<MaintainedBallIndex>(new MaintainedBallIndex(g, depth, limits));
-  if (!idx->RebuildFrom(g)) return nullptr;
-  return idx;
-}
-
-bool MaintainedBallIndex::RebuildFrom(const Graph& g) {
-  auto built =
-      KhopIndex::BuildOver(g, g.NumNodes(), depth_, limits_, /*pool=*/nullptr, 1);
-  if (built == nullptr) return false;
-  base_ = std::move(built);
-  g_ = &g;
-  n_ = g.NumNodes();
-  out_patch_.clear();
-  in_patch_.clear();
-  stale_out_ = DenseBitset(1, n_);
-  stale_in_ = DenseBitset(1, n_);
-  stale_out_count_ = 0;
-  stale_in_count_ = 0;
-  overlay_entries_ = 0;
-  patch_buf_.EnsureSize(n_);
-  patch_strata_.assign(depth_, 0);
-  ++builds_;
-  return true;
-}
-
-bool MaintainedBallIndex::Update(const Graph& g, const std::vector<NodeId>& dirty_out,
-                                 const std::vector<NodeId>& dirty_in,
-                                 bool will_serve) {
-  for (NodeId v : dirty_out) {
-    if (!stale_out_.Test(0, v)) {
-      stale_out_.Set(0, v);
-      ++stale_out_count_;
-    }
-  }
-  for (NodeId v : dirty_in) {
-    if (!stale_in_.Test(0, v)) {
-      stale_in_.Set(0, v);
-      ++stale_in_count_;
-    }
-  }
-  // Rebuild decisions are confined to serving batches — marking-only
-  // batches stay O(|dirty|), as documented. The overlay only grows while
-  // serving (lazy patch-on-touch), so deferring the budget check to the
-  // next serving batch is safe. Rebuild when (a) lazily patched balls grew
-  // the overlay past the entry budget, or (b) the accumulated invalid
-  // volume — stale marks plus the patch overlay — approaches the graph
-  // size: beyond that, lazy per-ball re-derivation and the overlay's hash
-  // lookups cost more than one clean bulk build (same |AFF| argument as
-  // the maintainers themselves; crossover measured by bench_incremental).
-  if (will_serve) {
-    const size_t invalid = stale_balls() + out_patch_.size() + in_patch_.size();
-    if (base_->TotalEntries() + overlay_entries_ > limits_.max_total_entries ||
-        invalid * 2 >= g.NumNodes()) {
-      ++rebuilds_;
-      return RebuildFrom(g);
-    }
-  }
-  return true;
-}
-
-void MaintainedBallIndex::PatchBall(NodeId v, bool forward) {
-  PatchedBall& p = (forward ? out_patch_ : in_patch_)[v];
-  overlay_entries_ -= p.nodes.size();
-  p.nodes.clear();
-  p.off.assign(depth_ + 1, 0);
-  const bool ok =
-      forward ? CollectBall<true>(*g_, v, depth_, limits_.max_ball_nodes, &patch_buf_,
-                                  &p.nodes, patch_strata_.data())
-              : CollectBall<false>(*g_, v, depth_, limits_.max_ball_nodes, &patch_buf_,
-                                   &p.nodes, patch_strata_.data());
-  p.overflow = !ok;
-  if (ok) {
-    for (Distance d = 1; d <= depth_; ++d) p.off[d] = p.off[d - 1] + patch_strata_[d - 1];
-  }
-  overlay_entries_ += p.nodes.size();
-  ++patched_balls_;
-}
-
-template <bool Forward>
-void MaintainedBallIndex::Refresh(NodeId v) {
-  if constexpr (Forward) {
-    if (stale_out_.Test(0, v)) {
-      stale_out_.Reset(0, v);
-      --stale_out_count_;
-      PatchBall(v, /*forward=*/true);
-    }
-  } else {
-    if (stale_in_.Test(0, v)) {
-      stale_in_.Reset(0, v);
-      --stale_in_count_;
-      PatchBall(v, /*forward=*/false);
-    }
-  }
-}
-
-void MaintainedBallIndex::OnNodeAdded(NodeId v) {
-  // The new node has no edges: its balls are empty, and it is in nobody
-  // else's ball. An explicit empty overlay entry makes lookups for it valid
-  // without touching the (smaller) base index.
-  for (PatchMap* map : {&out_patch_, &in_patch_}) {
-    PatchedBall& p = (*map)[v];
-    p.overflow = false;
-    p.nodes.clear();
-    p.off.assign(depth_ + 1, 0);
-  }
-  stale_out_.AddColumn();
-  stale_in_.AddColumn();
-  ++n_;
-  patch_buf_.EnsureSize(n_);
-}
-
-template <bool Forward>
-std::span<const NodeId> MaintainedBallIndex::Lookup(NodeId v, Distance d,
-                                                    bool stratum) {
-  Refresh<Forward>(v);
-  const PatchMap& map = Forward ? out_patch_ : in_patch_;
-  auto it = map.find(v);
-  if (it != map.end()) {
-    const PatchedBall& p = it->second;
-    const Distance dd = std::min<Distance>(d, depth_);
-    if (stratum) {
-      return {p.nodes.data() + p.off[dd - 1],
-              static_cast<size_t>(p.off[dd] - p.off[dd - 1])};
-    }
-    return {p.nodes.data(), static_cast<size_t>(p.off[dd])};
-  }
-  if (v < base_->NumNodes()) {
-    if constexpr (Forward) {
-      return stratum ? base_->StratumOut(v, d) : base_->BallOut(v, d);
-    } else {
-      return stratum ? base_->StratumIn(v, d) : base_->BallIn(v, d);
-    }
-  }
-  return {};
-}
-
-bool MaintainedBallIndex::HasOut(NodeId v) {
-  Refresh<true>(v);
-  auto it = out_patch_.find(v);
-  if (it != out_patch_.end()) return !it->second.overflow;
-  return v < base_->NumNodes() ? base_->HasOut(v) : true;
-}
-
-bool MaintainedBallIndex::HasIn(NodeId v) {
-  Refresh<false>(v);
-  auto it = in_patch_.find(v);
-  if (it != in_patch_.end()) return !it->second.overflow;
-  return v < base_->NumNodes() ? base_->HasIn(v) : true;
-}
-
-std::span<const NodeId> MaintainedBallIndex::BallOut(NodeId v, Distance d) {
-  return Lookup<true>(v, d, /*stratum=*/false);
-}
-std::span<const NodeId> MaintainedBallIndex::BallIn(NodeId v, Distance d) {
-  return Lookup<false>(v, d, /*stratum=*/false);
-}
-std::span<const NodeId> MaintainedBallIndex::StratumOut(NodeId v, Distance d) {
-  return Lookup<true>(v, d, /*stratum=*/true);
-}
-std::span<const NodeId> MaintainedBallIndex::StratumIn(NodeId v, Distance d) {
-  return Lookup<false>(v, d, /*stratum=*/true);
 }
 
 }  // namespace expfinder

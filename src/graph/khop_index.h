@@ -3,10 +3,10 @@
 //
 // Bounded simulation (paper §II) only ever needs "which nodes lie within
 // nonempty distance <= b of v?" for the handful of small bounds a pattern
-// carries (typically 1–3): seeding counts ball members per candidate,
-// refinement decrements supporters over reverse balls, and the incremental
-// maintainers recompute counters over both. Before this index each of those
-// re-ran a hop-bounded BFS; a KhopIndex answers them with a flat span scan.
+// carries (typically 1–3): seeding counts ball members per candidate, and
+// refinement decrements supporters over reverse balls. Before this index
+// each of those re-ran a hop-bounded BFS; a KhopIndex answers them with a
+// flat span scan.
 //
 // Layout: for each node, the forward ball BallOut(v, d) — every w with
 // shortest *nonempty* distance dist(v, w) in [1, d] — is stored once,
@@ -27,26 +27,23 @@
 //
 // KhopIndex is immutable — the matchers read the one cached on the published
 // GraphSnapshot they evaluate (graph_snapshot.h), built at most once per
-// version and depth and shared by every reader. MaintainedBallIndex wraps a
-// KhopIndex with a patch overlay for the incremental maintainers, whose
-// graph mutates in place: an update batch dirties only the balls its
-// touched edges can reach, those are re-derived by bounded BFS into the
-// overlay, and a large batch (or an outgrown overlay) triggers a measured
-// full rebuild instead.
+// version and depth and shared by every reader. The incremental maintainers
+// (src/incremental/inc_{bounded,dual}.h) do not use it: their graph mutates
+// in place, and a batch reads only the few balls around its touched edges,
+// so they BFS the live graph, which costs no more than re-deriving those
+// balls would.
 
 #ifndef EXPFINDER_GRAPH_KHOP_INDEX_H_
 #define EXPFINDER_GRAPH_KHOP_INDEX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
-#include "src/graph/bfs.h"
 #include "src/graph/csr.h"
-#include "src/graph/graph.h"
 #include "src/graph/types.h"
 #include "src/util/dense_bitset.h"
 
@@ -56,7 +53,8 @@ class ThreadPool;
 
 /// \brief Ball-index tunables, shared by MatchOptions and EngineOptions.
 struct BallIndexOptions {
-  /// Master switch: false = every traversal uses the original BFS path.
+  /// Master switch for the matchers: false = every traversal BFSes the
+  /// snapshot's CSR instead of scanning ball spans.
   bool enabled = true;
   /// Largest pattern bound served from the index; a pattern whose finite
   /// max bound exceeds this (or carries only unbounded edges) falls back to
@@ -78,16 +76,7 @@ struct BallIndexOptions {
   /// index nobody amortizes, while steady-state read traffic (the ROADMAP
   /// regime: many queries share one graph snapshot) warms it quickly and
   /// scans thereafter. 1 = build eagerly on first use.
-  /// (The incremental maintainers ignore this: they build eagerly because
-  /// a maintained query is reused by construction.)
   uint32_t build_after_uses = 16;
-  /// The incremental maintainers serve a batch's traversals from the index
-  /// only when the batch has at least this many updates: unit-update
-  /// streams have too little intra-batch ball reuse to amortize lazy
-  /// re-derivation, so they keep the plain shallow-BFS maintenance path and
-  /// the index only records staleness (O(|dirty|) marking). 1 = always
-  /// serve from the index.
-  size_t maintained_min_batch = 4;
 
   friend bool operator==(const BallIndexOptions&, const BallIndexOptions&) = default;
 };
@@ -137,17 +126,6 @@ class KhopIndex {
   }
 
  private:
-  friend class MaintainedBallIndex;
-
-  /// Shared build core, templated over Csr (the matchers' snapshot path)
-  /// and Graph (the maintainers' rebuild path). Defined in khop_index.cc —
-  /// both instantiations live there.
-  template <typename GraphLike>
-  static std::unique_ptr<KhopIndex> BuildOver(const GraphLike& g, size_t n,
-                                              Distance depth,
-                                              const BallIndexOptions& limits,
-                                              ThreadPool* pool, size_t workers);
-
   /// One direction: balls concatenated node-major, strata inner; the ball
   /// of v at depth d spans nodes[off[v*depth] .. off[v*depth + d]).
   struct Side {
@@ -166,112 +144,16 @@ class KhopIndex {
     }
   };
 
-  template <bool Forward, typename GraphLike>
-  static bool BuildSide(const GraphLike& g, size_t n, Distance depth,
-                        const BallIndexOptions& limits, size_t budget_entries,
-                        ThreadPool* pool, size_t workers, Side* side);
+  template <bool Forward>
+  static bool BuildSide(const Csr& csr, Distance depth, const BallIndexOptions& limits,
+                        size_t budget_entries, ThreadPool* pool, size_t workers,
+                        Side* side);
 
   KhopIndex() = default;
 
   size_t n_ = 0;
   Distance depth_ = 0;
   Side fwd_, rev_;
-};
-
-/// \brief Mutable ball index for the incremental maintainers: an immutable
-/// KhopIndex base plus a lazily patched overlay of re-derived balls.
-///
-/// After an update batch the caller hands Update() the dirty sets — the
-/// nodes whose forward (resp. reverse) balls a touched edge can invalidate.
-/// Update() only *marks* them stale (O(|dirty|)); a stale ball is
-/// re-derived by one bounded BFS against the current graph the first time a
-/// traversal actually touches it, so a batch pays for the balls the
-/// fixpoint reads, never for the whole dirty neighborhood. The first touch
-/// costs what the plain BFS path would have cost anyway; every later touch
-/// is a span scan. When the dirty/stale/overlay volume grows past a
-/// fraction of the graph, Update() folds everything into a full rebuild
-/// instead (the measured, deliberate path — see rebuilds()).
-///
-/// Lookups patch in place, so they are non-const — a MaintainedBallIndex is
-/// single-owner state like the maintainer that embeds it.
-class MaintainedBallIndex {
- public:
-  /// Builds over the current graph (serial). Returns nullptr when the
-  /// budget is exceeded — callers then keep using plain BFS. The graph
-  /// reference is retained (for lazy patching) and must outlive the index.
-  static std::unique_ptr<MaintainedBallIndex> Build(const Graph& g, Distance depth,
-                                                    const BallIndexOptions& limits);
-
-  Distance depth() const { return depth_; }
-
-  bool HasOut(NodeId v);
-  bool HasIn(NodeId v);
-  std::span<const NodeId> BallOut(NodeId v, Distance d);
-  std::span<const NodeId> BallIn(NodeId v, Distance d);
-  std::span<const NodeId> StratumOut(NodeId v, Distance d);
-  std::span<const NodeId> StratumIn(NodeId v, Distance d);
-
-  /// Marks the balls an applied batch invalidated — the out-balls of
-  /// `dirty_out` and the in-balls of `dirty_in` — stale, against the
-  /// current (post-update) graph. `will_serve` says the caller intends to
-  /// run this batch's traversals on the index: that is when an invalid
-  /// volume approaching the graph size folds into a full rebuild
-  /// (marking-only batches never rebuild — they only accumulate marks).
-  /// Returns false when a triggered full rebuild blew the entry budget —
-  /// the index is then unusable and the caller must drop it.
-  bool Update(const Graph& g, const std::vector<NodeId>& dirty_out,
-              const std::vector<NodeId>& dirty_in, bool will_serve);
-
-  /// Extends the index for a just-added, still edge-less node (its balls
-  /// are empty; nobody else's ball can contain it yet).
-  void OnNodeAdded(NodeId v);
-
-  /// Observability: full builds (constructor + rebuilds), full rebuilds
-  /// triggered by Update, and individually re-derived balls.
-  size_t builds() const { return builds_; }
-  size_t rebuilds() const { return rebuilds_; }
-  size_t patched_balls() const { return patched_balls_; }
-  /// Balls currently marked stale (pending lazy re-derivation).
-  size_t stale_balls() const { return stale_out_count_ + stale_in_count_; }
-
- private:
-  /// A re-derived ball in the overlay, same stratified layout as a Side
-  /// row. `overflow` mirrors the per-node cap.
-  struct PatchedBall {
-    bool overflow = false;
-    std::vector<uint32_t> off;  // depth + 1 entries
-    std::vector<NodeId> nodes;
-  };
-  using PatchMap = std::unordered_map<NodeId, PatchedBall>;
-
-  MaintainedBallIndex(const Graph& g, Distance depth, BallIndexOptions limits)
-      : g_(&g), depth_(depth), limits_(limits) {}
-
-  bool RebuildFrom(const Graph& g);
-  void PatchBall(NodeId v, bool forward);
-  /// Re-derives v's ball now if it is marked stale.
-  template <bool Forward>
-  void Refresh(NodeId v);
-
-  template <bool Forward>
-  std::span<const NodeId> Lookup(NodeId v, Distance d, bool stratum);
-
-  const Graph* g_;
-  Distance depth_;
-  BallIndexOptions limits_;
-  size_t n_ = 0;
-  std::unique_ptr<KhopIndex> base_;
-  PatchMap out_patch_, in_patch_;
-  DenseBitset stale_out_, stale_in_;  // 1 x n each
-  size_t stale_out_count_ = 0;
-  size_t stale_in_count_ = 0;
-  size_t overlay_entries_ = 0;
-  size_t builds_ = 0;
-  size_t rebuilds_ = 0;
-  size_t patched_balls_ = 0;
-  /// Patch scratch, reused across PatchBall calls.
-  BfsBuffers patch_buf_;
-  std::vector<uint32_t> patch_strata_;
 };
 
 }  // namespace expfinder

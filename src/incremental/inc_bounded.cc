@@ -6,7 +6,7 @@ namespace expfinder {
 
 IncrementalBoundedSimulation::IncrementalBoundedSimulation(Graph* g, Pattern q,
                                                            const MatchOptions& options)
-    : g_(g), q_(std::move(q)), ball_opts_(options.ball_index) {
+    : g_(g), q_(std::move(q)) {
   EF_CHECK(q_.Validate().ok()) << "invalid pattern";
   const size_t n = g_->NumNodes();
   Distance max_bound = q_.MaxBound();
@@ -17,15 +17,6 @@ IncrementalBoundedSimulation::IncrementalBoundedSimulation(Graph* g, Pattern q,
   restore_mark_ = DenseBitset(q_.NumNodes(), n);
   buf_.EnsureSize(n);
   seed_bitmap_ = DenseBitset(1, n);
-  dirty_in_bitmap_ = DenseBitset(1, n);
-
-  // Every maintained traversal is bounded by maxBound, so one ball index at
-  // that depth serves them all — when the pattern is bounded and fits the
-  // caps (a failed build just leaves the BFS paths in charge).
-  if (ball_opts_.enabled && max_bound >= 1 && max_bound != kUnboundedEdge &&
-      max_bound <= ball_opts_.max_depth) {
-    index_ = MaintainedBallIndex::Build(*g_, max_bound, ball_opts_);
-  }
 
   // Initial fixpoint (same as ComputeBoundedSimulation, retaining state).
   for (PatternNodeId u = 0; u < q_.NumNodes(); ++u) {
@@ -50,38 +41,11 @@ void IncrementalBoundedSimulation::MarkSeed(NodeId w) {
   }
 }
 
-void IncrementalBoundedSimulation::MarkDirtyIn(NodeId w) {
-  if (!dirty_in_bitmap_.Test(0, w)) {
-    dirty_in_bitmap_.Set(0, w);
-    dirty_in_.push_back(w);
-  }
-}
-
-void IncrementalBoundedSimulation::SeedNodesAround(NodeId src, bool use_index) {
+void IncrementalBoundedSimulation::SeedNodesAround(NodeId src) {
   MarkSeed(src);
   if (seed_depth_ == 0) return;
-  if (use_index && UseIndex() && index_->HasIn(src)) {
-    ++ball_hits_;
-    for (NodeId w : index_->BallIn(src, seed_depth_)) MarkSeed(w);
-    return;
-  }
-  if (use_index && UseIndex()) ++bfs_fallbacks_;
   BoundedBfsNonEmpty<false>(*g_, src, seed_depth_, &buf_,
                             [&](NodeId w, Distance) { MarkSeed(w); });
-}
-
-void IncrementalBoundedSimulation::CollectDirtyIn(NodeId dst, bool use_index) {
-  if (index_ == nullptr) return;  // nothing to patch without an index
-  MarkDirtyIn(dst);
-  if (seed_depth_ == 0) return;
-  if (use_index && UseIndex() && index_->HasOut(dst)) {
-    ++ball_hits_;
-    for (NodeId w : index_->BallOut(dst, seed_depth_)) MarkDirtyIn(w);
-    return;
-  }
-  if (use_index && UseIndex()) ++bfs_fallbacks_;
-  BoundedBfsNonEmpty<true>(*g_, dst, seed_depth_, &buf_,
-                           [&](NodeId w, Distance) { MarkDirtyIn(w); });
 }
 
 void IncrementalBoundedSimulation::RecomputeCounters(PatternNodeId u, NodeId v) {
@@ -89,19 +53,6 @@ void IncrementalBoundedSimulation::RecomputeCounters(PatternNodeId u, NodeId v) 
   if (out_edges.empty()) return;
   for (uint32_t e : out_edges) cnt_[e][v] = 0;
   Distance depth = q_.MaxOutBound(u);
-  if (UseIndex() && index_->HasOut(v)) {
-    ++ball_hits_;
-    for (Distance d = 1; d <= depth; ++d) {
-      for (NodeId w : index_->StratumOut(v, d)) {
-        for (uint32_t e : out_edges) {
-          const PatternEdge& pe = q_.edges()[e];
-          if (d <= pe.bound && mat_.Test(pe.dst, w)) ++cnt_[e][v];
-        }
-      }
-    }
-    return;
-  }
-  if (UseIndex()) ++bfs_fallbacks_;
   BoundedBfsNonEmpty<true>(*g_, v, depth, &buf_,
                            [&](NodeId w, Distance d) {
                              for (uint32_t e : out_edges) {
@@ -136,21 +87,11 @@ void IncrementalBoundedSimulation::RunRemovalFixpoint(
       const PatternEdge& pe = q_.edges()[e];
       auto& counters = cnt_[e];
       const auto src_mat = mat_.Row(pe.src);
-      if (UseIndex() && index_->HasIn(v)) {
-        ++ball_hits_;
-        for (NodeId w : index_->BallIn(v, pe.bound)) {
-          if (--counters[w] == 0 && src_mat[w]) {
-            worklist_.emplace_back(pe.src, w);
-          }
+      BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_, [&](NodeId w, Distance) {
+        if (--counters[w] == 0 && src_mat[w]) {
+          worklist_.emplace_back(pe.src, w);
         }
-      } else {
-        if (UseIndex()) ++bfs_fallbacks_;
-        BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_, [&](NodeId w, Distance) {
-          if (--counters[w] == 0 && src_mat[w]) {
-            worklist_.emplace_back(pe.src, w);
-          }
-        });
-      }
+      });
     }
   }
   for (const auto& [u, v] : restored) {
@@ -162,18 +103,11 @@ void IncrementalBoundedSimulation::RunRemovalFixpoint(
 }
 
 void IncrementalBoundedSimulation::PreUpdate(const UpdateBatch& batch) {
-  batch_index_ =
-      index_ != nullptr && batch.size() >= ball_opts_.maintained_min_batch;
   // Deletions remove paths that exist only pre-mutation: collect the nodes
   // whose bounded out-window could lose content now, while those paths are
-  // still present (the index still describes exactly this graph, so it may
-  // serve the collection). The forward counterpart feeds the index patch:
-  // in-balls a deleted edge can invalidate.
+  // still present.
   for (const GraphUpdate& upd : batch) {
-    if (upd.kind == GraphUpdate::Kind::kDeleteEdge) {
-      SeedNodesAround(upd.src, /*use_index=*/true);
-      CollectDirtyIn(upd.dst, /*use_index=*/true);
-    }
+    if (upd.kind == GraphUpdate::Kind::kDeleteEdge) SeedNodesAround(upd.src);
   }
 }
 
@@ -181,27 +115,13 @@ MatchDelta IncrementalBoundedSimulation::PostUpdate(const UpdateBatch& batch) {
   MatchDelta delta;
   const size_t nq = q_.NumNodes();
 
-  // Insertions add paths that exist only post-mutation. The index is stale
-  // here (it describes the pre-mutation graph), so these collections BFS
-  // the real graph.
+  // Insertions add paths that exist only post-mutation.
   bool any_insert = false;
   for (const GraphUpdate& upd : batch) {
     if (upd.kind == GraphUpdate::Kind::kInsertEdge) {
       any_insert = true;
-      SeedNodesAround(upd.src, /*use_index=*/false);
-      CollectDirtyIn(upd.dst, /*use_index=*/false);
+      SeedNodesAround(upd.src);
     }
-  }
-
-  // Re-derive the invalidated balls (out-balls of the seeds, in-balls of
-  // the dirty set) against the post-update graph — or rebuild wholesale
-  // when the batch dirtied too much. Everything below this point may
-  // consult the index again. A rebuild that blows the entry budget drops
-  // the index for good; the BFS paths take over seamlessly.
-  if (index_ != nullptr &&
-      !index_->Update(*g_, seed_nodes_, dirty_in_, batch_index_)) {
-    dropped_builds_ += index_->builds();
-    index_.reset();
   }
 
   // Restore closure: non-matching candidates with a (bounded) support-
@@ -225,14 +145,8 @@ MatchDelta IncrementalBoundedSimulation::PostUpdate(const UpdateBatch& batch) {
       restored.emplace_back(u, v);
       for (uint32_t e : q_.InEdges(u)) {
         const PatternEdge& pe = q_.edges()[e];
-        if (UseIndex() && index_->HasIn(v)) {
-          ++ball_hits_;
-          for (NodeId w : index_->BallIn(v, pe.bound)) try_restore(pe.src, w);
-        } else {
-          if (UseIndex()) ++bfs_fallbacks_;
-          BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
-                                    [&](NodeId w, Distance) { try_restore(pe.src, w); });
-        }
+        BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
+                                  [&](NodeId w, Distance) { try_restore(pe.src, w); });
       }
     }
     for (const auto& [u, v] : restored) mat_.Set(u, v);
@@ -260,14 +174,8 @@ MatchDelta IncrementalBoundedSimulation::PostUpdate(const UpdateBatch& batch) {
       auto bump = [&](NodeId w) {
         if (src_cand[w] && !seeded[w] && !src_restored[w]) ++counters[w];
       };
-      if (UseIndex() && index_->HasIn(v)) {
-        ++ball_hits_;
-        for (NodeId w : index_->BallIn(v, pe.bound)) bump(w);
-      } else {
-        if (UseIndex()) ++bfs_fallbacks_;
-        BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
-                                  [&](NodeId w, Distance) { bump(w); });
-      }
+      BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
+                                [&](NodeId w, Distance) { bump(w); });
     }
   }
 
@@ -289,8 +197,6 @@ MatchDelta IncrementalBoundedSimulation::PostUpdate(const UpdateBatch& batch) {
 void IncrementalBoundedSimulation::ClearBatchState() {
   for (NodeId v : seed_nodes_) seed_bitmap_.Reset(0, v);
   seed_nodes_.clear();
-  for (NodeId v : dirty_in_) dirty_in_bitmap_.Reset(0, v);
-  dirty_in_.clear();
 }
 
 void IncrementalBoundedSimulation::OnNodeAdded(NodeId v) {
@@ -311,8 +217,6 @@ void IncrementalBoundedSimulation::OnNodeAdded(NodeId v) {
   }
   for (auto& counters : cnt_) counters.push_back(0);
   seed_bitmap_.AddColumn();
-  dirty_in_bitmap_.AddColumn();
-  if (index_ != nullptr) index_->OnNodeAdded(v);
   buf_.EnsureSize(g_->NumNodes());
 }
 

@@ -19,15 +19,11 @@
 //   pairs, and the standard removal cascade prunes to the greatest
 //   fixpoint.
 //
-// Every bounded traversal above — seed collection, counter recomputation,
-// the restore closure, and the removal cascade — is served from a
-// MaintainedBallIndex (see khop_index.h) when the pattern's max bound fits
-// under the index caps: the balls a batch invalidates are exactly the seed
-// sets already being computed, so the index is patched per batch (full
-// rebuild only when the affected area is large) and each traversal becomes
-// a flat span scan instead of a BFS. When the index is disabled, capped
-// out, or the pattern is unbounded, the original BFS paths run — with
-// bit-identical results (property-tested).
+// Every bounded traversal above is a hop-bounded BFS over the live graph.
+// A batch reads only the balls around its touched edges, so keeping a ball
+// index of the whole graph fresh would cost more than those BFSes (measured
+// by bench_incremental); the batch matchers read the snapshot-owned
+// KhopIndex (khop_index.h) instead.
 //
 // The result always equals batch recomputation (property-tested); the cost
 // is proportional to |AFF|, which is why incremental wins at low churn and
@@ -37,12 +33,10 @@
 #define EXPFINDER_INCREMENTAL_INC_BOUNDED_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/graph/bfs.h"
 #include "src/graph/graph.h"
-#include "src/graph/khop_index.h"
 #include "src/incremental/update.h"
 #include "src/matching/candidates.h"
 #include "src/matching/match_relation.h"
@@ -58,7 +52,8 @@ class IncrementalBoundedSimulation {
   /// Computes the initial relation; `g` must outlive this object. Any
   /// pattern accepted by ComputeBoundedSimulation works (bounds >= 1,
   /// cyclic patterns included). Initial candidates come from a label scan
-  /// of `g`; options.ball_index governs the maintained ball index.
+  /// of `g` under `options`; the traversals BFS `g`, so
+  /// options.ball_index has no effect here.
   IncrementalBoundedSimulation(Graph* g, Pattern q, const MatchOptions& options = {});
 
   const Pattern& pattern() const { return q_; }
@@ -81,29 +76,12 @@ class IncrementalBoundedSimulation {
   /// see IncrementalSimulation::OnNodeAdded.
   void OnNodeAdded(NodeId v);
 
-  /// Ball-index observability: successful index (re)builds, traversals
-  /// served from the index, and traversals that fell back to BFS while the
-  /// index was requested.
-  size_t ball_index_builds() const {
-    return dropped_builds_ + (index_ ? index_->builds() : 0);
-  }
-  size_t ball_hits() const { return ball_hits_; }
-  size_t bfs_fallbacks() const { return bfs_fallbacks_; }
-  /// True while traversals are being served from the ball index.
-  bool ball_index_active() const { return index_ != nullptr; }
-
  private:
-  bool UseIndex() const { return index_ != nullptr && batch_index_; }
   void MarkSeed(NodeId w);
-  void MarkDirtyIn(NodeId w);
-  /// Seed collection around a touched edge source. `use_index` is true only
-  /// in PreUpdate, where the index still describes the (pre-mutation) graph
-  /// the deletion semantics need; PostUpdate insertion seeds BFS the
-  /// post-mutation graph directly (the index is patched from them next).
-  void SeedNodesAround(NodeId src, bool use_index);
-  /// Forward counterpart for the in-balls the index must re-derive
-  /// (refinement scans BallIn); only tracked while an index is active.
-  void CollectDirtyIn(NodeId dst, bool use_index);
+  /// Seeds `src` and every node within seed_depth_ hops backwards of it in
+  /// the current graph: pre-mutation for deletions (PreUpdate), post-
+  /// mutation for insertions (PostUpdate).
+  void SeedNodesAround(NodeId src);
   void RecomputeCounters(PatternNodeId u, NodeId v);
   void AddToWorklistIfDead(PatternNodeId u, NodeId v);
   void RunRemovalFixpoint(
@@ -121,24 +99,10 @@ class IncrementalBoundedSimulation {
   std::vector<std::pair<PatternNodeId, NodeId>> worklist_;
   BfsBuffers buf_;
 
-  /// Maintained ball index; null when disabled, unbounded, or capped out.
-  std::unique_ptr<MaintainedBallIndex> index_;
-  BallIndexOptions ball_opts_;
-  /// Whether the current batch's traversals are served from the index
-  /// (small batches keep the shallow-BFS path and only mark staleness —
-  /// see BallIndexOptions::maintained_min_batch). True for the initial
-  /// fixpoint.
-  bool batch_index_ = true;
-  size_t dropped_builds_ = 0;  // builds() of an index dropped on budget
-  size_t ball_hits_ = 0;
-  size_t bfs_fallbacks_ = 0;
-
-  // Seed nodes (= nodes whose out-balls a batch invalidates) and dirty
-  // in-ball nodes accumulated across Pre/Post phases of the current batch.
+  // Seed nodes (= nodes whose bounded out-windows a batch may change),
+  // accumulated across the Pre/Post phases of the current batch.
   DenseBitset seed_bitmap_;  // 1 x n
   std::vector<NodeId> seed_nodes_;
-  DenseBitset dirty_in_bitmap_;  // 1 x n
-  std::vector<NodeId> dirty_in_;
   size_t last_affected_ = 0;
 };
 

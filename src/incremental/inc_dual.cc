@@ -6,7 +6,7 @@ namespace expfinder {
 
 IncrementalDualSimulation::IncrementalDualSimulation(Graph* g, Pattern q,
                                                      const MatchOptions& options)
-    : g_(g), q_(std::move(q)), ball_opts_(options.ball_index) {
+    : g_(g), q_(std::move(q)) {
   EF_CHECK(q_.Validate().ok()) << "invalid pattern";
   const size_t n = g_->NumNodes();
   Distance max_bound = q_.MaxBound();
@@ -18,13 +18,6 @@ IncrementalDualSimulation::IncrementalDualSimulation(Graph* g, Pattern q,
   restore_mark_ = DenseBitset(q_.NumNodes(), n);
   buf_.EnsureSize(n);
   seed_bitmap_ = DenseBitset(1, n);
-  dirty_out_bitmap_ = DenseBitset(1, n);
-  dirty_in_bitmap_ = DenseBitset(1, n);
-
-  if (ball_opts_.enabled && max_bound >= 1 && max_bound != kUnboundedEdge &&
-      max_bound <= ball_opts_.max_depth) {
-    index_ = MaintainedBallIndex::Build(*g_, max_bound, ball_opts_);
-  }
 
   for (PatternNodeId u = 0; u < q_.NumNodes(); ++u) {
     for (NodeId v : cand_.list[u]) {
@@ -56,55 +49,25 @@ bool IncrementalDualSimulation::Dead(PatternNodeId u, NodeId v) const {
   return false;
 }
 
-void IncrementalDualSimulation::MarkSeedOut(NodeId w) {
+void IncrementalDualSimulation::MarkSeed(NodeId w) {
   if (!seed_bitmap_.Test(0, w)) {
     seed_bitmap_.Set(0, w);
     seed_nodes_.push_back(w);
   }
-  if (index_ != nullptr && !dirty_out_bitmap_.Test(0, w)) {
-    dirty_out_bitmap_.Set(0, w);
-    dirty_out_.push_back(w);
-  }
 }
 
-void IncrementalDualSimulation::MarkSeedIn(NodeId w) {
-  if (!seed_bitmap_.Test(0, w)) {
-    seed_bitmap_.Set(0, w);
-    seed_nodes_.push_back(w);
-  }
-  if (index_ != nullptr && !dirty_in_bitmap_.Test(0, w)) {
-    dirty_in_bitmap_.Set(0, w);
-    dirty_in_.push_back(w);
-  }
-}
-
-void IncrementalDualSimulation::SeedNodesAround(const GraphUpdate& upd,
-                                                bool use_index) {
-  // Forward windows that may change: ancestors of the edge source. These
-  // are also exactly the out-balls the index must re-derive.
-  MarkSeedOut(upd.src);
+void IncrementalDualSimulation::SeedNodesAround(const GraphUpdate& upd) {
+  // Forward windows that may change: ancestors of the edge source.
+  MarkSeed(upd.src);
   if (seed_depth_ > 0) {
-    if (use_index && UseIndex() && index_->HasIn(upd.src)) {
-      ++ball_hits_;
-      for (NodeId w : index_->BallIn(upd.src, seed_depth_)) MarkSeedOut(w);
-    } else {
-      if (use_index && UseIndex()) ++bfs_fallbacks_;
-      BoundedBfsNonEmpty<false>(*g_, upd.src, seed_depth_, &buf_,
-                                [&](NodeId w, Distance) { MarkSeedOut(w); });
-    }
+    BoundedBfsNonEmpty<false>(*g_, upd.src, seed_depth_, &buf_,
+                              [&](NodeId w, Distance) { MarkSeed(w); });
   }
-  // Backward windows that may change: descendants of the edge target — the
-  // in-balls to re-derive.
-  MarkSeedIn(upd.dst);
+  // Backward windows that may change: descendants of the edge target.
+  MarkSeed(upd.dst);
   if (seed_depth_ > 0) {
-    if (use_index && UseIndex() && index_->HasOut(upd.dst)) {
-      ++ball_hits_;
-      for (NodeId w : index_->BallOut(upd.dst, seed_depth_)) MarkSeedIn(w);
-    } else {
-      if (use_index && UseIndex()) ++bfs_fallbacks_;
-      BoundedBfsNonEmpty<true>(*g_, upd.dst, seed_depth_, &buf_,
-                               [&](NodeId w, Distance) { MarkSeedIn(w); });
-    }
+    BoundedBfsNonEmpty<true>(*g_, upd.dst, seed_depth_, &buf_,
+                             [&](NodeId w, Distance) { MarkSeed(w); });
   }
 }
 
@@ -115,47 +78,21 @@ void IncrementalDualSimulation::RecomputeCounters(PatternNodeId u, NodeId v) {
   for (uint32_t e : in_edges) bwd_[e][v] = 0;
   Distance out_depth = q_.MaxOutBound(u);
   if (out_depth > 0) {
-    if (UseIndex() && index_->HasOut(v)) {
-      ++ball_hits_;
-      for (Distance d = 1; d <= out_depth; ++d) {
-        for (NodeId w : index_->StratumOut(v, d)) {
-          for (uint32_t e : out_edges) {
-            const PatternEdge& pe = q_.edges()[e];
-            if (d <= pe.bound && mat_.Test(pe.dst, w)) ++fwd_[e][v];
-          }
-        }
+    BoundedBfsNonEmpty<true>(*g_, v, out_depth, &buf_, [&](NodeId w, Distance d) {
+      for (uint32_t e : out_edges) {
+        const PatternEdge& pe = q_.edges()[e];
+        if (d <= pe.bound && mat_.Test(pe.dst, w)) ++fwd_[e][v];
       }
-    } else {
-      if (UseIndex()) ++bfs_fallbacks_;
-      BoundedBfsNonEmpty<true>(*g_, v, out_depth, &buf_, [&](NodeId w, Distance d) {
-        for (uint32_t e : out_edges) {
-          const PatternEdge& pe = q_.edges()[e];
-          if (d <= pe.bound && mat_.Test(pe.dst, w)) ++fwd_[e][v];
-        }
-      });
-    }
+    });
   }
   Distance in_depth = MaxInBound(u);
   if (in_depth > 0) {
-    if (UseIndex() && index_->HasIn(v)) {
-      ++ball_hits_;
-      for (Distance d = 1; d <= in_depth; ++d) {
-        for (NodeId w : index_->StratumIn(v, d)) {
-          for (uint32_t e : in_edges) {
-            const PatternEdge& pe = q_.edges()[e];
-            if (d <= pe.bound && mat_.Test(pe.src, w)) ++bwd_[e][v];
-          }
-        }
+    BoundedBfsNonEmpty<false>(*g_, v, in_depth, &buf_, [&](NodeId w, Distance d) {
+      for (uint32_t e : in_edges) {
+        const PatternEdge& pe = q_.edges()[e];
+        if (d <= pe.bound && mat_.Test(pe.src, w)) ++bwd_[e][v];
       }
-    } else {
-      if (UseIndex()) ++bfs_fallbacks_;
-      BoundedBfsNonEmpty<false>(*g_, v, in_depth, &buf_, [&](NodeId w, Distance d) {
-        for (uint32_t e : in_edges) {
-          const PatternEdge& pe = q_.edges()[e];
-          if (d <= pe.bound && mat_.Test(pe.src, w)) ++bwd_[e][v];
-        }
-      });
-    }
+    });
   }
 }
 
@@ -176,34 +113,18 @@ void IncrementalDualSimulation::RunRemovalFixpoint(
       const PatternEdge& pe = q_.edges()[e];
       auto& counters = fwd_[e];
       const auto src_mat = mat_.Row(pe.src);
-      if (UseIndex() && index_->HasIn(v)) {
-        ++ball_hits_;
-        for (NodeId w : index_->BallIn(v, pe.bound)) {
-          if (--counters[w] == 0 && src_mat[w]) worklist_.emplace_back(pe.src, w);
-        }
-      } else {
-        if (UseIndex()) ++bfs_fallbacks_;
-        BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_, [&](NodeId w, Distance) {
-          if (--counters[w] == 0 && src_mat[w]) worklist_.emplace_back(pe.src, w);
-        });
-      }
+      BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_, [&](NodeId w, Distance) {
+        if (--counters[w] == 0 && src_mat[w]) worklist_.emplace_back(pe.src, w);
+      });
     }
     // Descendants lose backward support.
     for (uint32_t e : q_.OutEdges(u)) {
       const PatternEdge& pe = q_.edges()[e];
       auto& counters = bwd_[e];
       const auto dst_mat = mat_.Row(pe.dst);
-      if (UseIndex() && index_->HasOut(v)) {
-        ++ball_hits_;
-        for (NodeId w : index_->BallOut(v, pe.bound)) {
-          if (--counters[w] == 0 && dst_mat[w]) worklist_.emplace_back(pe.dst, w);
-        }
-      } else {
-        if (UseIndex()) ++bfs_fallbacks_;
-        BoundedBfsNonEmpty<true>(*g_, v, pe.bound, &buf_, [&](NodeId w, Distance) {
-          if (--counters[w] == 0 && dst_mat[w]) worklist_.emplace_back(pe.dst, w);
-        });
-      }
+      BoundedBfsNonEmpty<true>(*g_, v, pe.bound, &buf_, [&](NodeId w, Distance) {
+        if (--counters[w] == 0 && dst_mat[w]) worklist_.emplace_back(pe.dst, w);
+      });
     }
   }
   for (const auto& [u, v] : restored) {
@@ -215,12 +136,8 @@ void IncrementalDualSimulation::RunRemovalFixpoint(
 }
 
 void IncrementalDualSimulation::PreUpdate(const UpdateBatch& batch) {
-  batch_index_ =
-      index_ != nullptr && batch.size() >= ball_opts_.maintained_min_batch;
   for (const GraphUpdate& upd : batch) {
-    if (upd.kind == GraphUpdate::Kind::kDeleteEdge) {
-      SeedNodesAround(upd, /*use_index=*/true);
-    }
+    if (upd.kind == GraphUpdate::Kind::kDeleteEdge) SeedNodesAround(upd);
   }
 }
 
@@ -232,17 +149,8 @@ MatchDelta IncrementalDualSimulation::PostUpdate(const UpdateBatch& batch) {
   for (const GraphUpdate& upd : batch) {
     if (upd.kind == GraphUpdate::Kind::kInsertEdge) {
       any_insert = true;
-      // The index is stale until patched below: BFS the real graph.
-      SeedNodesAround(upd, /*use_index=*/false);
+      SeedNodesAround(upd);
     }
-  }
-
-  // Re-derive the invalidated balls before anything below consults the
-  // index; a budget-blowing rebuild drops it and the BFS paths take over.
-  if (index_ != nullptr &&
-      !index_->Update(*g_, dirty_out_, dirty_in_, batch_index_)) {
-    dropped_builds_ += index_->builds();
-    index_.reset();
   }
 
   // Restore closure in both dependency directions.
@@ -263,25 +171,13 @@ MatchDelta IncrementalDualSimulation::PostUpdate(const UpdateBatch& batch) {
       restored.emplace_back(u, v);
       for (uint32_t e : q_.InEdges(u)) {
         const PatternEdge& pe = q_.edges()[e];
-        if (UseIndex() && index_->HasIn(v)) {
-          ++ball_hits_;
-          for (NodeId w : index_->BallIn(v, pe.bound)) try_restore(pe.src, w);
-        } else {
-          if (UseIndex()) ++bfs_fallbacks_;
-          BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
-                                    [&](NodeId w, Distance) { try_restore(pe.src, w); });
-        }
+        BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
+                                  [&](NodeId w, Distance) { try_restore(pe.src, w); });
       }
       for (uint32_t e : q_.OutEdges(u)) {
         const PatternEdge& pe = q_.edges()[e];
-        if (UseIndex() && index_->HasOut(v)) {
-          ++ball_hits_;
-          for (NodeId w : index_->BallOut(v, pe.bound)) try_restore(pe.dst, w);
-        } else {
-          if (UseIndex()) ++bfs_fallbacks_;
-          BoundedBfsNonEmpty<true>(*g_, v, pe.bound, &buf_,
-                                   [&](NodeId w, Distance) { try_restore(pe.dst, w); });
-        }
+        BoundedBfsNonEmpty<true>(*g_, v, pe.bound, &buf_,
+                                 [&](NodeId w, Distance) { try_restore(pe.dst, w); });
       }
     }
     for (const auto& [u, v] : restored) mat_.Set(u, v);
@@ -308,14 +204,8 @@ MatchDelta IncrementalDualSimulation::PostUpdate(const UpdateBatch& batch) {
       auto bump = [&](NodeId w) {
         if (cand_.bitmap.Test(pe.src, w) && !marked(pe.src, w)) ++counters[w];
       };
-      if (UseIndex() && index_->HasIn(v)) {
-        ++ball_hits_;
-        for (NodeId w : index_->BallIn(v, pe.bound)) bump(w);
-      } else {
-        if (UseIndex()) ++bfs_fallbacks_;
-        BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
-                                  [&](NodeId w, Distance) { bump(w); });
-      }
+      BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
+                                [&](NodeId w, Distance) { bump(w); });
     }
     for (uint32_t e : q_.OutEdges(u)) {
       const PatternEdge& pe = q_.edges()[e];
@@ -323,14 +213,8 @@ MatchDelta IncrementalDualSimulation::PostUpdate(const UpdateBatch& batch) {
       auto bump = [&](NodeId w) {
         if (cand_.bitmap.Test(pe.dst, w) && !marked(pe.dst, w)) ++counters[w];
       };
-      if (UseIndex() && index_->HasOut(v)) {
-        ++ball_hits_;
-        for (NodeId w : index_->BallOut(v, pe.bound)) bump(w);
-      } else {
-        if (UseIndex()) ++bfs_fallbacks_;
-        BoundedBfsNonEmpty<true>(*g_, v, pe.bound, &buf_,
-                                 [&](NodeId w, Distance) { bump(w); });
-      }
+      BoundedBfsNonEmpty<true>(*g_, v, pe.bound, &buf_,
+                               [&](NodeId w, Distance) { bump(w); });
     }
   }
 
@@ -353,10 +237,6 @@ MatchDelta IncrementalDualSimulation::PostUpdate(const UpdateBatch& batch) {
 void IncrementalDualSimulation::ClearBatchState() {
   for (NodeId v : seed_nodes_) seed_bitmap_.Reset(0, v);
   seed_nodes_.clear();
-  for (NodeId v : dirty_out_) dirty_out_bitmap_.Reset(0, v);
-  dirty_out_.clear();
-  for (NodeId v : dirty_in_) dirty_in_bitmap_.Reset(0, v);
-  dirty_in_.clear();
 }
 
 Result<MatchDelta> IncrementalDualSimulation::ApplyBatch(const UpdateBatch& batch) {
@@ -390,9 +270,6 @@ void IncrementalDualSimulation::OnNodeAdded(NodeId v) {
   for (auto& counters : fwd_) counters.push_back(0);
   for (auto& counters : bwd_) counters.push_back(0);
   seed_bitmap_.AddColumn();
-  dirty_out_bitmap_.AddColumn();
-  dirty_in_bitmap_.AddColumn();
-  if (index_ != nullptr) index_->OnNodeAdded(v);
   buf_.EnsureSize(g_->NumNodes());
 }
 

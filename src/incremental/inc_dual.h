@@ -5,9 +5,8 @@
 // collection, restore closure, counter recomputation and the removal
 // cascade — runs in both directions.
 //
-// Like the bounded maintainer, every bounded traversal is served from a
-// MaintainedBallIndex when the pattern fits under the index caps; both
-// directions of the per-batch seed sets double as the index's dirty sets.
+// Like the bounded maintainer, every bounded traversal is a hop-bounded BFS
+// over the live graph (see inc_bounded.h for why no ball index serves it).
 //
 // Result always equals ComputeDualSimulation on the updated graph
 // (property-tested on random update streams).
@@ -16,12 +15,10 @@
 #define EXPFINDER_INCREMENTAL_INC_DUAL_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/graph/bfs.h"
 #include "src/graph/graph.h"
-#include "src/graph/khop_index.h"
 #include "src/incremental/update.h"
 #include "src/matching/candidates.h"
 #include "src/matching/match_relation.h"
@@ -35,8 +32,8 @@ namespace expfinder {
 class IncrementalDualSimulation {
  public:
   /// Computes the initial relation; `g` must outlive this object. Initial
-  /// candidates come from a label scan of `g`; options.ball_index governs
-  /// the maintained ball index.
+  /// candidates come from a label scan of `g` under `options`; the
+  /// traversals BFS `g`, so options.ball_index has no effect here.
   IncrementalDualSimulation(Graph* g, Pattern q, const MatchOptions& options = {});
 
   const Pattern& pattern() const { return q_; }
@@ -58,20 +55,12 @@ class IncrementalDualSimulation {
   /// Extends the maintained state after `g` grew by one (edge-less) node.
   void OnNodeAdded(NodeId v);
 
-  /// Ball-index observability (see IncrementalBoundedSimulation).
-  size_t ball_index_builds() const {
-    return dropped_builds_ + (index_ ? index_->builds() : 0);
-  }
-  size_t ball_hits() const { return ball_hits_; }
-  size_t bfs_fallbacks() const { return bfs_fallbacks_; }
-  bool ball_index_active() const { return index_ != nullptr; }
-
  private:
   Distance MaxInBound(PatternNodeId u) const;
-  bool UseIndex() const { return index_ != nullptr && batch_index_; }
-  void MarkSeedOut(NodeId w);
-  void MarkSeedIn(NodeId w);
-  void SeedNodesAround(const GraphUpdate& upd, bool use_index);
+  void MarkSeed(NodeId w);
+  /// Seeds both endpoints' windows of `upd` in the current graph (see
+  /// IncrementalBoundedSimulation::SeedNodesAround).
+  void SeedNodesAround(const GraphUpdate& upd);
   void RecomputeCounters(PatternNodeId u, NodeId v);
   bool Dead(PatternNodeId u, NodeId v) const;
   void RunRemovalFixpoint(
@@ -90,26 +79,9 @@ class IncrementalDualSimulation {
   std::vector<std::pair<PatternNodeId, NodeId>> worklist_;
   BfsBuffers buf_;
 
-  /// Maintained ball index; null when disabled, unbounded, or capped out.
-  std::unique_ptr<MaintainedBallIndex> index_;
-  BallIndexOptions ball_opts_;
-  /// Whether the current batch's traversals are served from the index (see
-  /// BallIndexOptions::maintained_min_batch); true for the initial
-  /// fixpoint.
-  bool batch_index_ = true;
-  size_t dropped_builds_ = 0;
-  size_t ball_hits_ = 0;
-  size_t bfs_fallbacks_ = 0;
-
-  /// Per-batch state: seeds (union of both directions, drives the
-  /// maintenance passes) plus the direction-separated dirty sets the index
-  /// patch needs (populated only while an index is active).
+  /// Per-batch seeds, the union of both directions' changed windows.
   DenseBitset seed_bitmap_;  // 1 x n
   std::vector<NodeId> seed_nodes_;
-  DenseBitset dirty_out_bitmap_;  // 1 x n
-  std::vector<NodeId> dirty_out_;
-  DenseBitset dirty_in_bitmap_;  // 1 x n
-  std::vector<NodeId> dirty_in_;
   size_t last_affected_ = 0;
 };
 

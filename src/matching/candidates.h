@@ -40,7 +40,8 @@ struct MatchOptions {
   uint32_t num_threads = 0;
   /// Ball-index participation and memory caps (see khop_index.h). The
   /// relation is bit-identical with the index enabled, disabled, or capped
-  /// into fallback; only the traversal cost changes.
+  /// into fallback; only the traversal cost changes. The incremental
+  /// maintainers BFS their live graph and ignore it.
   BallIndexOptions ball_index;
   /// Topic-index participation for text-predicate seeding (see
   /// index/topic_index.h). Same contract as the ball index: relations are

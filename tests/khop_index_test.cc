@@ -3,14 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "src/generator/generators.h"
 #include "src/graph/bfs.h"
 #include "src/graph/csr.h"
 #include "src/graph/graph_snapshot.h"
-#include "src/incremental/update.h"
 #include "src/util/thread_pool.h"
 
 namespace expfinder {
@@ -18,13 +16,12 @@ namespace {
 
 /// Reference balls straight from BoundedBfsNonEmpty: per depth-stratum, the
 /// nodes in visit order — exactly what the index stores.
-template <bool Forward, typename GraphLike>
-std::vector<std::vector<NodeId>> ReferenceBall(const GraphLike& g, size_t n, NodeId src,
-                                               Distance depth) {
+template <bool Forward>
+std::vector<std::vector<NodeId>> ReferenceBall(const Csr& csr, NodeId src, Distance depth) {
   BfsBuffers buf;
-  buf.EnsureSize(n);
+  buf.EnsureSize(csr.NumNodes());
   std::vector<std::vector<NodeId>> strata(depth);
-  BoundedBfsNonEmpty<Forward>(g, src, depth, &buf,
+  BoundedBfsNonEmpty<Forward>(csr, src, depth, &buf,
                               [&](NodeId w, Distance d) { strata[d - 1].push_back(w); });
   return strata;
 }
@@ -32,8 +29,8 @@ std::vector<std::vector<NodeId>> ReferenceBall(const GraphLike& g, size_t n, Nod
 void ExpectIndexMatchesBfs(const KhopIndex& index, const Csr& csr) {
   const Distance depth = index.depth();
   for (NodeId v = 0; v < csr.NumNodes(); ++v) {
-    auto fwd = ReferenceBall<true>(csr, csr.NumNodes(), v, depth);
-    auto rev = ReferenceBall<false>(csr, csr.NumNodes(), v, depth);
+    auto fwd = ReferenceBall<true>(csr, v, depth);
+    auto rev = ReferenceBall<false>(csr, v, depth);
     ASSERT_TRUE(index.HasOut(v)) << "unexpected overflow, node " << v;
     ASSERT_TRUE(index.HasIn(v));
     size_t fwd_total = 0, rev_total = 0;
@@ -147,119 +144,6 @@ TEST(KhopIndexTest, TotalBudgetFailsBuild) {
   EXPECT_EQ(KhopIndex::Build(csr, 2, limits), nullptr);
   limits.max_total_entries = size_t{1} << 25;
   EXPECT_NE(KhopIndex::Build(csr, 2, limits), nullptr);
-}
-
-// --- MaintainedBallIndex --------------------------------------------------
-
-void ExpectMaintainedMatchesGraph(MaintainedBallIndex& index, const Graph& g) {
-  const Distance depth = index.depth();
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    auto fwd = ReferenceBall<true>(g, g.NumNodes(), v, depth);
-    auto rev = ReferenceBall<false>(g, g.NumNodes(), v, depth);
-    ASSERT_TRUE(index.HasOut(v));
-    ASSERT_TRUE(index.HasIn(v));
-    for (Distance d = 1; d <= depth; ++d) {
-      auto out_stratum = index.StratumOut(v, d);
-      ASSERT_EQ(std::vector<NodeId>(out_stratum.begin(), out_stratum.end()), fwd[d - 1])
-          << "fwd stratum mismatch: v=" << v << " d=" << d;
-      auto in_stratum = index.StratumIn(v, d);
-      ASSERT_EQ(std::vector<NodeId>(in_stratum.begin(), in_stratum.end()), rev[d - 1])
-          << "rev stratum mismatch: v=" << v << " d=" << d;
-    }
-  }
-}
-
-/// The exact dirty sets the maintainers hand to Update(): reverse balls of
-/// touched sources at depth-1 (out side), forward balls of touched targets
-/// (in side) — deletions measured pre-update, insertions post-update.
-struct DirtySets {
-  std::vector<NodeId> out, in;
-  DenseBitset out_seen{1, 0}, in_seen{1, 0};
-
-  explicit DirtySets(size_t n) : out_seen(1, n), in_seen(1, n) {}
-  void MarkOut(NodeId v) {
-    if (!out_seen.Test(0, v)) {
-      out_seen.Set(0, v);
-      out.push_back(v);
-    }
-  }
-  void MarkIn(NodeId v) {
-    if (!in_seen.Test(0, v)) {
-      in_seen.Set(0, v);
-      in.push_back(v);
-    }
-  }
-  void Collect(const Graph& g, const GraphUpdate& upd, Distance depth) {
-    BfsBuffers buf;
-    buf.EnsureSize(g.NumNodes());
-    MarkOut(upd.src);
-    MarkIn(upd.dst);
-    if (depth > 1) {
-      BoundedBfsNonEmpty<false>(g, upd.src, depth - 1, &buf,
-                                [&](NodeId w, Distance) { MarkOut(w); });
-      BoundedBfsNonEmpty<true>(g, upd.dst, depth - 1, &buf,
-                               [&](NodeId w, Distance) { MarkIn(w); });
-    }
-  }
-};
-
-TEST(MaintainedBallIndexTest, PatchingTracksUpdateStream) {
-  // Large enough that per-update dirty sets stay under the rebuild
-  // threshold: the lazy patch path, not the bulk path, is what's verified.
-  Graph g = gen::ErdosRenyi(400, 1200, 17);
-  const Distance depth = 3;
-  auto index = MaintainedBallIndex::Build(g, depth, {});
-  ASSERT_NE(index, nullptr);
-  ExpectMaintainedMatchesGraph(*index, g);
-
-  UpdateBatch stream = GenerateUpdateStream(g, 40, 0.5, 99);
-  for (const GraphUpdate& upd : stream) {
-    DirtySets dirty(g.NumNodes());
-    if (upd.kind == GraphUpdate::Kind::kDeleteEdge) {
-      dirty.Collect(g, upd, depth);  // pre-update reachability
-    }
-    ASSERT_TRUE(ApplyBatch(&g, {upd}).ok());
-    if (upd.kind == GraphUpdate::Kind::kInsertEdge) {
-      dirty.Collect(g, upd, depth);  // post-update reachability
-    }
-    ASSERT_TRUE(index->Update(g, dirty.out, dirty.in, /*will_serve=*/true));
-    ExpectMaintainedMatchesGraph(*index, g);
-  }
-  EXPECT_GT(index->patched_balls(), 0u);
-}
-
-TEST(MaintainedBallIndexTest, LargeDirtySetTriggersRebuild) {
-  Graph g = gen::ErdosRenyi(40, 120, 29);
-  auto index = MaintainedBallIndex::Build(g, 2, {});
-  ASSERT_NE(index, nullptr);
-  EXPECT_EQ(index->rebuilds(), 0u);
-  // Dirty "everything": must fold into a full rebuild, not 2n patches.
-  std::vector<NodeId> all(g.NumNodes());
-  for (NodeId v = 0; v < g.NumNodes(); ++v) all[v] = v;
-  ASSERT_TRUE(index->Update(g, all, all, /*will_serve=*/true));
-  EXPECT_EQ(index->rebuilds(), 1u);
-  EXPECT_EQ(index->patched_balls(), 0u);
-  EXPECT_EQ(index->builds(), 2u);
-  ExpectMaintainedMatchesGraph(*index, g);
-}
-
-TEST(MaintainedBallIndexTest, OnNodeAddedExtendsWithEmptyBalls) {
-  Graph g = gen::ErdosRenyi(30, 90, 31);
-  auto index = MaintainedBallIndex::Build(g, 2, {});
-  ASSERT_NE(index, nullptr);
-  NodeId v = g.AddNode("P");
-  index->OnNodeAdded(v);
-  EXPECT_TRUE(index->HasOut(v));
-  EXPECT_TRUE(index->HasIn(v));
-  EXPECT_TRUE(index->BallOut(v, 2).empty());
-  EXPECT_TRUE(index->BallIn(v, 2).empty());
-  // Wire it in and patch: its balls and its neighbor's must refresh.
-  ASSERT_TRUE(ApplyBatch(&g, {GraphUpdate::Insert(v, 0), GraphUpdate::Insert(0, v)}).ok());
-  DirtySets dirty(g.NumNodes());
-  dirty.Collect(g, GraphUpdate::Insert(v, 0), 2);
-  dirty.Collect(g, GraphUpdate::Insert(0, v), 2);
-  ASSERT_TRUE(index->Update(g, dirty.out, dirty.in, /*will_serve=*/true));
-  ExpectMaintainedMatchesGraph(*index, g);
 }
 
 }  // namespace
