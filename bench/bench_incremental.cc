@@ -3,7 +3,11 @@
 // outperforms batch recomputation for updates up to ~30% of |G| for
 // simulation and ~10% for bounded simulation, for unit and batch updates
 // and general (cyclic) patterns. This harness sweeps churn levels and
-// reports the measured speedup series + crossover.
+// reports the measured speedup series + crossover. One maintainer,
+// IncrementalBoundedSimulation, serves both tables: E3.a runs it on bound-1
+// patterns (graph simulation) and checks it against ComputeSimulation.
+
+#include <algorithm>
 
 #include "bench/bench_common.h"
 #include "src/expfinder.h"
@@ -13,6 +17,11 @@ using namespace expfinder::bench;
 
 namespace {
 
+// Runs per cell, each on a fresh copy of the graph with a freshly built
+// maintainer; a cell reports the median (odd, so one middle run) and the
+// crossover is read from the medians.
+constexpr int kRepetitions = 9;
+
 struct Row {
   double churn;
   double inc_ms;
@@ -20,25 +29,35 @@ struct Row {
   size_t affected;
 };
 
-template <typename IncrementalT, typename RecomputeFn>
+double Median(std::vector<double> samples) {
+  std::nth_element(samples.begin(), samples.begin() + samples.size() / 2, samples.end());
+  return samples[samples.size() / 2];
+}
+
+template <typename RecomputeFn>
 std::vector<Row> Sweep(const Graph& base, const Pattern& q,
                        const std::vector<double>& churn_levels,
                        RecomputeFn&& recompute) {
   std::vector<Row> rows;
   for (double churn : churn_levels) {
-    Graph g = base;  // fresh copy per level
-    IncrementalT inc(&g, q);
     size_t updates = std::max<size_t>(1, static_cast<size_t>(churn * base.NumEdges()));
-    UpdateBatch batch = GenerateUpdateStream(g, updates, 0.5, 12345);
-    Timer inc_timer;
-    auto delta = inc.ApplyBatch(batch);
-    double inc_ms = inc_timer.ElapsedMillis();
-    EF_CHECK(delta.ok()) << delta.status();
-    Timer batch_timer;
-    auto recomputed = recompute(g, q);
-    double batch_ms = batch_timer.ElapsedMillis();
-    EF_CHECK(inc.Snapshot() == recomputed) << "incremental diverged";
-    rows.push_back({churn, inc_ms, batch_ms, inc.last_affected_size()});
+    UpdateBatch batch = GenerateUpdateStream(base, updates, 0.5, 12345);
+    std::vector<double> inc_ms, batch_ms;
+    size_t affected = 0;
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      Graph g = base;
+      IncrementalBoundedSimulation inc(&g, q);
+      Timer inc_timer;
+      auto delta = inc.ApplyBatch(batch);
+      inc_ms.push_back(inc_timer.ElapsedMillis());
+      EF_CHECK(delta.ok()) << delta.status();
+      Timer batch_timer;
+      auto recomputed = recompute(g, q);
+      batch_ms.push_back(batch_timer.ElapsedMillis());
+      EF_CHECK(inc.Snapshot() == recomputed) << "incremental diverged";
+      affected = inc.last_affected_size();
+    }
+    rows.push_back({churn, Median(std::move(inc_ms)), Median(std::move(batch_ms)), affected});
   }
   return rows;
 }
@@ -54,7 +73,8 @@ void Report(const std::string& name, const std::vector<Row>& rows) {
               Table::Num(r.batch_ms, 2), Table::Num(speedup, 2),
               Table::Int(static_cast<int64_t>(r.affected))});
   }
-  std::printf("%s\n%s", name.c_str(), t.ToString().c_str());
+  std::printf("%s (median of %d runs per cell)\n%s", name.c_str(), kRepetitions,
+              t.ToString().c_str());
   if (crossover < 0) {
     std::printf("crossover: none observed up to %.0f%% churn (incremental always "
                 "wins in this range)\n\n",
@@ -91,11 +111,11 @@ int main() {
     Graph g = MakeCollab(20000, 3);
     std::printf("graph: %zu nodes, %zu edges\n", g.NumNodes(), g.NumEdges());
     Pattern selective = gen::RandomPattern(4, 6, 1, 0.4, 17);
-    auto rows = Sweep<IncrementalSimulation>(
+    auto rows = Sweep(
         g, selective, churn,
         [](const Graph& gg, const Pattern& qq) { return ComputeSimulation(gg, qq); });
     Report("simulation / selective pattern (strong conditions)", rows);
-    auto rows2 = Sweep<IncrementalSimulation>(
+    auto rows2 = Sweep(
         g, LoosePattern(1), churn,
         [](const Graph& gg, const Pattern& qq) { return ComputeSimulation(gg, qq); });
     Report("simulation / loose cyclic pattern (common labels)", rows2);
@@ -106,12 +126,12 @@ int main() {
            "incremental outperforms batch for changes up to ~10% of the graph");
     Graph g = MakeCollab(8000, 3);
     std::printf("graph: %zu nodes, %zu edges\n", g.NumNodes(), g.NumEdges());
-    auto rows = Sweep<IncrementalBoundedSimulation>(
+    auto rows = Sweep(
         g, gen::TeamQuery(0), churn, [](const Graph& gg, const Pattern& qq) {
           return ComputeBoundedSimulation(gg, qq);
         });
     Report("bounded simulation / Fig.4-style selective pattern", rows);
-    auto rows2 = Sweep<IncrementalBoundedSimulation>(
+    auto rows2 = Sweep(
         g, LoosePattern(2), churn, [](const Graph& gg, const Pattern& qq) {
           return ComputeBoundedSimulation(gg, qq);
         });

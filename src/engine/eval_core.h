@@ -39,17 +39,6 @@
 
 namespace expfinder {
 
-/// \brief Matching semantics the engine can evaluate.
-enum class MatchSemantics {
-  /// Bounded simulation — the paper's notion (bound-1 = plain simulation).
-  kBoundedSimulation,
-  /// Bounded *dual* simulation — parents must match too (extension; see
-  /// dual_simulation.h). Not servable from the compressed graph (the
-  /// forward-bisimulation quotient does not preserve parent constraints) or
-  /// from maintained bounded-simulation states.
-  kDualSimulation,
-};
-
 /// Cache key combining the pattern's canonical fingerprint (condition order
 /// within a node does not distinguish queries — see
 /// Pattern::CanonicalFingerprint) with the semantics; keys both the

@@ -1,45 +1,6 @@
 #include "src/engine/query_engine.h"
 
-#include <unordered_map>
-
 namespace expfinder {
-
-namespace {
-
-/// Rejects batches that would fail halfway (duplicate inserts, missing
-/// deletes, bad endpoints). O(|batch|): only pairs touched by the batch are
-/// tracked; untouched pairs are consulted via Graph::HasEdge.
-Status ValidateBatch(const Graph& g, const UpdateBatch& batch) {
-  auto key = [](NodeId a, NodeId b) { return (static_cast<uint64_t>(a) << 32) | b; };
-  std::unordered_map<uint64_t, bool> touched;  // pair -> present after prefix
-  touched.reserve(batch.size() * 2);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const GraphUpdate& u = batch[i];
-    if (!g.IsValidNode(u.src) || !g.IsValidNode(u.dst)) {
-      return Status::InvalidArgument("update " + std::to_string(i) +
-                                     ": endpoint out of range");
-    }
-    uint64_t k = key(u.src, u.dst);
-    auto it = touched.find(k);
-    bool present = it != touched.end() ? it->second : g.HasEdge(u.src, u.dst);
-    if (u.kind == GraphUpdate::Kind::kInsertEdge) {
-      if (present) {
-        return Status::AlreadyExists("update " + std::to_string(i) +
-                                     ": edge already present " + u.ToString());
-      }
-      touched[k] = true;
-    } else {
-      if (!present) {
-        return Status::NotFound("update " + std::to_string(i) + ": edge absent " +
-                                u.ToString());
-      }
-      touched[k] = false;
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 QueryEngine::QueryEngine(Graph* g, EngineOptions options)
     : g_(g), options_(std::move(options)) {
@@ -106,10 +67,7 @@ std::shared_ptr<const EngineSnapshot> QueryEngine::Publish() {
     }
   }
   next->maintained.reserve(maintained_.size());
-  for (const auto& [key, m] : maintained_) {
-    next->maintained.emplace(
-        key, std::visit([](const auto& inc) { return inc.Snapshot(); }, m));
-  }
+  for (const auto& [key, inc] : maintained_) next->maintained.emplace(key, inc.Snapshot());
   next->version = g_->version();
   next->engine_seq = engine_seq_;
   published_ = std::move(next);
@@ -121,9 +79,7 @@ Result<NodeId> QueryEngine::AddNode(
     const std::vector<std::pair<std::string, AttrValue>>& attrs) {
   NodeId v = g_->AddNode(label);
   for (const auto& [key, value] : attrs) g_->SetAttr(v, key, value);
-  for (auto& [fp, m] : maintained_) {
-    std::visit([v](auto& inc) { inc.OnNodeAdded(v); }, m);
-  }
+  for (auto& [key, inc] : maintained_) inc.OnNodeAdded(v);
   if (compression_ != nullptr) compression_->OnNodeAdded(v);
   BumpEngineSeq();
   return v;
@@ -139,13 +95,7 @@ Status QueryEngine::RegisterMaintainedQuery(const Pattern& q,
   // The maintainer seeds its initial candidates by a label scan: it runs
   // once per registered query, and the graph's topic index would be built
   // for it alone.
-  if (semantics == MatchSemantics::kDualSimulation) {
-    maintained_.try_emplace(key, std::in_place_type<IncrementalDualSimulation>, g_, q);
-  } else if (q.IsSimulationPattern()) {
-    maintained_.try_emplace(key, std::in_place_type<IncrementalSimulation>, g_, q);
-  } else {
-    maintained_.try_emplace(key, std::in_place_type<IncrementalBoundedSimulation>, g_, q);
-  }
+  maintained_.try_emplace(key, g_, q, MatchOptions{}, semantics);
   BumpEngineSeq();
   return Status::OK();
 }
@@ -159,13 +109,9 @@ Status QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
   // The maintainer Pre/PostUpdate pair is the first half of the snapshot
   // transition; the second half is the next Publish(), which freezes the
   // post-update state into the successor snapshot readers will pin.
-  for (auto& [fp, m] : maintained_) {
-    std::visit([&batch](auto& inc) { inc.PreUpdate(batch); }, m);
-  }
+  for (auto& [key, inc] : maintained_) inc.PreUpdate(batch);
   EF_RETURN_NOT_OK(ApplyBatch(g_, batch));
-  for (auto& [fp, m] : maintained_) {
-    std::visit([&batch](auto& inc) { inc.PostUpdate(batch); }, m);
-  }
+  for (auto& [key, inc] : maintained_) inc.PostUpdate(batch);
   if (compression_ != nullptr) compression_->OnGraphUpdated(batch);
   ++stats_.batches_applied;
   stats_.updates_applied += batch.size();

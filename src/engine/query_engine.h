@@ -26,13 +26,10 @@
 
 #include <memory>
 #include <unordered_map>
-#include <variant>
 
 #include "src/compression/maintenance.h"
 #include "src/engine/eval_core.h"
 #include "src/incremental/inc_bounded.h"
-#include "src/incremental/inc_dual.h"
-#include "src/incremental/inc_simulation.h"
 
 namespace expfinder {
 
@@ -73,14 +70,15 @@ class QueryEngine {
                          const std::vector<std::pair<std::string, AttrValue>>& attrs = {});
 
   /// Applies a batch of edge updates, maintaining every registered query
-  /// and the compressed graph. The batch is validated first; on validation
-  /// failure nothing changes.
+  /// and the compressed graph. The batch is validated first (ValidateBatch,
+  /// update.h); on validation failure nothing changes.
   Status ApplyUpdates(const UpdateBatch& batch);
 
   /// Registers Q as a frequently issued query maintained incrementally
-  /// ("decided by the users", §II), under the chosen semantics. Its
-  /// relation is published in every later snapshot (EngineSnapshot::
-  /// Maintained, keyed by QueryCacheKey).
+  /// ("decided by the users", §II), under the chosen semantics, by an
+  /// IncrementalBoundedSimulation (which serves simulation, bounded and
+  /// dual patterns alike). Its relation is published in every later
+  /// snapshot (EngineSnapshot::Maintained, keyed by QueryCacheKey).
   Status RegisterMaintainedQuery(
       const Pattern& q, MatchSemantics semantics = MatchSemantics::kBoundedSimulation);
   bool IsMaintained(const Pattern& q,
@@ -96,17 +94,15 @@ class QueryEngine {
   const EngineStats& stats() const { return stats_; }
 
  private:
-  /// One maintained query: plain simulation, bounded simulation, or dual.
-  using Maintainer = std::variant<IncrementalSimulation, IncrementalBoundedSimulation,
-                                  IncrementalDualSimulation>;
-
   /// Marks published state stale; the next Publish() builds a successor.
   void BumpEngineSeq() { ++engine_seq_; }
 
   Graph* g_;
   EngineOptions options_;
   std::unique_ptr<MaintainedCompression> compression_;
-  std::unordered_map<uint64_t, Maintainer> maintained_;
+  /// Maintained queries by QueryCacheKey, each maintained under the
+  /// semantics it was registered with (one maintainer class serves all).
+  std::unordered_map<uint64_t, IncrementalBoundedSimulation> maintained_;
   /// The current published snapshot (null until the first Publish).
   std::shared_ptr<const EngineSnapshot> published_;
   /// Bumped by every mutation; published_->engine_seq trails it exactly

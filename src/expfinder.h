@@ -62,8 +62,6 @@
 
 // Incremental computation.
 #include "src/incremental/inc_bounded.h"
-#include "src/incremental/inc_dual.h"
-#include "src/incremental/inc_simulation.h"
 #include "src/incremental/update.h"
 
 // Graph compression.

@@ -1,29 +1,32 @@
 #include "src/incremental/inc_bounded.h"
 
+#include <algorithm>
+
 #include "src/util/logging.h"
 
 namespace expfinder {
 
 IncrementalBoundedSimulation::IncrementalBoundedSimulation(Graph* g, Pattern q,
-                                                           const MatchOptions& options)
-    : g_(g), q_(std::move(q)) {
+                                                           const MatchOptions& options,
+                                                           MatchSemantics semantics)
+    : g_(g), q_(std::move(q)), dual_(semantics == MatchSemantics::kDualSimulation) {
   EF_CHECK(q_.Validate().ok()) << "invalid pattern";
   const size_t n = g_->NumNodes();
   Distance max_bound = q_.MaxBound();
   seed_depth_ = max_bound == 0 ? 0 : max_bound - 1;
   cand_ = ComputeCandidates(*g_, q_, options);
   mat_ = cand_.bitmap;
-  cnt_.assign(q_.NumEdges(), std::vector<int32_t>(n, 0));
+  fwd_.assign(q_.NumEdges(), std::vector<int32_t>(n, 0));
+  if (dual_) bwd_.assign(q_.NumEdges(), std::vector<int32_t>(n, 0));
   restore_mark_ = DenseBitset(q_.NumNodes(), n);
   buf_.EnsureSize(n);
   seed_bitmap_ = DenseBitset(1, n);
 
-  // Initial fixpoint (same as ComputeBoundedSimulation, retaining state).
+  // Initial fixpoint (same as the batch matchers, retaining state).
   for (PatternNodeId u = 0; u < q_.NumNodes(); ++u) {
-    if (q_.OutEdges(u).empty()) continue;
     for (NodeId v : cand_.list[u]) {
       RecomputeCounters(u, v);
-      AddToWorklistIfDead(u, v);
+      if (Dead(u, v)) worklist_.emplace_back(u, v);
     }
   }
   MatchDelta ignored;
@@ -41,33 +44,64 @@ void IncrementalBoundedSimulation::MarkSeed(NodeId w) {
   }
 }
 
-void IncrementalBoundedSimulation::SeedNodesAround(NodeId src) {
-  MarkSeed(src);
-  if (seed_depth_ == 0) return;
-  BoundedBfsNonEmpty<false>(*g_, src, seed_depth_, &buf_,
-                            [&](NodeId w, Distance) { MarkSeed(w); });
+void IncrementalBoundedSimulation::SeedNodesAround(const GraphUpdate& upd) {
+  auto mark = [&](NodeId w, Distance) { MarkSeed(w); };
+  // Forward windows that may change: ancestors of the edge source.
+  MarkSeed(upd.src);
+  BoundedBfsNonEmpty<false>(*g_, upd.src, seed_depth_, &buf_, mark);
+  if (!dual_) return;
+  // Backward windows that may change: descendants of the edge target.
+  MarkSeed(upd.dst);
+  BoundedBfsNonEmpty<true>(*g_, upd.dst, seed_depth_, &buf_, mark);
+}
+
+template <bool kForward>
+void IncrementalBoundedSimulation::CountWindow(NodeId v, const std::vector<uint32_t>& edges,
+                                               std::vector<std::vector<int32_t>>* cnt) {
+  Distance depth = 0;
+  for (uint32_t e : edges) {
+    (*cnt)[e][v] = 0;
+    depth = std::max(depth, q_.edges()[e].bound);
+  }
+  BoundedBfsNonEmpty<kForward>(*g_, v, depth, &buf_, [&](NodeId w, Distance d) {
+    for (uint32_t e : edges) {
+      const PatternEdge& pe = q_.edges()[e];
+      if (d <= pe.bound && mat_.Test(kForward ? pe.dst : pe.src, w)) ++(*cnt)[e][v];
+    }
+  });
 }
 
 void IncrementalBoundedSimulation::RecomputeCounters(PatternNodeId u, NodeId v) {
-  const auto& out_edges = q_.OutEdges(u);
-  if (out_edges.empty()) return;
-  for (uint32_t e : out_edges) cnt_[e][v] = 0;
-  Distance depth = q_.MaxOutBound(u);
-  BoundedBfsNonEmpty<true>(*g_, v, depth, &buf_,
-                           [&](NodeId w, Distance d) {
-                             for (uint32_t e : out_edges) {
-                               const PatternEdge& pe = q_.edges()[e];
-                               if (d <= pe.bound && mat_.Test(pe.dst, w)) ++cnt_[e][v];
-                             }
-                           });
+  CountWindow<true>(v, q_.OutEdges(u), &fwd_);
+  if (dual_) CountWindow<false>(v, q_.InEdges(u), &bwd_);
 }
 
-void IncrementalBoundedSimulation::AddToWorklistIfDead(PatternNodeId u, NodeId v) {
+bool IncrementalBoundedSimulation::Dead(PatternNodeId u, NodeId v) const {
   for (uint32_t e : q_.OutEdges(u)) {
-    if (cnt_[e][v] == 0) {
-      worklist_.emplace_back(u, v);
-      return;
+    if (fwd_[e][v] == 0) return true;
+  }
+  if (dual_) {
+    for (uint32_t e : q_.InEdges(u)) {
+      if (bwd_[e][v] == 0) return true;
     }
+  }
+  return false;
+}
+
+template <typename Fn>
+void IncrementalBoundedSimulation::ForEachDependent(PatternNodeId u, NodeId v, Fn&& fn) {
+  for (uint32_t e : q_.InEdges(u)) {
+    const PatternEdge& pe = q_.edges()[e];
+    auto& counters = fwd_[e];
+    BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
+                              [&](NodeId w, Distance) { fn(pe.src, w, counters); });
+  }
+  if (!dual_) return;
+  for (uint32_t e : q_.OutEdges(u)) {
+    const PatternEdge& pe = q_.edges()[e];
+    auto& counters = bwd_[e];
+    BoundedBfsNonEmpty<true>(*g_, v, pe.bound, &buf_,
+                             [&](NodeId w, Distance) { fn(pe.dst, w, counters); });
   }
 }
 
@@ -79,21 +113,15 @@ void IncrementalBoundedSimulation::RunRemovalFixpoint(
     if (!mat_.Test(u, v)) continue;
     mat_.Reset(u, v);
     if (restore_mark_.Test(u, v)) {
-      restore_mark_.Reset(u, v);
+      restore_mark_.Reset(u, v);  // restored then pruned: no net change
     } else {
       delta->removed.emplace_back(u, v);
     }
-    for (uint32_t e : q_.InEdges(u)) {
-      const PatternEdge& pe = q_.edges()[e];
-      auto& counters = cnt_[e];
-      const auto src_mat = mat_.Row(pe.src);
-      BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_, [&](NodeId w, Distance) {
-        if (--counters[w] == 0 && src_mat[w]) {
-          worklist_.emplace_back(pe.src, w);
-        }
-      });
-    }
+    ForEachDependent(u, v, [&](PatternNodeId up, NodeId w, std::vector<int32_t>& counters) {
+      if (--counters[w] == 0 && mat_.Test(up, w)) worklist_.emplace_back(up, w);
+    });
   }
+  // Whatever survived of the restore set is a net addition; clear the marks.
   for (const auto& [u, v] : restored) {
     if (restore_mark_.Test(u, v)) {
       if (mat_.Test(u, v)) delta->added.emplace_back(u, v);
@@ -104,10 +132,10 @@ void IncrementalBoundedSimulation::RunRemovalFixpoint(
 
 void IncrementalBoundedSimulation::PreUpdate(const UpdateBatch& batch) {
   // Deletions remove paths that exist only pre-mutation: collect the nodes
-  // whose bounded out-window could lose content now, while those paths are
+  // whose bounded windows could lose content now, while those paths are
   // still present.
   for (const GraphUpdate& upd : batch) {
-    if (upd.kind == GraphUpdate::Kind::kDeleteEdge) SeedNodesAround(upd.src);
+    if (upd.kind == GraphUpdate::Kind::kDeleteEdge) SeedNodesAround(upd);
   }
 }
 
@@ -120,7 +148,7 @@ MatchDelta IncrementalBoundedSimulation::PostUpdate(const UpdateBatch& batch) {
   for (const GraphUpdate& upd : batch) {
     if (upd.kind == GraphUpdate::Kind::kInsertEdge) {
       any_insert = true;
-      SeedNodesAround(upd.src);
+      SeedNodesAround(upd);
     }
   }
 
@@ -143,11 +171,9 @@ MatchDelta IncrementalBoundedSimulation::PostUpdate(const UpdateBatch& batch) {
       auto [u, v] = stack.back();
       stack.pop_back();
       restored.emplace_back(u, v);
-      for (uint32_t e : q_.InEdges(u)) {
-        const PatternEdge& pe = q_.edges()[e];
-        BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
-                                  [&](NodeId w, Distance) { try_restore(pe.src, w); });
-      }
+      ForEachDependent(u, v, [&](PatternNodeId up, NodeId w, std::vector<int32_t>&) {
+        try_restore(up, w);
+      });
     }
     for (const auto& [u, v] : restored) mat_.Set(u, v);
   }
@@ -165,38 +191,37 @@ MatchDelta IncrementalBoundedSimulation::PostUpdate(const UpdateBatch& batch) {
   // Patch counters of *unmarked* pairs: each restored pair is one new
   // member inside their unchanged windows.
   for (const auto& [u, v] : restored) {
-    for (uint32_t e : q_.InEdges(u)) {
-      const PatternEdge& pe = q_.edges()[e];
-      auto& counters = cnt_[e];
-      const auto src_cand = cand_.bitmap.Row(pe.src);
-      const auto src_restored = restore_mark_.Row(pe.src);
-      const auto seeded = seed_bitmap_.Row(0);
-      auto bump = [&](NodeId w) {
-        if (src_cand[w] && !seeded[w] && !src_restored[w]) ++counters[w];
-      };
-      BoundedBfsNonEmpty<false>(*g_, v, pe.bound, &buf_,
-                                [&](NodeId w, Distance) { bump(w); });
-    }
+    ForEachDependent(u, v, [&](PatternNodeId up, NodeId w, std::vector<int32_t>& counters) {
+      if (cand_.bitmap.Test(up, w) && !seed_bitmap_.Test(0, w) && !restore_mark_.Test(up, w)) {
+        ++counters[w];
+      }
+    });
   }
 
   // Schedule every touched member with a dead counter, then cascade.
   for (NodeId v : seed_nodes_) {
     for (PatternNodeId u = 0; u < nq; ++u) {
-      if (mat_.Test(u, v)) AddToWorklistIfDead(u, v);
+      if (mat_.Test(u, v) && Dead(u, v)) worklist_.emplace_back(u, v);
     }
   }
-  for (const auto& [u, v] : restored) AddToWorklistIfDead(u, v);
+  for (const auto& [u, v] : restored) {
+    if (Dead(u, v)) worklist_.emplace_back(u, v);
+  }
   last_affected_ = seed_nodes_.size() + restored.size();
 
   RunRemovalFixpoint(&delta, restored);
 
-  ClearBatchState();
+  for (NodeId v : seed_nodes_) seed_bitmap_.Reset(0, v);
+  seed_nodes_.clear();
   return delta;
 }
 
-void IncrementalBoundedSimulation::ClearBatchState() {
-  for (NodeId v : seed_nodes_) seed_bitmap_.Reset(0, v);
-  seed_nodes_.clear();
+Result<MatchDelta> IncrementalBoundedSimulation::ApplyBatch(const UpdateBatch& batch) {
+  EF_RETURN_NOT_OK(ValidateBatch(*g_, batch));
+  PreUpdate(batch);
+  Status st = ::expfinder::ApplyBatch(g_, batch);
+  EF_CHECK(st.ok()) << "validated batch failed to apply: " << st;
+  return PostUpdate(batch);
 }
 
 void IncrementalBoundedSimulation::OnNodeAdded(NodeId v) {
@@ -208,27 +233,17 @@ void IncrementalBoundedSimulation::OnNodeAdded(NodeId v) {
   mat_.AddColumn();
   restore_mark_.AddColumn();
   for (PatternNodeId u = 0; u < q_.NumNodes(); ++u) {
-    bool is_cand = q_.node(u).Matches(*g_, v);
-    if (is_cand) {
-      cand_.bitmap.Set(u, v);
-      cand_.list[u].push_back(v);
-      if (q_.OutEdges(u).empty()) mat_.Set(u, v);
-    }
+    if (!q_.node(u).Matches(*g_, v)) continue;
+    cand_.bitmap.Set(u, v);
+    cand_.list[u].push_back(v);
+    // An isolated node satisfies no window constraint, so it only matches
+    // pattern nodes without any.
+    if (q_.OutEdges(u).empty() && (!dual_ || q_.InEdges(u).empty())) mat_.Set(u, v);
   }
-  for (auto& counters : cnt_) counters.push_back(0);
+  for (auto& counters : fwd_) counters.push_back(0);
+  for (auto& counters : bwd_) counters.push_back(0);
   seed_bitmap_.AddColumn();
   buf_.EnsureSize(g_->NumNodes());
-}
-
-Result<MatchDelta> IncrementalBoundedSimulation::ApplyBatch(const UpdateBatch& batch) {
-  PreUpdate(batch);
-  Status st = ::expfinder::ApplyBatch(g_, batch);
-  if (!st.ok()) {
-    // Roll back the seed state so a failed batch leaves us reusable.
-    ClearBatchState();
-    return st;
-  }
-  return PostUpdate(batch);
 }
 
 }  // namespace expfinder

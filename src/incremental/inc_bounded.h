@@ -1,9 +1,11 @@
-// Incremental maintenance of M(Q,G) for *bounded* simulation patterns
-// (paper §II "Incremental Computation Module", Example 3; techniques of
-// [3] adapted to the distance-window fixpoint).
+// Incremental maintenance of M(Q,G) (paper §II "Incremental Computation
+// Module", Example 3; the counting fixpoint of Fan et al., SIGMOD 2011,
+// "[3]" in the demo paper, adapted to the distance-window fixpoint). One
+// maintainer serves every semantics the engine evaluates: bounded
+// simulation, graph simulation as its bound-1 case, and dual simulation.
 //
 // Unlike plain simulation, an edge update changes shortest distances, so the
-// maintained counters cnt[e=(u,u')][v] = |{v' in M(u') : 0 < dist(v,v') <=
+// maintained counters fwd[e=(u,u')][v] = |{v' in M(u') : 0 < dist(v,v') <=
 // bound(e)}| can change for every node within the pattern's largest bound of
 // the touched edge. The maintenance is affected-area-proportional:
 //
@@ -19,15 +21,25 @@
 //   pairs, and the standard removal cascade prunes to the greatest
 //   fixpoint.
 //
+// Dual simulation (MatchSemantics::kDualSimulation, see dual_simulation.h)
+// also requires a match's parents to match: a pair depends on matches in its
+// backward window too. The maintainer then keeps a second set of counters,
+// bwd[e=(u',u)][v] = |{v' in M(u') : 0 < dist(v',v) <= bound(e)}|, and runs
+// every phase above in both directions as well: the descendants of a touched
+// edge's target are seeded, and the restore closure, the counter patches and
+// the removal cascade also walk pattern out-edges x bounded forward BFS.
+//
 // Every bounded traversal above is a hop-bounded BFS over the live graph.
 // A batch reads only the balls around its touched edges, so keeping a ball
 // index of the whole graph fresh would cost more than those BFSes (measured
 // by bench_incremental); the batch matchers read the snapshot-owned
 // KhopIndex (khop_index.h) instead.
 //
-// The result always equals batch recomputation (property-tested); the cost
-// is proportional to |AFF|, which is why incremental wins at low churn and
-// loses to batch beyond roughly 10% (reproduced by bench_incremental).
+// The result always equals batch recomputation (property-tested against
+// ComputeBoundedSimulation, ComputeSimulation and ComputeDualSimulation);
+// the cost is proportional to |AFF|, which is why incremental wins at low
+// churn and loses to batch beyond a few percent (reproduced by
+// bench_incremental).
 
 #ifndef EXPFINDER_INCREMENTAL_INC_BOUNDED_H_
 #define EXPFINDER_INCREMENTAL_INC_BOUNDED_H_
@@ -45,61 +57,84 @@
 
 namespace expfinder {
 
-/// \brief Maintains M(Q,G) for a bounded-simulation pattern across edge
-/// updates.
+/// \brief Maintains M(Q,G) across edge updates and node additions, under
+/// bounded (incl. plain) or dual simulation.
 class IncrementalBoundedSimulation {
  public:
   /// Computes the initial relation; `g` must outlive this object. Any
-  /// pattern accepted by ComputeBoundedSimulation works (bounds >= 1,
-  /// cyclic patterns included). Initial candidates come from a label scan
-  /// of `g` under `options`; the traversals BFS `g`, so
-  /// options.ball_index has no effect here.
-  IncrementalBoundedSimulation(Graph* g, Pattern q, const MatchOptions& options = {});
+  /// pattern accepted by the batch matchers works (bounds >= 1, cyclic
+  /// patterns included). Initial candidates come from a label scan of `g`
+  /// under `options`; the traversals BFS `g`, so options.ball_index has no
+  /// effect here.
+  IncrementalBoundedSimulation(
+      Graph* g, Pattern q, const MatchOptions& options = {},
+      MatchSemantics semantics = MatchSemantics::kBoundedSimulation);
 
   const Pattern& pattern() const { return q_; }
 
   /// Current M(Q,G), normalized like the batch matchers.
   MatchRelation Snapshot() const;
 
-  /// Convenience: mutate the graph and maintain M; returns the net delta.
+  /// Convenience: mutate the graph by `batch` and maintain M; returns the
+  /// net delta. The batch is validated first (ValidateBatch): when any
+  /// update would fail, neither the graph nor M changes.
   Result<MatchDelta> ApplyBatch(const UpdateBatch& batch);
 
-  /// Two-phase protocol (PreUpdate before the graph mutates, PostUpdate
-  /// after); see IncrementalSimulation.
+  /// Two-phase protocol for callers that mutate the graph themselves (the
+  /// query engine applies one batch to many maintained queries): call
+  /// PreUpdate before mutating, PostUpdate after. The batch must apply.
   void PreUpdate(const UpdateBatch& batch);
   MatchDelta PostUpdate(const UpdateBatch& batch);
 
-  /// |AFF| of the last batch: seed nodes + restored pairs.
+  /// |AFF| of the last batch: seed nodes + restored pairs, the cost driver
+  /// reported in benchmarks.
   size_t last_affected_size() const { return last_affected_; }
 
-  /// Extends the maintained state after `g` grew by one (edge-less) node;
-  /// see IncrementalSimulation::OnNodeAdded.
+  /// Extends the maintained state after `g` grew by one (edge-less) node:
+  /// the node becomes a candidate immediately, and a match of every
+  /// candidate pattern node it cannot violate (no out-edges; under dual
+  /// semantics no in-edges either). Connect it via ApplyBatch afterwards.
   void OnNodeAdded(NodeId v);
 
  private:
   void MarkSeed(NodeId w);
-  /// Seeds `src` and every node within seed_depth_ hops backwards of it in
-  /// the current graph: pre-mutation for deletions (PreUpdate), post-
-  /// mutation for insertions (PostUpdate).
-  void SeedNodesAround(NodeId src);
+  /// Seeds the nodes whose windows `upd` may change, in the current graph:
+  /// pre-mutation for deletions (PreUpdate), post-mutation for insertions
+  /// (PostUpdate). Those are `upd.src` and every node within seed_depth_
+  /// hops backwards of it; under dual semantics also `upd.dst` and every
+  /// node within seed_depth_ hops forwards of it.
+  void SeedNodesAround(const GraphUpdate& upd);
+  /// Recounts cnt[e][v] for `edges` by one bounded BFS from v: forward
+  /// over out-edges (fwd_), or backward over in-edges (bwd_).
+  template <bool kForward>
+  void CountWindow(NodeId v, const std::vector<uint32_t>& edges,
+                   std::vector<std::vector<int32_t>>* cnt);
   void RecomputeCounters(PatternNodeId u, NodeId v);
-  void AddToWorklistIfDead(PatternNodeId u, NodeId v);
+  bool Dead(PatternNodeId u, NodeId v) const;
+  /// Calls fn(u', w, counters) for every candidate pair (u', w) whose
+  /// counter for some pattern edge e may count (u, v) as support: pattern
+  /// in-edges (u', u) x nodes w within bound(e) hops backwards of v
+  /// (counters = fwd_[e]), and under dual semantics pattern out-edges
+  /// (u, u') x nodes within bound(e) hops forwards of v (bwd_[e]).
+  template <typename Fn>
+  void ForEachDependent(PatternNodeId u, NodeId v, Fn&& fn);
   void RunRemovalFixpoint(
       MatchDelta* delta,
       const std::vector<std::pair<PatternNodeId, NodeId>>& restored);
-  void ClearBatchState();
 
   Graph* g_;
   Pattern q_;
+  bool dual_;
   Distance seed_depth_ = 0;  // maxBound - 1, saturating
   CandidateSets cand_;
   DenseBitset mat_;
-  std::vector<std::vector<int32_t>> cnt_;  // per pattern edge
+  std::vector<std::vector<int32_t>> fwd_;  // per pattern edge, src side
+  std::vector<std::vector<int32_t>> bwd_;  // per pattern edge, dst side (dual)
   DenseBitset restore_mark_;               // per pattern node, reused
   std::vector<std::pair<PatternNodeId, NodeId>> worklist_;
   BfsBuffers buf_;
 
-  // Seed nodes (= nodes whose bounded out-windows a batch may change),
+  // Seed nodes (= nodes whose bounded windows a batch may change),
   // accumulated across the Pre/Post phases of the current batch.
   DenseBitset seed_bitmap_;  // 1 x n
   std::vector<NodeId> seed_nodes_;

@@ -1,5 +1,6 @@
 #include "src/incremental/update.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/util/logging.h"
@@ -29,6 +30,36 @@ Status ApplyUpdate(Graph* g, const GraphUpdate& u) {
 Status ApplyBatch(Graph* g, const UpdateBatch& batch) {
   for (const GraphUpdate& u : batch) {
     EF_RETURN_NOT_OK(ApplyUpdate(g, u));
+  }
+  return Status::OK();
+}
+
+Status ValidateBatch(const Graph& g, const UpdateBatch& batch) {
+  auto key = [](NodeId a, NodeId b) { return (static_cast<uint64_t>(a) << 32) | b; };
+  std::unordered_map<uint64_t, bool> touched;  // pair -> present after prefix
+  touched.reserve(batch.size() * 2);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const GraphUpdate& u = batch[i];
+    if (!g.IsValidNode(u.src) || !g.IsValidNode(u.dst)) {
+      return Status::InvalidArgument("update " + std::to_string(i) +
+                                     ": endpoint out of range");
+    }
+    uint64_t k = key(u.src, u.dst);
+    auto it = touched.find(k);
+    bool present = it != touched.end() ? it->second : g.HasEdge(u.src, u.dst);
+    if (u.kind == GraphUpdate::Kind::kInsertEdge) {
+      if (present) {
+        return Status::AlreadyExists("update " + std::to_string(i) +
+                                     ": edge already present " + u.ToString());
+      }
+      touched[k] = true;
+    } else {
+      if (!present) {
+        return Status::NotFound("update " + std::to_string(i) + ": edge absent " +
+                                u.ToString());
+      }
+      touched[k] = false;
+    }
   }
   return Status::OK();
 }

@@ -40,8 +40,16 @@ using UpdateBatch = std::vector<GraphUpdate>;
 /// Applies one update to `g` (AddEdge / RemoveEdge semantics and errors).
 Status ApplyUpdate(Graph* g, const GraphUpdate& u);
 
-/// Applies a whole batch; stops at the first failure.
+/// Applies a whole batch; stops at the first failure, leaving the updates
+/// before it applied. Run ValidateBatch first to apply all or nothing.
 Status ApplyBatch(Graph* g, const UpdateBatch& batch);
+
+/// Checks that every update of `batch` would apply to `g` in order (no
+/// duplicate inserts, missing deletes or bad endpoints) without mutating
+/// `g`; the error names the first update that would fail. O(|batch|): only
+/// pairs touched by the batch are tracked; untouched pairs are consulted
+/// via Graph::HasEdge.
+Status ValidateBatch(const Graph& g, const UpdateBatch& batch);
 
 /// \brief Generates a sequentially applicable random update stream against
 /// the *current* state of `g` (without mutating it): deletions pick existing

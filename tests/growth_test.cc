@@ -6,7 +6,6 @@
 
 #include "src/generator/generators.h"
 #include "src/incremental/inc_bounded.h"
-#include "src/incremental/inc_simulation.h"
 #include "src/matching/bounded_simulation.h"
 #include "src/matching/dual_simulation.h"
 #include "src/matching/simulation.h"
@@ -18,7 +17,7 @@ namespace {
 TEST(GrowthTest, IncrementalSimulationAcceptsNewNodes) {
   Graph g = gen::ErdosRenyi(40, 160, 2);
   Pattern q = gen::RandomPattern(3, 3, 1, 0.3, 12);
-  IncrementalSimulation inc(&g, q);
+  IncrementalBoundedSimulation inc(&g, q);
   for (int round = 0; round < 3; ++round) {
     NodeId v = g.AddNode("SD");
     g.SetAttr(v, "experience", AttrValue(7));
@@ -99,30 +98,43 @@ TEST(GrowthTest, EngineAddNodeKeepsEverythingConsistent) {
 TEST(GrowthTest, EngineMaintainedDualQuery) {
   Graph g = gen::CollaborationNetwork({.num_people = 100, .num_teams = 20, .seed = 8});
   ExpFinderService service(&g);
-  Pattern q = gen::TeamQuery(0);
-  ASSERT_TRUE(service.RegisterMaintainedQuery(q, MatchSemantics::kDualSimulation).ok());
-  EXPECT_TRUE(service.IsMaintained(q, MatchSemantics::kDualSimulation));
-  EXPECT_FALSE(service.IsMaintained(q, MatchSemantics::kBoundedSimulation));
-  // The same pattern can additionally be maintained under bounded semantics.
-  ASSERT_TRUE(service.RegisterMaintainedQuery(q).ok());
+  // A bounded pattern and a bound-1 (graph simulation) one.
+  PatternBuilder b;
+  auto sa = b.Node("SA", "SA").Output();
+  auto sd = b.Node("SD", "SD");
+  auto st = b.Node("ST", "ST");
+  b.Edge(sa, sd, 1).Edge(sd, st, 1);
+  const std::vector<Pattern> patterns = {gen::TeamQuery(0), b.Build().value()};
+  for (const Pattern& q : patterns) {
+    ASSERT_TRUE(service.RegisterMaintainedQuery(q, MatchSemantics::kDualSimulation).ok());
+    EXPECT_TRUE(service.IsMaintained(q, MatchSemantics::kDualSimulation));
+    EXPECT_FALSE(service.IsMaintained(q, MatchSemantics::kBoundedSimulation));
+    // The same pattern can additionally be maintained under bounded semantics.
+    ASSERT_TRUE(service.RegisterMaintainedQuery(q).ok());
+  }
 
-  QueryRequest dual_req;
-  dual_req.pattern = q;
-  dual_req.semantics = MatchSemantics::kDualSimulation;
-  QueryRequest bounded_req;
-  bounded_req.pattern = q;
   UpdateBatch stream = GenerateUpdateStream(g, 30, 0.5, 12);
   for (size_t i = 0; i < stream.size(); i += 10) {
     UpdateBatch batch(stream.begin() + i, stream.begin() + i + 10);
     ASSERT_TRUE(service.Mutate(batch).ok());
-    auto dual = service.Query(dual_req);
-    auto bounded = service.Query(bounded_req);
-    ASSERT_TRUE(dual.ok());
-    ASSERT_TRUE(bounded.ok());
-    ASSERT_TRUE(dual->answer->matches == ComputeDualSimulation(g, q)) << i;
-    ASSERT_TRUE(bounded->answer->matches == ComputeBoundedSimulation(g, q)) << i;
+    for (const Pattern& q : patterns) {
+      QueryRequest dual_req;
+      dual_req.pattern = q;
+      dual_req.semantics = MatchSemantics::kDualSimulation;
+      QueryRequest bounded_req;
+      bounded_req.pattern = q;
+      auto dual = service.Query(dual_req);
+      auto bounded = service.Query(bounded_req);
+      ASSERT_TRUE(dual.ok());
+      ASSERT_TRUE(bounded.ok());
+      ASSERT_TRUE(dual->answer->matches == ComputeDualSimulation(g, q)) << i;
+      ASSERT_TRUE(bounded->answer->matches == ComputeBoundedSimulation(g, q)) << i;
+      if (q.IsSimulationPattern()) {
+        ASSERT_TRUE(bounded->answer->matches == ComputeSimulation(g, q)) << i;
+      }
+    }
   }
-  EXPECT_GE(service.stats().maintained_hits, 6u);
+  EXPECT_GE(service.stats().maintained_hits, 12u);
 }
 
 TEST(GrowthTest, EngineDualSemantics) {

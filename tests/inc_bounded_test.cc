@@ -1,11 +1,75 @@
+// IncrementalBoundedSimulation under every semantics it maintains: bounded
+// simulation (IncBoundedTest), graph simulation as its bound-1 case
+// (IncSimulationTest) and dual simulation (IncDualTest), plus the update
+// model it consumes (UpdateTest).
+
 #include <gtest/gtest.h>
 
 #include "src/generator/generators.h"
 #include "src/incremental/inc_bounded.h"
 #include "src/matching/bounded_simulation.h"
+#include "src/matching/dual_simulation.h"
+#include "src/matching/simulation.h"
 
 namespace expfinder {
 namespace {
+
+constexpr MatchSemantics kDual = MatchSemantics::kDualSimulation;
+
+MatchRelation Recompute(const Graph& g, const Pattern& q, MatchSemantics semantics) {
+  return semantics == kDual ? ComputeDualSimulation(g, q) : ComputeBoundedSimulation(g, q);
+}
+
+TEST(UpdateTest, ToStringAndApply) {
+  Graph g;
+  g.AddNode("A");
+  g.AddNode("B");
+  GraphUpdate ins = GraphUpdate::Insert(0, 1);
+  EXPECT_EQ(ins.ToString(), "+(0,1)");
+  EXPECT_TRUE(ApplyUpdate(&g, ins).ok());
+  EXPECT_TRUE(g.HasEdge(0, 1));
+  GraphUpdate del = GraphUpdate::Delete(0, 1);
+  EXPECT_EQ(del.ToString(), "-(0,1)");
+  EXPECT_TRUE(ApplyUpdate(&g, del).ok());
+  EXPECT_FALSE(g.HasEdge(0, 1));
+  EXPECT_TRUE(ApplyUpdate(&g, del).IsNotFound());
+}
+
+TEST(UpdateTest, GeneratedStreamIsSequentiallyApplicable) {
+  Graph g = gen::ErdosRenyi(40, 160, 3);
+  for (double frac : {0.0, 0.3, 0.5, 1.0}) {
+    Graph copy = g;
+    UpdateBatch batch = GenerateUpdateStream(g, 200, frac, 99);
+    ASSERT_EQ(batch.size(), 200u);
+    EXPECT_TRUE(ValidateBatch(copy, batch).ok()) << "fraction " << frac;
+    EXPECT_TRUE(ApplyBatch(&copy, batch).ok()) << "fraction " << frac;
+  }
+}
+
+TEST(UpdateTest, InsertFractionRespected) {
+  Graph g = gen::ErdosRenyi(50, 400, 5);
+  UpdateBatch batch = GenerateUpdateStream(g, 400, 0.75, 7);
+  size_t inserts = 0;
+  for (const auto& u : batch) inserts += u.kind == GraphUpdate::Kind::kInsertEdge;
+  EXPECT_NEAR(static_cast<double>(inserts) / batch.size(), 0.75, 0.08);
+}
+
+TEST(UpdateTest, ValidateBatchReplaysThePrefixWithoutMutating) {
+  Graph g;
+  g.AddNode("A");
+  g.AddNode("B");
+  ASSERT_TRUE(g.AddEdge(0, 1).ok());
+  const uint64_t version = g.version();
+  // Each update is checked against the graph as the batch's prefix left it.
+  EXPECT_TRUE(ValidateBatch(g, {GraphUpdate::Delete(0, 1), GraphUpdate::Insert(0, 1)}).ok());
+  EXPECT_TRUE(ValidateBatch(g, {GraphUpdate::Delete(0, 1), GraphUpdate::Delete(0, 1)})
+                  .IsNotFound());
+  EXPECT_TRUE(ValidateBatch(g, {GraphUpdate::Insert(1, 0), GraphUpdate::Insert(1, 0)})
+                  .IsAlreadyExists());
+  EXPECT_TRUE(ValidateBatch(g, {GraphUpdate::Insert(0, 2)}).IsInvalidArgument());
+  EXPECT_EQ(g.version(), version);
+  EXPECT_TRUE(g.HasEdge(0, 1));
+}
 
 TEST(IncBoundedTest, InitialStateMatchesBatch) {
   Graph g = gen::CollaborationNetwork({.num_people = 120, .num_teams = 25, .seed = 8});
@@ -103,10 +167,12 @@ TEST(IncBoundedTest, TwoPhaseProtocolMatchesConvenienceWrapper) {
   EXPECT_TRUE(wrapped.Snapshot() == phased.Snapshot());
 }
 
-// A batch the graph rejects must leave the maintainer as it was: PreUpdate
-// has already seeded from the batch's deletions, and the failed ApplyBatch
-// has to drop those seeds, or the next batch would recompute them as well.
-TEST(IncBoundedTest, InvalidBatchRollsBackAndStaysReusable) {
+// A batch the graph would reject must leave the graph and the maintainer as
+// they were, whichever of its updates fails: ApplyBatch validates the whole
+// batch before PreUpdate seeds from it and before the graph mutates. A
+// valid deletion ahead of the rejected one would otherwise be applied with
+// no PostUpdate to follow, leaving the relation stale.
+void CheckInvalidBatchRollsBackAndStaysReusable(MatchSemantics semantics) {
   Graph g = gen::ErdosRenyi(60, 240, 41);
   Graph twin_g = g;
   PatternBuilder b;
@@ -115,8 +181,8 @@ TEST(IncBoundedTest, InvalidBatchRollsBackAndStaysReusable) {
   auto ba = b.Node("BA", "ba");
   b.Edge(sd, st, 2).Edge(st, sd, 2).Edge(sd, ba, 2);
   Pattern q = b.Build().value();
-  IncrementalBoundedSimulation inc(&g, q);
-  IncrementalBoundedSimulation twin(&twin_g, q);  // never sees the bad batch
+  IncrementalBoundedSimulation inc(&g, q, {}, semantics);
+  IncrementalBoundedSimulation twin(&twin_g, q, {}, semantics);  // never sees a bad batch
   const MatchRelation before = inc.Snapshot();
   ASSERT_FALSE(before.IsEmpty());
   const uint64_t version = g.version();
@@ -126,63 +192,35 @@ TEST(IncBoundedTest, InvalidBatchRollsBackAndStaysReusable) {
   const NodeId dst = g.OutNeighbors(src).front();
   NodeId missing = 1;
   while (missing == src || g.HasEdge(src, missing)) ++missing;
-  // The missing edge goes first, so the graph rejects the batch before
-  // mutating anything.
-  auto failed = inc.ApplyBatch({GraphUpdate::Delete(src, missing),
-                                GraphUpdate::Delete(src, dst)});
-  EXPECT_FALSE(failed.ok());
-  EXPECT_EQ(g.version(), version);
-  EXPECT_TRUE(g.HasEdge(src, dst));
-  EXPECT_TRUE(inc.Snapshot() == before);
+  const UpdateBatch missing_first{GraphUpdate::Delete(src, missing),
+                                  GraphUpdate::Delete(src, dst)};
+  const UpdateBatch valid_first{GraphUpdate::Delete(src, dst),
+                                GraphUpdate::Delete(src, missing)};
+  for (const UpdateBatch& bad : {missing_first, valid_first}) {
+    EXPECT_FALSE(inc.ApplyBatch(bad).ok()) << bad[0].ToString();
+    EXPECT_EQ(g.version(), version) << bad[0].ToString();
+    EXPECT_TRUE(g.HasEdge(src, dst)) << bad[0].ToString();
+    EXPECT_TRUE(inc.Snapshot() == before) << bad[0].ToString();
+  }
 
   UpdateBatch stream = GenerateUpdateStream(g, 12, 0.5, 43);
   for (size_t i = 0; i < stream.size(); i += 3) {
     UpdateBatch batch(stream.begin() + i, stream.begin() + i + 3);
     ASSERT_TRUE(inc.ApplyBatch(batch).ok());
     ASSERT_TRUE(twin.ApplyBatch(batch).ok());
-    ASSERT_TRUE(inc.Snapshot() == ComputeBoundedSimulation(g, q)) << "at " << i;
-    // Seeds left over from the failed batch would show up as extra |AFF|.
+    ASSERT_TRUE(inc.Snapshot() == Recompute(g, q, semantics)) << "at " << i;
+    // Seeds left over from a failed batch would show up as extra |AFF|.
     EXPECT_EQ(inc.last_affected_size(), twin.last_affected_size()) << "at " << i;
   }
 }
 
-struct StreamParam {
-  uint64_t seed;
-  double insert_fraction;
-  size_t steps;
-  size_t batch_size;
-  Distance max_bound;
-};
-
-class IncBoundedStreamSweep : public ::testing::TestWithParam<StreamParam> {};
-
-TEST_P(IncBoundedStreamSweep, AlwaysEqualsBatchRecomputation) {
-  const StreamParam p = GetParam();
-  Graph g = gen::ErdosRenyi(50, 200, p.seed);
-  Pattern q = gen::RandomPattern(4, 5, p.max_bound, 0.4, p.seed * 11 + 3);
-  IncrementalBoundedSimulation inc(&g, q);
-  UpdateBatch stream = GenerateUpdateStream(g, p.steps * p.batch_size,
-                                            p.insert_fraction, p.seed * 17 + 4);
-  for (size_t step = 0; step < p.steps; ++step) {
-    UpdateBatch batch(stream.begin() + step * p.batch_size,
-                      stream.begin() + (step + 1) * p.batch_size);
-    auto delta = inc.ApplyBatch(batch);
-    ASSERT_TRUE(delta.ok()) << delta.status();
-    ASSERT_TRUE(inc.Snapshot() == ComputeBoundedSimulation(g, q))
-        << "diverged at step " << step << " seed " << p.seed;
-  }
+TEST(IncBoundedTest, InvalidBatchRollsBackAndStaysReusable) {
+  CheckInvalidBatchRollsBackAndStaysReusable(MatchSemantics::kBoundedSimulation);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Streams, IncBoundedStreamSweep,
-    ::testing::Values(StreamParam{1, 0.5, 15, 1, 2},   // unit, small bounds
-                      StreamParam{2, 0.8, 12, 1, 3},   // insert heavy
-                      StreamParam{3, 0.2, 12, 1, 3},   // delete heavy
-                      StreamParam{4, 0.5, 8, 6, 2},    // batches
-                      StreamParam{5, 0.5, 4, 25, 3},   // large batches
-                      StreamParam{6, 1.0, 8, 4, 4},    // inserts only
-                      StreamParam{7, 0.0, 8, 4, 4},    // deletes only
-                      StreamParam{8, 0.5, 8, 4, 1}));  // degenerate bound 1
+TEST(IncDualTest, InvalidBatchRollsBackAndStaysReusable) {
+  CheckInvalidBatchRollsBackAndStaysReusable(kDual);
+}
 
 // Collaboration-network stream with the Fig.1-style query shape.
 TEST(IncBoundedTest, CollaborationStreamWithTeamQuery) {
@@ -200,6 +238,265 @@ TEST(IncBoundedTest, CollaborationStreamWithTeamQuery) {
     ASSERT_TRUE(inc.Snapshot() == ComputeBoundedSimulation(g, q)) << "at " << i;
   }
 }
+
+// Graph simulation is the bound-1 case: the same maintainer, checked against
+// ComputeSimulation.
+
+TEST(IncSimulationTest, InitialStateMatchesBatch) {
+  Graph g = gen::CollaborationNetwork({.num_people = 150, .num_teams = 30, .seed = 4});
+  Pattern q = gen::RandomPattern(4, 5, 1, 0.4, 42);
+  IncrementalBoundedSimulation inc(&g, q);
+  EXPECT_TRUE(inc.Snapshot() == ComputeSimulation(g, q));
+}
+
+TEST(IncSimulationTest, InsertEnablesMatchChain) {
+  // Pattern a[A]->b[B]; data A0 B1 disconnected, then insert the edge.
+  Graph g;
+  g.AddNode("A");
+  g.AddNode("B");
+  PatternBuilder b;
+  auto a = b.Node("A", "a").Output();
+  auto bb = b.Node("B", "b");
+  b.Edge(a, bb);
+  Pattern q = b.Build().value();
+  IncrementalBoundedSimulation inc(&g, q);
+  EXPECT_TRUE(inc.Snapshot().IsEmpty());
+  auto delta = inc.ApplyBatch({GraphUpdate::Insert(0, 1)});
+  ASSERT_TRUE(delta.ok());
+  EXPECT_TRUE(inc.Snapshot() == ComputeSimulation(g, q));
+  EXPECT_FALSE(inc.Snapshot().IsEmpty());
+}
+
+TEST(IncSimulationTest, CyclicMutualDependencyRestoredTogether) {
+  // The killer case for naive bottom-up insertion: pattern u->u self loop,
+  // data chain 0 -> 1; inserting 1 -> 0 creates the support cycle, and both
+  // nodes must (re)enter the relation together.
+  Graph g;
+  g.AddNode("A");
+  g.AddNode("A");
+  ASSERT_TRUE(g.AddEdge(0, 1).ok());
+  PatternBuilder b;
+  auto a = b.Node("A", "a").Output();
+  b.Edge(a, a);
+  Pattern q = b.Build().value();
+  IncrementalBoundedSimulation inc(&g, q);
+  EXPECT_TRUE(inc.Snapshot().IsEmpty());
+  auto delta = inc.ApplyBatch({GraphUpdate::Insert(1, 0)});
+  ASSERT_TRUE(delta.ok());
+  EXPECT_EQ(delta->added.size(), 2u);
+  EXPECT_TRUE(inc.Snapshot() == ComputeSimulation(g, q));
+  EXPECT_EQ(inc.Snapshot().MatchesOf(0), (std::vector<NodeId>{0, 1}));
+}
+
+TEST(IncSimulationTest, DeleteCascadesRemovals) {
+  // Chain A->B->C with pattern a->b->c: deleting the last edge kills all.
+  Graph g;
+  g.AddNode("A");
+  g.AddNode("B");
+  g.AddNode("C");
+  ASSERT_TRUE(g.AddEdge(0, 1).ok());
+  ASSERT_TRUE(g.AddEdge(1, 2).ok());
+  PatternBuilder b;
+  auto a = b.Node("A", "a").Output();
+  auto bb = b.Node("B", "b");
+  auto c = b.Node("C", "c");
+  b.Edge(a, bb).Edge(bb, c);
+  Pattern q = b.Build().value();
+  IncrementalBoundedSimulation inc(&g, q);
+  EXPECT_FALSE(inc.Snapshot().IsEmpty());
+  auto delta = inc.ApplyBatch({GraphUpdate::Delete(1, 2)});
+  ASSERT_TRUE(delta.ok());
+  EXPECT_TRUE(inc.Snapshot().IsEmpty());
+  EXPECT_TRUE(inc.Snapshot() == ComputeSimulation(g, q));
+  // Internal cascade removed both (b,1)-support and (a,0).
+  EXPECT_GE(delta->removed.size(), 2u);
+}
+
+TEST(IncSimulationTest, NetDeltaCancelsInsertThenDelete) {
+  Graph g;
+  g.AddNode("A");
+  g.AddNode("B");
+  PatternBuilder b;
+  auto a = b.Node("A", "a").Output();
+  auto bb = b.Node("B", "b");
+  b.Edge(a, bb);
+  Pattern q = b.Build().value();
+  IncrementalBoundedSimulation inc(&g, q);
+  auto delta = inc.ApplyBatch(
+      {GraphUpdate::Insert(0, 1), GraphUpdate::Delete(0, 1)});
+  ASSERT_TRUE(delta.ok());
+  EXPECT_TRUE(delta->Empty()) << "added=" << delta->added.size()
+                              << " removed=" << delta->removed.size();
+  EXPECT_TRUE(inc.Snapshot().IsEmpty());
+}
+
+TEST(IncSimulationTest, InvalidBatchFailsCleanly) {
+  Graph g = gen::ErdosRenyi(20, 40, 1);
+  Pattern q = gen::RandomPattern(3, 3, 1, 0.2, 5);
+  IncrementalBoundedSimulation inc(&g, q);
+  const MatchRelation before = inc.Snapshot();
+  // Delete a non-existent edge: the batch is rejected and nothing changes.
+  NodeId a = 0, b = 1;
+  while (g.HasEdge(a, b)) b = (b + 1) % 20;
+  auto delta = inc.ApplyBatch({GraphUpdate::Delete(a, b)});
+  EXPECT_FALSE(delta.ok());
+  EXPECT_TRUE(inc.Snapshot() == before);
+}
+
+// Dual simulation: parents must match too, so every phase also walks the
+// backward windows.
+
+TEST(IncDualTest, InitialStateMatchesBatch) {
+  Graph g = gen::CollaborationNetwork({.num_people = 120, .num_teams = 25, .seed = 3});
+  Pattern q = gen::RandomPattern(4, 5, 3, 0.4, 19);
+  IncrementalBoundedSimulation inc(&g, q, {}, kDual);
+  EXPECT_TRUE(inc.Snapshot() == ComputeDualSimulation(g, q));
+}
+
+TEST(IncDualTest, InsertRestoresViaAncestorSide) {
+  // a[A] -> b[B]: B exists without a parent; inserting the edge makes both
+  // match — the b-side improvement flows through the *backward* window.
+  Graph g;
+  g.AddNode("A");
+  g.AddNode("B");
+  PatternBuilder b;
+  auto a = b.Node("A", "a").Output();
+  auto bb = b.Node("B", "b");
+  b.Edge(a, bb, 1);
+  Pattern q = b.Build().value();
+  IncrementalBoundedSimulation inc(&g, q, {}, kDual);
+  EXPECT_TRUE(inc.Snapshot().IsEmpty());
+  auto delta = inc.ApplyBatch({GraphUpdate::Insert(0, 1)});
+  ASSERT_TRUE(delta.ok());
+  EXPECT_EQ(delta->added.size(), 2u);
+  EXPECT_TRUE(inc.Snapshot() == ComputeDualSimulation(g, q));
+}
+
+TEST(IncDualTest, DeleteCascadesThroughBothSides) {
+  // Chain A -> B -> C with pattern a->b->c (bounds 1): removing the first
+  // edge wipes everything in both directions.
+  Graph g;
+  g.AddNode("A");
+  g.AddNode("B");
+  g.AddNode("C");
+  ASSERT_TRUE(g.AddEdge(0, 1).ok());
+  ASSERT_TRUE(g.AddEdge(1, 2).ok());
+  PatternBuilder b;
+  auto a = b.Node("A", "a").Output();
+  auto bb = b.Node("B", "b");
+  auto c = b.Node("C", "c");
+  b.Edge(a, bb).Edge(bb, c);
+  Pattern q = b.Build().value();
+  IncrementalBoundedSimulation inc(&g, q, {}, kDual);
+  EXPECT_FALSE(inc.Snapshot().IsEmpty());
+  auto delta = inc.ApplyBatch({GraphUpdate::Delete(0, 1)});
+  ASSERT_TRUE(delta.ok());
+  EXPECT_TRUE(inc.Snapshot().IsEmpty());
+  EXPECT_TRUE(inc.Snapshot() == ComputeDualSimulation(g, q));
+}
+
+TEST(IncDualTest, Fig1StrayTesterConnectsIncrementally) {
+  Graph g = gen::BuildFig1Graph();
+  Pattern q = gen::BuildFig1Pattern();
+  IncrementalBoundedSimulation inc(&g, q, {}, kDual);
+  auto st = *q.FindNode("ST");
+  // Add a stray tester: excluded under dual semantics until someone
+  // collaborates with him.
+  NodeId tom = g.AddNode("ST");
+  g.SetAttr(tom, "experience", AttrValue(3));
+  inc.OnNodeAdded(tom);
+  EXPECT_FALSE(inc.Snapshot().Contains(st, tom));
+  // Jean starts working with Tom: within BA->ST bound 1 and SD->ST bound 2.
+  auto delta = inc.ApplyBatch({GraphUpdate::Insert(gen::Fig1::kJean, tom)});
+  ASSERT_TRUE(delta.ok());
+  EXPECT_TRUE(inc.Snapshot().Contains(st, tom));
+  EXPECT_TRUE(inc.Snapshot() == ComputeDualSimulation(g, q));
+}
+
+TEST(IncDualTest, GrowthWithStream) {
+  Graph g = gen::CollaborationNetwork({.num_people = 60, .num_teams = 15, .seed = 9});
+  Pattern q = gen::TeamQuery(0);
+  IncrementalBoundedSimulation inc(&g, q, {}, kDual);
+  for (int round = 0; round < 3; ++round) {
+    NodeId v = g.AddNode("SD");
+    g.SetAttr(v, "experience", AttrValue(5));
+    inc.OnNodeAdded(v);
+    ASSERT_TRUE(inc.Snapshot() == ComputeDualSimulation(g, q)) << round;
+    UpdateBatch batch{GraphUpdate::Insert(static_cast<NodeId>(round * 2), v),
+                      GraphUpdate::Insert(v, static_cast<NodeId>(round * 2 + 1))};
+    ASSERT_TRUE(inc.ApplyBatch(batch).ok());
+    ASSERT_TRUE(inc.Snapshot() == ComputeDualSimulation(g, q)) << round;
+  }
+}
+
+struct StreamParam {
+  uint64_t seed;
+  double insert_fraction;
+  size_t steps;
+  size_t batch_size;
+  Distance max_bound;
+  MatchSemantics semantics = MatchSemantics::kBoundedSimulation;
+};
+
+class IncBoundedStreamSweep : public ::testing::TestWithParam<StreamParam> {};
+
+// The central property: after arbitrary update streams (mixed inserts and
+// deletes, cyclic patterns), the maintained relation equals recomputation
+// under the maintained semantics.
+TEST_P(IncBoundedStreamSweep, AlwaysEqualsBatchRecomputation) {
+  const StreamParam p = GetParam();
+  // Dual rows draw other patterns and streams than bounded rows of the same
+  // seed, so the two semantics do not replay one instance.
+  const bool dual = p.semantics == kDual;
+  const bool simulation = !dual && p.max_bound == 1;
+  Graph g = gen::ErdosRenyi(50, 200, p.seed);
+  Pattern q = gen::RandomPattern(4, 5, p.max_bound, 0.4,
+                                 dual ? p.seed * 19 + 5 : p.seed * 11 + 3);
+  IncrementalBoundedSimulation inc(&g, q, {}, p.semantics);
+  UpdateBatch stream = GenerateUpdateStream(g, p.steps * p.batch_size, p.insert_fraction,
+                                            dual ? p.seed * 23 + 6 : p.seed * 17 + 4);
+  for (size_t step = 0; step < p.steps; ++step) {
+    UpdateBatch batch(stream.begin() + step * p.batch_size,
+                      stream.begin() + (step + 1) * p.batch_size);
+    auto delta = inc.ApplyBatch(batch);
+    ASSERT_TRUE(delta.ok()) << delta.status();
+    ASSERT_TRUE(inc.Snapshot() == Recompute(g, q, p.semantics))
+        << "diverged at step " << step << " seed " << p.seed;
+    if (simulation) {
+      ASSERT_TRUE(inc.Snapshot() == ComputeSimulation(g, q))
+          << "diverged from simulation at step " << step << " seed " << p.seed;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, IncBoundedStreamSweep,
+    ::testing::Values(
+        // Bounded simulation.
+        StreamParam{1, 0.5, 15, 1, 2},   // unit, small bounds
+        StreamParam{2, 0.8, 12, 1, 3},   // insert heavy
+        StreamParam{3, 0.2, 12, 1, 3},   // delete heavy
+        StreamParam{4, 0.5, 8, 6, 2},    // batches
+        StreamParam{5, 0.5, 4, 25, 3},   // large batches
+        StreamParam{6, 1.0, 8, 4, 4},    // inserts only
+        StreamParam{7, 0.0, 8, 4, 4},    // deletes only
+        StreamParam{8, 0.5, 8, 4, 1},    // degenerate bound 1
+        // Graph simulation (bound 1).
+        StreamParam{1, 0.5, 20, 1, 1},   // unit updates
+        StreamParam{2, 0.8, 15, 1, 1},   // insert heavy
+        StreamParam{3, 0.2, 15, 1, 1},   // delete heavy
+        StreamParam{4, 0.5, 10, 8, 1},   // small batches
+        StreamParam{5, 0.5, 5, 40, 1},   // large batches
+        StreamParam{6, 1.0, 10, 5, 1},   // inserts only
+        StreamParam{7, 0.0, 10, 5, 1},   // deletes only
+        // Dual simulation.
+        StreamParam{1, 0.5, 12, 1, 2, kDual},    // unit updates
+        StreamParam{2, 0.8, 10, 1, 3, kDual},    // insert heavy
+        StreamParam{3, 0.2, 10, 1, 3, kDual},    // delete heavy
+        StreamParam{4, 0.5, 6, 6, 2, kDual},     // batches
+        StreamParam{5, 0.5, 4, 20, 3, kDual},    // large batches
+        StreamParam{6, 1.0, 8, 4, 1, kDual},     // inserts only, bound 1
+        StreamParam{7, 0.0, 8, 4, 4, kDual}));   // deletes only
 
 }  // namespace
 }  // namespace expfinder
