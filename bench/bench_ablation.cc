@@ -1,5 +1,6 @@
-// Experiment E8 — ablations of the design choices called out in DESIGN.md:
-//   (a) counting worklist vs naive fixpoint for simulation;
+// Experiment E8 — ablations of four design choices:
+//   (a) counting worklist vs naive fixpoint for simulation (the bound-1
+//       case of the one matcher);
 //   (b) planner's label-index candidate initialization on vs off;
 //   (c) bisimulation vs simulation-equivalence compression (ratio & cost);
 //   (d) seed/restore incremental machinery vs full recompute at tiny churn.
@@ -20,7 +21,7 @@ void CountingVsNaive() {
     Graph g = MakeEr(n, 9);
     Pattern q = gen::RandomPattern(4, 5, 1, 0.4, 19);
     Timer tc;
-    MatchRelation fast = ComputeSimulation(g, q);
+    MatchRelation fast = ComputeBoundedSimulation(g, q);
     double counting_ms = tc.ElapsedMillis();
     Timer tn;
     MatchRelation slow = ComputeSimulationNaive(g, q);

@@ -4,8 +4,9 @@
 // simulation and ~10% for bounded simulation, for unit and batch updates
 // and general (cyclic) patterns. This harness sweeps churn levels and
 // reports the measured speedup series + crossover. One maintainer,
-// IncrementalBoundedSimulation, serves both tables: E3.a runs it on bound-1
-// patterns (graph simulation) and checks it against ComputeSimulation.
+// IncrementalBoundedSimulation, serves both tables, and one matcher,
+// ComputeBoundedSimulation, recomputes each batch: E3.a runs both on bound-1
+// patterns (graph simulation).
 
 #include <algorithm>
 
@@ -34,11 +35,12 @@ double Median(std::vector<double> samples) {
   return samples[samples.size() / 2];
 }
 
-template <typename RecomputeFn>
 std::vector<Row> Sweep(const Graph& base, const Pattern& q,
-                       const std::vector<double>& churn_levels,
-                       RecomputeFn&& recompute) {
+                       const std::vector<double>& churn_levels) {
   std::vector<Row> rows;
+  // Batch recomputation publishes the updated graph and evaluates it with
+  // one reused context, as the service does.
+  MatchContext ctx;
   for (double churn : churn_levels) {
     size_t updates = std::max<size_t>(1, static_cast<size_t>(churn * base.NumEdges()));
     UpdateBatch batch = GenerateUpdateStream(base, updates, 0.5, 12345);
@@ -52,8 +54,11 @@ std::vector<Row> Sweep(const Graph& base, const Pattern& q,
       inc_ms.push_back(inc_timer.ElapsedMillis());
       EF_CHECK(delta.ok()) << delta.status();
       Timer batch_timer;
-      auto recomputed = recompute(g, q);
+      auto recomputed = ComputeBoundedSimulation(g.Publish(), q, {}, &ctx);
       batch_ms.push_back(batch_timer.ElapsedMillis());
+      // Unbind while g lives: otherwise the next rep's bind would free this
+      // rep's cloned pages inside its timed region.
+      ctx.BindSnapshot(nullptr);
       EF_CHECK(inc.Snapshot() == recomputed) << "incremental diverged";
       affected = inc.last_affected_size();
     }
@@ -103,7 +108,10 @@ int main() {
   const std::vector<double> churn = {0.001, 0.005, 0.01, 0.02, 0.05,
                                      0.10,  0.20,  0.30, 0.50};
   // Warm up allocator/page cache so first-row timings are comparable.
-  { Graph warm = MakeCollab(20000, 3); (void)ComputeSimulation(warm, LoosePattern(1)); }
+  {
+    Graph warm = MakeCollab(20000, 3);
+    (void)ComputeBoundedSimulation(warm, LoosePattern(1));
+  }
 
   {
     Header("E3.a incremental vs batch — graph simulation",
@@ -111,13 +119,9 @@ int main() {
     Graph g = MakeCollab(20000, 3);
     std::printf("graph: %zu nodes, %zu edges\n", g.NumNodes(), g.NumEdges());
     Pattern selective = gen::RandomPattern(4, 6, 1, 0.4, 17);
-    auto rows = Sweep(
-        g, selective, churn,
-        [](const Graph& gg, const Pattern& qq) { return ComputeSimulation(gg, qq); });
+    auto rows = Sweep(g, selective, churn);
     Report("simulation / selective pattern (strong conditions)", rows);
-    auto rows2 = Sweep(
-        g, LoosePattern(1), churn,
-        [](const Graph& gg, const Pattern& qq) { return ComputeSimulation(gg, qq); });
+    auto rows2 = Sweep(g, LoosePattern(1), churn);
     Report("simulation / loose cyclic pattern (common labels)", rows2);
   }
 
@@ -126,15 +130,9 @@ int main() {
            "incremental outperforms batch for changes up to ~10% of the graph");
     Graph g = MakeCollab(8000, 3);
     std::printf("graph: %zu nodes, %zu edges\n", g.NumNodes(), g.NumEdges());
-    auto rows = Sweep(
-        g, gen::TeamQuery(0), churn, [](const Graph& gg, const Pattern& qq) {
-          return ComputeBoundedSimulation(gg, qq);
-        });
+    auto rows = Sweep(g, gen::TeamQuery(0), churn);
     Report("bounded simulation / Fig.4-style selective pattern", rows);
-    auto rows2 = Sweep(
-        g, LoosePattern(2), churn, [](const Graph& gg, const Pattern& qq) {
-          return ComputeBoundedSimulation(gg, qq);
-        });
+    auto rows2 = Sweep(g, LoosePattern(2), churn);
     Report("bounded simulation / loose cyclic pattern (bound 2)", rows2);
   }
 

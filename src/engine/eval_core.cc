@@ -1,18 +1,10 @@
 #include "src/engine/eval_core.h"
 
 #include "src/matching/bounded_simulation.h"
-#include "src/matching/dual_simulation.h"
-#include "src/matching/simulation.h"
 
 namespace expfinder {
 
 namespace {
-
-MatchRelation RunMatcher(const SnapshotPtr& s, const Pattern& q,
-                         const MatchOptions& opts, MatchContext* ctx) {
-  if (q.IsSimulationPattern()) return ComputeSimulation(s, q, opts, ctx);
-  return ComputeBoundedSimulation(s, q, opts, ctx);
-}
 
 /// The cooperative interruption point polled at evaluation stage
 /// boundaries: cancellation wins over the deadline (a cancelled request
@@ -63,21 +55,19 @@ Result<MatchRelation> EvalCore::Evaluate(const EngineSnapshot& snap,
     return MatchRelation(q.NumNodes());
   }
   EF_RETURN_NOT_OK(CheckInterrupts(overrides));  // planned, not yet matched
-  if (semantics == MatchSemantics::kDualSimulation) {
-    // The forward-bisimulation quotient does not preserve parent
-    // constraints, so dual queries always run directly on G.
-    return ComputeDualSimulation(snap.graph, q, plan.match_options, ctx);
-  }
-  if (snap.compressed != nullptr && snap.compressed->IsCompatible(q)) {
+  // The forward-bisimulation quotient does not preserve parent constraints,
+  // so dual queries always run directly on G.
+  if (semantics == MatchSemantics::kBoundedSimulation && snap.compressed != nullptr &&
+      snap.compressed->IsCompatible(q)) {
     // The compressed view was frozen current at publish time — its
     // compatibility with snap.graph needs no version check here.
     *path = EvalPath::kCompressed;
-    MatchRelation compressed =
-        RunMatcher(snap.compressed_graph, q, plan.match_options, compressed_ctx);
+    MatchRelation compressed = ComputeBoundedSimulation(
+        snap.compressed_graph, q, plan.match_options, compressed_ctx);
     EF_RETURN_NOT_OK(CheckInterrupts(overrides));  // matched, not decompressed
     return snap.compressed->Decompress(compressed);
   }
-  return RunMatcher(snap.graph, q, plan.match_options, ctx);
+  return ComputeBoundedSimulation(snap.graph, q, plan.match_options, ctx, semantics);
 }
 
 }  // namespace expfinder

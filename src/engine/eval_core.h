@@ -11,8 +11,8 @@
 //     shared_ptr<const>: readers pin one and evaluate against it lock-free,
 //     concurrently with writers publishing successors.
 //   * EvalCore owns only configuration (EngineOptions + the planner) and is
-//     const end to end: plan, short-circuit, dispatch to the dual /
-//     compressed / direct matcher, decompress — a pure function of
+//     const end to end: plan, short-circuit, run the one matcher on the
+//     compressed view or the graph, decompress — a pure function of
 //     (snapshot, pattern, overrides). Any number of threads may call it
 //     concurrently, each with its own MatchContext pair.
 //

@@ -3,8 +3,8 @@
 // ExpFinder (Fan, Wang, Wu — ICDE 2013) finds experts in social networks by
 // graph pattern matching: bounded simulation queries, top-K social-impact
 // ranking, incremental maintenance under edge updates, and query-preserving
-// graph compression. See README.md for a tour and DESIGN.md for the
-// architecture.
+// graph compression. See README.md for a tour; its "Performance
+// architecture" section describes the architecture.
 
 #ifndef EXPFINDER_EXPFINDER_H_
 #define EXPFINDER_EXPFINDER_H_

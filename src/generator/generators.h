@@ -2,10 +2,9 @@
 //   (1) a parametric generator family producing "arbitrarily large graphs"
 //       (Erdős–Rényi, preferential attachment, collaboration networks), and
 //   (2) a Twitter-like generator standing in for the paper's real Twitter
-//       fraction (see DESIGN.md, substitutions): directed scale-free
-//       topology with configurable reciprocity and Zipf-skewed expertise
-//       labels — the structural properties the evaluated code paths depend
-//       on.
+//       fraction, which is not available: directed scale-free topology
+//       with configurable reciprocity and Zipf-skewed expertise labels —
+//       the structural properties the evaluated code paths depend on.
 // All generators are deterministic in their seed.
 
 #ifndef EXPFINDER_GENERATOR_GENERATORS_H_
@@ -111,7 +110,7 @@ struct RmatConfig {
 };
 Graph Rmat(const RmatConfig& config);
 
-/// \brief Twitter-like stand-in (see DESIGN.md): preferential attachment
+/// \brief Stand-in for the paper's Twitter data: preferential attachment
 /// core + reciprocity + Zipf labels + a sprinkling of random bridges.
 struct TwitterLikeConfig {
   size_t n = 10000;

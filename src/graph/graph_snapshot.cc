@@ -14,8 +14,8 @@ std::shared_ptr<const GraphSnapshot> GraphSnapshot::Capture(const Graph& g) {
 
 const KhopIndex* GraphSnapshot::BallIndex(Distance depth,
                                           const BallIndexOptions& limits,
-                                          ThreadPool* pool, size_t workers,
-                                          bool* built_now) const {
+                                          const std::function<ThreadPool*()>& pool,
+                                          size_t workers, bool* built_now) const {
   if (built_now != nullptr) *built_now = false;
   if (!limits.enabled || depth == 0 || depth == kUnreachable ||
       depth > limits.max_depth) {
@@ -46,7 +46,7 @@ const KhopIndex* GraphSnapshot::BallIndex(Distance depth,
   // shown reuse — one-shot readers and write-heavy version churn stay on
   // the BFS paths for free.
   if (ball_uses_ < limits.build_after_uses) return nullptr;
-  auto built = KhopIndex::Build(csr_, depth, limits, pool, workers);
+  auto built = KhopIndex::Build(csr_, depth, limits, pool ? pool() : nullptr, workers);
   if (built == nullptr) {
     // Keep any existing shallower index — it is still exact — and remember
     // that `depth` does not fit the budget.

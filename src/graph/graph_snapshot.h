@@ -39,6 +39,7 @@
 #define EXPFINDER_GRAPH_GRAPH_SNAPSHOT_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -90,14 +91,16 @@ class GraphSnapshot {
   /// shallower ball is a prefix of a deeper one), failed depths memoized,
   /// and the first limits.build_after_uses - 1 calls return nullptr without
   /// building, so only versions with demonstrated reuse pay the O(n) build.
-  /// `pool`/`workers` parallelize a build this call triggers (the caller's
-  /// seeding pool; nullptr/1 builds serially). Thread-safe: builders are
-  /// serialized on an internal mutex, readers are lock-free, and a
-  /// shallower index replaced by a deeper build is retired, not freed.
+  /// `pool`/`workers` parallelize a build this call triggers: `pool` is
+  /// asked for the caller's seeding pool only when a build runs, so a call
+  /// that builds nothing spawns no threads (an empty `pool` or workers <= 1
+  /// builds serially). Thread-safe: builders are serialized on an internal
+  /// mutex, readers are lock-free, and a shallower index replaced by a
+  /// deeper build is retired, not freed.
   /// `built_now` (optional) reports whether this call paid a build, so
   /// per-context telemetry can attribute it.
   const KhopIndex* BallIndex(Distance depth, const BallIndexOptions& limits,
-                             ThreadPool* pool, size_t workers,
+                             const std::function<ThreadPool*()>& pool, size_t workers,
                              bool* built_now) const;
 
   /// The already-built index, or nullptr — never builds, never counts a

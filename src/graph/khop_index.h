@@ -27,11 +27,12 @@
 //
 // KhopIndex is immutable — the matchers read the one cached on the published
 // GraphSnapshot they evaluate (graph_snapshot.h), built at most once per
-// version and depth and shared by every reader. The incremental maintainers
-// (src/incremental/inc_{bounded,dual}.h) do not use it: their graph mutates
-// in place, and a batch reads only the few balls around its touched edges,
-// so they BFS the live graph, which costs no more than re-deriving those
-// balls would.
+// version and depth and shared by every reader, through VisitBall below,
+// which also holds the one BFS fallback. The incremental maintainer
+// (src/incremental/inc_bounded.h) does not use it: its graph mutates in
+// place, and a batch reads only the few balls around its touched edges, so
+// it BFSes the live graph, which costs no more than re-deriving those balls
+// would.
 
 #ifndef EXPFINDER_GRAPH_KHOP_INDEX_H_
 #define EXPFINDER_GRAPH_KHOP_INDEX_H_
@@ -43,6 +44,7 @@
 #include <span>
 #include <vector>
 
+#include "src/graph/bfs.h"
 #include "src/graph/csr.h"
 #include "src/graph/types.h"
 #include "src/util/dense_bitset.h"
@@ -155,6 +157,28 @@ class KhopIndex {
   Distance depth_ = 0;
   Side fwd_, rev_;
 };
+
+/// Calls `visit(w, d)` once for every w at shortest nonempty distance d in
+/// [1, depth] from v — along out-edges when Forward, in-edges otherwise — by
+/// scanning v's strata when `ball` covers v at `depth`, else by a bounded
+/// BFS over `csr` with `buf`. Both paths visit the same (w, d) pairs in the
+/// same order. Returns whether the ball served the visit, so callers can
+/// tally ball hits against BFS fallbacks.
+template <bool Forward, typename Visit>
+bool VisitBall(const KhopIndex* ball, const Csr& csr, NodeId v, Distance depth,
+               BfsBuffers* buf, Visit&& visit) {
+  if (ball != nullptr && depth <= ball->depth() &&
+      (Forward ? ball->HasOut(v) : ball->HasIn(v))) {
+    for (Distance d = 1; d <= depth; ++d) {
+      for (NodeId w : Forward ? ball->StratumOut(v, d) : ball->StratumIn(v, d)) {
+        visit(w, d);
+      }
+    }
+    return true;
+  }
+  BoundedBfsNonEmpty<Forward>(csr, v, depth, buf, visit);
+  return false;
+}
 
 }  // namespace expfinder
 

@@ -21,9 +21,10 @@
 //   pairs, and the standard removal cascade prunes to the greatest
 //   fixpoint.
 //
-// Dual simulation (MatchSemantics::kDualSimulation, see dual_simulation.h)
-// also requires a match's parents to match: a pair depends on matches in its
-// backward window too. The maintainer then keeps a second set of counters,
+// Dual simulation (MatchSemantics::kDualSimulation, see
+// bounded_simulation.h) also requires a match's parents to match: a pair
+// depends on matches in its backward window too. The maintainer then keeps a
+// second set of counters,
 // bwd[e=(u',u)][v] = |{v' in M(u') : 0 < dist(v',v) <= bound(e)}|, and runs
 // every phase above in both directions as well: the descendants of a touched
 // edge's target are seeded, and the restore closure, the counter patches and
@@ -32,11 +33,12 @@
 // Every bounded traversal above is a hop-bounded BFS over the live graph.
 // A batch reads only the balls around its touched edges, so keeping a ball
 // index of the whole graph fresh would cost more than those BFSes (measured
-// by bench_incremental); the batch matchers read the snapshot-owned
+// by bench_incremental); the batch matcher reads the snapshot-owned
 // KhopIndex (khop_index.h) instead.
 //
 // The result always equals batch recomputation (property-tested against
-// ComputeBoundedSimulation, ComputeSimulation and ComputeDualSimulation);
+// ComputeBoundedSimulation under both semantics, and against the
+// ComputeSimulationNaive oracle on bound-1 patterns);
 // the cost is proportional to |AFF|, which is why incremental wins at low
 // churn and loses to batch beyond a few percent (reproduced by
 // bench_incremental).

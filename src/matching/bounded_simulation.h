@@ -1,16 +1,39 @@
 // Bounded simulation matching — the paper's core notion (§II, from Fan et
 // al., PVLDB 2010): a pattern edge (u,u') with bound k maps to a *nonempty
 // path* of length <= k between matches, so experts who collaborated
-// indirectly still match.
+// indirectly still match. Graph simulation (every pattern edge maps to one
+// data edge; paper §II cites Henzinger–Henzinger–Kopke) is its bound-1 case
+// and runs the same code.
 //
-// ComputeBoundedSimulation runs the cubic-time worklist fixpoint:
-//   cnt[e=(u,u')][v] = |{v' in mat(u') : 0 < dist(v,v') <= bound(e)}|
-// seeded by forward hop-bounded BFS from every candidate; removing v' from
-// mat(u') triggers a reverse bounded BFS decrementing supporters, and zero
-// counters cascade. Graph simulation is the special case bound == 1.
+// Under MatchSemantics::kDualSimulation the same fixpoint computes bounded
+// *dual* simulation (Ma et al., "Capturing topology in graph pattern
+// matching", PVLDB 2011): a match must also satisfy its pattern node's
+// *incoming* edges, i.e. have the required ancestors, not just descendants.
+// This prunes "stray" matches that bounded simulation admits (e.g. a tester
+// nobody on the team ever worked with), at the same asymptotic cost; the
+// bench_semantics program measures how much it prunes. M(Q,G) is then the
+// maximum relation such that every pattern node has a match and for each
+// (u,v) in M:
+//   - v satisfies u's label and search conditions;
+//   - for every pattern edge (u,u') with bound k there is v' with
+//     (u',v') in M and a nonempty path v -> v' of length <= k;
+//   - for every pattern edge (u'',u) with bound k there is v'' with
+//     (u'',v'') in M and a nonempty path v'' -> v of length <= k.
+// Dual simulation is contained in bounded simulation (it only adds
+// constraints), and the two coincide on an edge-less pattern.
 //
-// ComputeBoundedSimulationNaive re-derives the fixpoint against a dense
-// distance matrix; it is the test oracle (graphs <= 4096 nodes).
+// ComputeBoundedSimulation runs the cubic-time counting worklist fixpoint:
+//   fwd[e=(u,u')][v]  = |{v' in mat(u') : 0 < dist(v,v') <= bound(e)}|
+// seeded by a forward ball scan (or hop-bounded BFS) from every candidate;
+// removing v' from mat(u') decrements the supporters in its reverse ball,
+// and zero counters cascade. Dual semantics adds the mirror family
+//   bwd[e=(u,u')][v'] = |{v in mat(u) : 0 < dist(v,v') <= bound(e)}|
+// seeded over each candidate's reverse ball, whose removals cascade into
+// the descendants' backward counters.
+//
+// The *Naive functions in bounded_simulation.h, simulation.h and
+// dual_simulation.h re-derive each fixpoint by brute force; they are the
+// test oracles.
 
 #ifndef EXPFINDER_MATCHING_BOUNDED_SIMULATION_H_
 #define EXPFINDER_MATCHING_BOUNDED_SIMULATION_H_
@@ -25,10 +48,11 @@ namespace expfinder {
 
 class MatchContext;
 
-/// Computes M(Q,G) under bounded-simulation semantics. Handles any bounds
-/// (including kUnboundedEdge = reachability), and fans the seeding phase
-/// out over options.num_threads workers (deterministic: identical results
-/// for every thread count).
+/// Computes M(Q,G) under `semantics`: bounded simulation (bound-1 patterns
+/// give graph simulation) or bounded dual simulation. Handles any bounds
+/// (including kUnboundedEdge = reachability) and cyclic patterns, and fans
+/// the seeding phase out over options.num_threads workers (deterministic:
+/// identical results for every thread count).
 ///
 /// Snapshot form: evaluates against a published immutable GraphSnapshot.
 /// Binds `ctx` (required) to the snapshot — the CSR, ball index and topic
@@ -37,15 +61,17 @@ class MatchContext;
 /// rides the same state; the context's BFS buffers and counter arrays are
 /// reused across calls. This is the serving path: any number of threads may
 /// evaluate against one snapshot concurrently, each with its own context.
-MatchRelation ComputeBoundedSimulation(const SnapshotPtr& s, const Pattern& q,
-                                       const MatchOptions& options, MatchContext* ctx);
+MatchRelation ComputeBoundedSimulation(
+    const SnapshotPtr& s, const Pattern& q, const MatchOptions& options,
+    MatchContext* ctx, MatchSemantics semantics = MatchSemantics::kBoundedSimulation);
 
 /// One-shot form: captures a snapshot of `g` and evaluates it with a fresh
 /// context. The capture shares `g`'s topic-index slot (Graph::topic_slot),
 /// so a text predicate here ages, and may build, the index that every
 /// snapshot of the same content reads.
-MatchRelation ComputeBoundedSimulation(const Graph& g, const Pattern& q,
-                                       const MatchOptions& options = {});
+MatchRelation ComputeBoundedSimulation(
+    const Graph& g, const Pattern& q, const MatchOptions& options = {},
+    MatchSemantics semantics = MatchSemantics::kBoundedSimulation);
 
 /// Reference implementation against a dense all-pairs distance matrix;
 /// requires g.NumNodes() <= 4096.

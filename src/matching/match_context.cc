@@ -17,7 +17,10 @@ const KhopIndex* MatchContext::BallIndexFor(Distance depth,
                                             uint32_t num_threads) {
   EF_DCHECK(snapshot_ != nullptr) << "BallIndexFor needs a bound snapshot";
   const size_t workers = SeedWorkers(num_threads, snapshot_->csr().NumNodes());
-  ThreadPool* pool = workers > 1 ? &Pool(workers) : nullptr;
+  // The pool is created only if the snapshot decides to build.
+  auto pool = [this, workers]() -> ThreadPool* {
+    return workers > 1 ? &Pool(workers) : nullptr;
+  };
   bool built_now = false;
   const KhopIndex* index = snapshot_->BallIndex(depth, limits, pool, workers, &built_now);
   if (built_now) ++ball_index_builds_;

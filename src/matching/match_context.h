@@ -59,8 +59,8 @@ class MatchContext {
   /// The bound snapshot's shared k-hop ball index at (at least) `depth`, or
   /// nullptr when the matcher must BFS instead (see GraphSnapshot::BallIndex
   /// for the deferred-build, failure-memo and grow-only policy). A build
-  /// this call triggers runs on this context's seeding pool and counts in
-  /// ball_index_builds(). Requires a bound snapshot.
+  /// this call triggers runs on this context's seeding pool, created only
+  /// then, and counts in ball_index_builds(). Requires a bound snapshot.
   const KhopIndex* BallIndexFor(Distance depth, const BallIndexOptions& limits,
                                 uint32_t num_threads);
 

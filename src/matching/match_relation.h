@@ -66,14 +66,14 @@ class MatchRelation {
   std::vector<std::vector<NodeId>> matches_;
 };
 
-/// \brief Matching semantics a query is evaluated and maintained under
-/// (EvalCore picks the batch matcher by it; IncrementalBoundedSimulation
-/// maintains either).
+/// \brief Matching semantics a query is evaluated and maintained under:
+/// ComputeBoundedSimulation evaluates, and IncrementalBoundedSimulation
+/// maintains, either.
 enum class MatchSemantics {
   /// Bounded simulation — the paper's notion (bound-1 = plain simulation).
   kBoundedSimulation,
   /// Bounded *dual* simulation — parents must match too (extension; see
-  /// dual_simulation.h). Not servable from the compressed graph (the
+  /// bounded_simulation.h). Not servable from the compressed graph (the
   /// forward-bisimulation quotient does not preserve parent constraints),
   /// and a maintained query answers only reads of its own semantics
   /// (QueryCacheKey folds the semantics in).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/graph/bfs.h"
 #include "src/graph/csr.h"
 #include "src/graph/khop_index.h"
 #include "src/matching/match_context.h"
@@ -81,7 +80,6 @@ void ResultGraph::Build(const Pattern& q, const MatchRelation& m, MatchContext* 
     const auto& out_edges = q.OutEdges(u);
     if (out_edges.empty()) continue;
     Distance depth = q.MaxOutBound(u);
-    const bool indexed = ball != nullptr && depth <= ball->depth();
     // Hoisted per-edge state: bound + target membership row.
     struct EdgeRef {
       Distance bound;
@@ -102,15 +100,8 @@ void ResultGraph::Build(const Pattern& q, const MatchRelation& m, MatchContext* 
     };
     for (NodeId v : m.MatchesOf(u)) {
       uint64_t vkey = static_cast<uint64_t>(pos[v]) << 32;
-      if (indexed && ball->HasOut(v)) {
-        // Same visit set as the BFS, at its shortest nonempty distance.
-        for (Distance d = 1; d <= depth; ++d) {
-          for (NodeId w : ball->StratumOut(v, d)) record(vkey, w, d);
-        }
-      } else {
-        BoundedBfsNonEmpty<true>(csr, v, depth, buf,
-                                 [&](NodeId w, Distance d) { record(vkey, w, d); });
-      }
+      VisitBall<true>(ball, csr, v, depth, buf,
+                      [&](NodeId w, Distance d) { record(vkey, w, d); });
     }
   }
   // Counting-sort by source position instead of one global sort: buckets

@@ -1,11 +1,6 @@
-// Graph simulation matching (every pattern edge maps to a single data
-// edge) — the quadratic-time special case of bounded simulation used when
-// all bounds are 1 (paper §II cites [6], Henzinger–Henzinger–Kopke).
-//
-// ComputeSimulation runs a counting worklist fixpoint in O(|Q| * |E|):
-// for each pattern edge e = (u,u') and candidate v of u, cnt[e][v] counts
-// v's successors currently matching u'. When a pair is invalidated, its
-// predecessors' counters are decremented; zero counters cascade.
+// Graph simulation (every pattern edge maps to a single data edge; paper §II
+// cites Henzinger–Henzinger–Kopke) is bounded simulation with every bound 1,
+// and ComputeBoundedSimulation (bounded_simulation.h) computes it.
 //
 // ComputeSimulationNaive is the O(rounds * |Q| * |E|) textbook fixpoint kept
 // as a test oracle.
@@ -23,21 +18,13 @@ namespace expfinder {
 
 class MatchContext;
 
-/// Computes M(Q,G) under graph-simulation semantics. Every edge bound must
-/// be 1 (checked); use ComputeBoundedSimulation otherwise.
-///
-/// Snapshot form: evaluates against a published immutable GraphSnapshot,
-/// binding `ctx` (required) to it and reusing its counter arrays across
-/// calls. See bounded_simulation.h.
+/// Forwards to ComputeBoundedSimulation(s, q, options, ctx), which new code
+/// calls directly; kept because loadbench/src/replay.cc calls it.
 MatchRelation ComputeSimulation(const SnapshotPtr& s, const Pattern& q,
                                 const MatchOptions& options, MatchContext* ctx);
 
-/// One-shot form: captures a snapshot of `g` and evaluates it with a fresh
-/// context (see bounded_simulation.h).
-MatchRelation ComputeSimulation(const Graph& g, const Pattern& q,
-                                const MatchOptions& options = {});
-
-/// Reference implementation (slow, obviously-correct); test oracle.
+/// Reference implementation (slow, obviously-correct) for patterns whose
+/// every bound is 1 (checked); test oracle.
 MatchRelation ComputeSimulationNaive(const Graph& g, const Pattern& q);
 
 }  // namespace expfinder

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/generator/generators.h"
 #include "src/graph/shortest_paths.h"
 #include "src/matching/bounded_simulation.h"
+#include "src/matching/dual_simulation.h"
 #include "src/matching/simulation.h"
 
 namespace expfinder {
@@ -39,7 +42,7 @@ TEST(BoundedSimulationTest, BoundOneEqualsSimulation) {
   for (int i = 0; i < 6; ++i) {
     Pattern q = gen::RandomPattern(4, 5, 1, 0.4, 500 + i);
     ASSERT_TRUE(q.IsSimulationPattern());
-    EXPECT_TRUE(ComputeBoundedSimulation(g, q) == ComputeSimulation(g, q)) << i;
+    EXPECT_TRUE(ComputeBoundedSimulation(g, q) == ComputeSimulationNaive(g, q)) << i;
   }
 }
 
@@ -148,32 +151,83 @@ TEST(BoundedSimulationTest, LabelIndexOffMatchesOn) {
   }
 }
 
+// --- One oracle sweep for every semantics the matcher computes ----------
+//
+// Each row runs `patterns` random patterns on one Erdős–Rényi graph and
+// compares the matcher with the oracle of the row's semantics: bound-1 rows
+// with ComputeSimulationNaive, bounded rows with
+// ComputeBoundedSimulationNaive, dual rows with ComputeDualSimulationNaive.
+// Two empty relations compare equal whatever the matcher does, so pattern
+// labels are drawn from the graph's three commonest (Zipf-assigned) labels,
+// each row's density is set so that most of its instances are nonempty,
+// and the test asserts that they are.
+
 struct SweepParam {
   uint64_t seed;
-  size_t n, m;
-  size_t qn, qm;
+  uint32_t n, m;
+  uint32_t qn, qm;
   Distance max_bound;
+  MatchSemantics semantics;
+  int patterns;
 };
 
-class BoundedSweep : public ::testing::TestWithParam<SweepParam> {};
+constexpr MatchSemantics kBounded = MatchSemantics::kBoundedSimulation;
+constexpr MatchSemantics kDual = MatchSemantics::kDualSimulation;
 
-TEST_P(BoundedSweep, MatchesNaiveOracle) {
+// Prints the row as its CTest name suffix (e.g. seed3_n70_m315_b2_bounded),
+// in place of the struct's raw bytes, padding included, which change from
+// build to build.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_n" << p.n << "_m" << p.m << "_b" << p.max_bound
+      << (p.semantics == kDual ? "_dual" : "_bounded");
+}
+
+class MatcherSweep : public ::testing::TestWithParam<SweepParam> {};
+
+TEST_P(MatcherSweep, MatchesNaiveOracle) {
   const SweepParam p = GetParam();
+  const bool dual = p.semantics == kDual;
   Graph g = gen::ErdosRenyi(p.n, p.m, p.seed);
-  for (int i = 0; i < 4; ++i) {
-    Pattern q = gen::RandomPattern(p.qn, p.qm, p.max_bound, 0.4, p.seed * 53 + i);
-    MatchRelation fast = ComputeBoundedSimulation(g, q);
-    MatchRelation naive = ComputeBoundedSimulationNaive(g, q);
+  gen::LabelModel common = gen::DefaultExpertiseModel();
+  common.labels.resize(3);
+  int nonempty = 0;
+  for (int i = 0; i < p.patterns; ++i) {
+    Pattern q = gen::RandomPattern(p.qn, p.qm, p.max_bound, 0.4,
+                                   p.seed * (dual ? 67 : 53) + i, common);
+    MatchRelation fast = ComputeBoundedSimulation(g, q, {}, p.semantics);
+    MatchRelation naive = dual                 ? ComputeDualSimulationNaive(g, q)
+                          : p.max_bound == 1 ? ComputeSimulationNaive(g, q)
+                                             : ComputeBoundedSimulationNaive(g, q);
     EXPECT_TRUE(fast == naive) << "pattern " << i << "\n" << q.ToText();
+    nonempty += !naive.IsEmpty();
   }
+  EXPECT_GT(2 * nonempty, p.patterns) << "most instances must match something";
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RandomGraphs, BoundedSweep,
-    ::testing::Values(SweepParam{1, 30, 90, 3, 3, 2}, SweepParam{2, 50, 200, 4, 5, 3},
-                      SweepParam{3, 70, 210, 5, 7, 2}, SweepParam{4, 40, 240, 4, 6, 4},
-                      SweepParam{5, 90, 360, 4, 5, 3}, SweepParam{6, 25, 100, 3, 4, 5},
-                      SweepParam{7, 60, 120, 5, 6, 2}));
+    RandomGraphs, MatcherSweep,
+    ::testing::Values(
+        // Graph simulation (bound 1).
+        SweepParam{1, 30, 180, 3, 3, 1, kBounded, 5},
+        SweepParam{2, 50, 375, 4, 5, 1, kBounded, 5},
+        SweepParam{3, 80, 720, 5, 7, 1, kBounded, 5},
+        SweepParam{4, 120, 900, 4, 6, 1, kBounded, 5},
+        SweepParam{5, 60, 1680, 6, 9, 1, kBounded, 5},
+        SweepParam{6, 25, 150, 3, 2, 1, kBounded, 5},
+        // Bounded simulation.
+        SweepParam{1, 30, 90, 3, 3, 2, kBounded, 4},
+        SweepParam{2, 50, 200, 4, 5, 3, kBounded, 4},
+        SweepParam{3, 70, 315, 5, 7, 2, kBounded, 4},
+        SweepParam{4, 40, 240, 4, 6, 4, kBounded, 4},
+        SweepParam{5, 90, 540, 4, 5, 3, kBounded, 4},
+        SweepParam{6, 25, 100, 3, 4, 5, kBounded, 4},
+        SweepParam{7, 60, 240, 5, 6, 2, kBounded, 4},
+        // Bounded dual simulation.
+        SweepParam{1, 30, 180, 4, 5, 2, kDual, 4},
+        SweepParam{2, 50, 200, 4, 5, 3, kDual, 4},
+        SweepParam{3, 70, 840, 4, 5, 1, kDual, 4},
+        SweepParam{4, 40, 240, 4, 5, 4, kDual, 4},
+        SweepParam{5, 60, 360, 4, 5, 2, kDual, 4}));
 
 // Collaboration networks exercise the label skew + team structure.
 class BoundedCollabSweep : public ::testing::TestWithParam<uint64_t> {};

@@ -3,11 +3,19 @@
 #include "src/generator/generators.h"
 #include "src/graph/graph_snapshot.h"
 #include "src/matching/bounded_simulation.h"
-#include "src/matching/dual_simulation.h"
 #include "src/matching/match_context.h"
+
+// Bounded dual simulation, the matcher's MatchSemantics::kDualSimulation;
+// the oracle sweep is MatcherSweep in bounded_simulation_test.cc.
 
 namespace expfinder {
 namespace {
+
+constexpr MatchSemantics kDual = MatchSemantics::kDualSimulation;
+
+MatchRelation Dual(const Graph& g, const Pattern& q, const MatchOptions& options = {}) {
+  return ComputeBoundedSimulation(g, q, options, kDual);
+}
 
 TEST(DualSimulationTest, ParentConstraintPrunes) {
   // a[A] -> b[B]: B1 has a parent A, B2 does not. Bounded simulation keeps
@@ -25,7 +33,7 @@ TEST(DualSimulationTest, ParentConstraintPrunes) {
   Pattern q = b.Build().value();
 
   MatchRelation bounded = ComputeBoundedSimulation(g, q);
-  MatchRelation dual = ComputeDualSimulation(g, q);
+  MatchRelation dual = Dual(g, q);
   // Bounded simulation: B2 matches b (no out-constraints on b).
   EXPECT_TRUE(bounded.Contains(1, 2));
   // Dual simulation: B2 has no A-parent, so it is pruned.
@@ -38,7 +46,7 @@ TEST(DualSimulationTest, Fig1WithStrayTester) {
   // On Fig.1 itself, every match has proper ancestors: dual == bounded.
   Graph g = gen::BuildFig1Graph();
   Pattern q = gen::BuildFig1Pattern();
-  EXPECT_TRUE(ComputeDualSimulation(g, q) == ComputeBoundedSimulation(g, q));
+  EXPECT_TRUE(Dual(g, q) == ComputeBoundedSimulation(g, q));
 
   // Add a stray tester nobody collaborates with: bounded simulation admits
   // him (ST has no out-edges in Q), dual rejects him.
@@ -46,7 +54,7 @@ TEST(DualSimulationTest, Fig1WithStrayTester) {
   g.SetAttr(tom, "name", AttrValue("Tom"));
   g.SetAttr(tom, "experience", AttrValue(3));
   MatchRelation bounded = ComputeBoundedSimulation(g, q);
-  MatchRelation dual = ComputeDualSimulation(g, q);
+  MatchRelation dual = Dual(g, q);
   auto st = *q.FindNode("ST");
   EXPECT_TRUE(bounded.Contains(st, tom));
   EXPECT_FALSE(dual.Contains(st, tom));
@@ -58,7 +66,7 @@ TEST(DualSimulationTest, ContainedInBoundedSimulation) {
     Graph g = gen::ErdosRenyi(60, 240, seed);
     for (int i = 0; i < 4; ++i) {
       Pattern q = gen::RandomPattern(4, 5, 3, 0.4, seed * 41 + i);
-      MatchRelation dual = ComputeDualSimulation(g, q);
+      MatchRelation dual = Dual(g, q);
       MatchRelation bounded = ComputeBoundedSimulation(g, q);
       for (const auto& [u, v] : dual.AllPairs()) {
         EXPECT_TRUE(bounded.Contains(u, v)) << "(" << u << "," << v << ")";
@@ -75,7 +83,7 @@ TEST(DualSimulationTest, NoInEdgesReducesToBoundedSimulation) {
   PatternBuilder b;
   b.Node("SA", "sa").Where("experience", CmpOp::kGe, 3).Output();
   Pattern q = b.Build().value();
-  EXPECT_TRUE(ComputeDualSimulation(g, q) == ComputeBoundedSimulation(g, q));
+  EXPECT_TRUE(Dual(g, q) == ComputeBoundedSimulation(g, q));
 }
 
 TEST(DualSimulationTest, CyclicPatternBothDirections) {
@@ -93,7 +101,7 @@ TEST(DualSimulationTest, CyclicPatternBothDirections) {
   auto bb = b.Node("B", "b");
   b.Edge(a, bb, 1).Edge(bb, a, 1);
   Pattern q = b.Build().value();
-  MatchRelation dual = ComputeDualSimulation(g, q);
+  MatchRelation dual = Dual(g, q);
   EXPECT_TRUE(dual.Contains(0, 0));
   EXPECT_TRUE(dual.Contains(1, 1));
   // Node 2 has the required b-child (node 1), so *bounded* simulation keeps
@@ -118,35 +126,10 @@ TEST(DualSimulationTest, BoundedPathsInBothDirections) {
   auto bb = b.Node("B", "b");
   b.Edge(a, bb, 2);
   Pattern q = b.Build().value();
-  MatchRelation dual = ComputeDualSimulation(g, q);
+  MatchRelation dual = Dual(g, q);
   EXPECT_TRUE(dual.Contains(1, 2));   // has the 2-hop ancestor
   EXPECT_FALSE(dual.Contains(1, 3));  // orphan pruned
 }
-
-struct SweepParam {
-  uint64_t seed;
-  size_t n, m;
-  Distance max_bound;
-};
-
-class DualSweep : public ::testing::TestWithParam<SweepParam> {};
-
-TEST_P(DualSweep, MatchesNaiveOracle) {
-  const SweepParam p = GetParam();
-  Graph g = gen::ErdosRenyi(p.n, p.m, p.seed);
-  for (int i = 0; i < 4; ++i) {
-    Pattern q = gen::RandomPattern(4, 5, p.max_bound, 0.4, p.seed * 67 + i);
-    MatchRelation fast = ComputeDualSimulation(g, q);
-    MatchRelation naive = ComputeDualSimulationNaive(g, q);
-    EXPECT_TRUE(fast == naive) << "pattern " << i << "\n" << q.ToText();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RandomGraphs, DualSweep,
-    ::testing::Values(SweepParam{1, 30, 90, 2}, SweepParam{2, 50, 200, 3},
-                      SweepParam{3, 70, 210, 1}, SweepParam{4, 40, 240, 4},
-                      SweepParam{5, 60, 180, 2}));
 
 TEST(DualSimulationTest, LabelIndexOffMatchesOn) {
   Graph g = gen::TwitterLike({.n = 300, .out_per_node = 4, .seed = 11});
@@ -154,14 +137,14 @@ TEST(DualSimulationTest, LabelIndexOffMatchesOn) {
     Pattern q = gen::RandomPattern(4, 4, 2, 0.4, 900 + i);
     MatchOptions on, off;
     off.use_label_index = false;
-    EXPECT_TRUE(ComputeDualSimulation(g, q, on) == ComputeDualSimulation(g, q, off));
+    EXPECT_TRUE(Dual(g, q, on) == Dual(g, q, off));
   }
 }
 
 // Regression: the seeding loop sizes a context's BFS buffers only for
-// pattern nodes with out-edges, so before refinement sized them itself, an
+// pattern nodes with edges, so before refinement sized them itself, an
 // edge-less pattern on a fresh MatchContext indexed an empty buffer deque
-// (a -D_GLIBCXX_ASSERTIONS build aborts on it). Both matchers, both forms.
+// (a -D_GLIBCXX_ASSERTIONS build aborts on it). Both semantics, both forms.
 TEST(DualSimulationTest, EdgeLessPatternOnFreshContext) {
   Graph g = gen::BuildFig1Graph();
   PatternBuilder b;
@@ -178,10 +161,10 @@ TEST(DualSimulationTest, EdgeLessPatternOnFreshContext) {
   };
   // The one-shot form constructs its own fresh context.
   check(ComputeBoundedSimulation(g, q));
-  check(ComputeDualSimulation(g, q));
+  check(Dual(g, q));
   MatchContext bounded_ctx, dual_ctx;
   check(ComputeBoundedSimulation(snap, q, {}, &bounded_ctx));
-  check(ComputeDualSimulation(snap, q, {}, &dual_ctx));
+  check(ComputeBoundedSimulation(snap, q, {}, &dual_ctx, kDual));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // End-to-end reproduction of the paper's running example (Examples 1-3,
 // Fig. 1): the exact match relation, the exact ranking scores, the top-1
-// expert, and the effect of inserting edge e1. This is experiment E1 in
-// DESIGN.md.
+// expert, and the effect of inserting edge e1. bench/bench_semantics.cc
+// prints the same numbers as experiment E1.
 
 #include <gtest/gtest.h>
 

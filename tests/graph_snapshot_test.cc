@@ -2,14 +2,17 @@
 // frozen copy sharing the source's sealed pages, isolated from later
 // mutation of the source, also while readers scan it on other threads),
 // handle identity through Graph::Publish, and the shared lazy ball-index
-// slot: deferred build, grow-only depth, first-limits-wins, failure
-// memoization, and lock-free cached reads — all per snapshot, not per
-// context. Last, the CSR chunks the Csr reads: equal to the lists under
-// churn, built once per sealed page, safe to capture concurrently.
+// slot: deferred build (spawning no build threads before it runs),
+// grow-only depth, first-limits-wins, failure memoization, and lock-free
+// cached reads — all per snapshot, not per context. Last, the CSR chunks
+// the Csr reads: equal to the lists under churn, built once per sealed
+// page, safe to capture concurrently.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -84,6 +87,25 @@ TEST(GraphSnapshotTest, BallIndexDeferredUntilObservedReuse) {
   EXPECT_EQ(snap->BallIndex(2, limits, nullptr, 1, &built_now), index);
   EXPECT_FALSE(built_now);
   EXPECT_EQ(snap->CachedBallIndex(), index);
+}
+
+// A context asks its snapshot for the ball index on every matcher run, and
+// the snapshot builds only once it has seen reuse. Until then the context
+// must spawn no seeding threads for a build that does not happen.
+TEST(GraphSnapshotTest, DeferredBallIndexSpawnsNoBuildThreads) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "needs " << tasks;
+  auto live_threads = [&] {
+    return std::distance(std::filesystem::directory_iterator(tasks),
+                         std::filesystem::directory_iterator());
+  };
+  Graph g = gen::ErdosRenyi(1000, 4000, 3);
+  MatchContext ctx;
+  ctx.BindSnapshot(g.Publish());
+  const auto before = live_threads();
+  EXPECT_EQ(ctx.BallIndexFor(2, {}, 4), nullptr);
+  EXPECT_EQ(live_threads(), before);
+  EXPECT_EQ(ctx.ball_index_builds(), 0u);
 }
 
 TEST(GraphSnapshotTest, BallIndexGrowsDepthAndRetiresShallowIndex) {

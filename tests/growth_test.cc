@@ -7,7 +7,6 @@
 #include "src/generator/generators.h"
 #include "src/incremental/inc_bounded.h"
 #include "src/matching/bounded_simulation.h"
-#include "src/matching/dual_simulation.h"
 #include "src/matching/simulation.h"
 #include "src/service/expfinder_service.h"
 
@@ -22,12 +21,12 @@ TEST(GrowthTest, IncrementalSimulationAcceptsNewNodes) {
     NodeId v = g.AddNode("SD");
     g.SetAttr(v, "experience", AttrValue(7));
     inc.OnNodeAdded(v);
-    ASSERT_TRUE(inc.Snapshot() == ComputeSimulation(g, q)) << "round " << round;
+    ASSERT_TRUE(inc.Snapshot() == ComputeSimulationNaive(g, q)) << "round " << round;
     // Connect the newcomer and keep checking.
     UpdateBatch batch{GraphUpdate::Insert(v, static_cast<NodeId>(round)),
                       GraphUpdate::Insert(static_cast<NodeId>(round + 5), v)};
     ASSERT_TRUE(inc.ApplyBatch(batch).ok());
-    ASSERT_TRUE(inc.Snapshot() == ComputeSimulation(g, q)) << "round " << round;
+    ASSERT_TRUE(inc.Snapshot() == ComputeSimulationNaive(g, q)) << "round " << round;
   }
 }
 
@@ -127,10 +126,12 @@ TEST(GrowthTest, EngineMaintainedDualQuery) {
       auto bounded = service.Query(bounded_req);
       ASSERT_TRUE(dual.ok());
       ASSERT_TRUE(bounded.ok());
-      ASSERT_TRUE(dual->answer->matches == ComputeDualSimulation(g, q)) << i;
+      ASSERT_TRUE(dual->answer->matches ==
+                  ComputeBoundedSimulation(g, q, {}, MatchSemantics::kDualSimulation))
+          << i;
       ASSERT_TRUE(bounded->answer->matches == ComputeBoundedSimulation(g, q)) << i;
       if (q.IsSimulationPattern()) {
-        ASSERT_TRUE(bounded->answer->matches == ComputeSimulation(g, q)) << i;
+        ASSERT_TRUE(bounded->answer->matches == ComputeSimulationNaive(g, q)) << i;
       }
     }
   }

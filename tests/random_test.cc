@@ -147,17 +147,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RngSweep, ::testing::Values(1, 2, 3, 42, 1234, 9
 
 // --- Randomized equivalence: optimized matchers vs. naive oracles ---------
 //
-// The optimized bounded/dual matchers differ from the references in every
-// dimension the hot-path overhauls touched: they walk a snapshot's CSR and
-// k-hop ball index, reuse a MatchContext (BFS buffers, counter arrays,
-// seeding pool) across calls, store membership in flat bitsets, traverse
-// precomputed balls instead of re-running BFS, and fan the seeding phase
-// out over a thread pool (which also builds the ball index). This
-// sweep pins all of that to the naive dense-distance-matrix fixpoints on
-// random graph/pattern pairs, for thread counts {1, 4} crossed with every
-// ball-index posture — enabled, disabled, and capped so hard that every
-// node overflows into the per-node BFS fallback (plus a budget so small the
-// whole build is refused). The acceptance gate: all of them bit-identical.
+// The optimized matcher, under bounded and dual semantics, differs from the
+// references in every dimension the hot-path overhauls touched: it walks a
+// snapshot's CSR and k-hop ball index, reuses a MatchContext (BFS buffers,
+// counter arrays, seeding pool) across calls, stores membership in flat
+// bitsets, traverses precomputed balls instead of re-running BFS, and fans
+// the seeding phase out over a thread pool (which also builds the ball
+// index). This sweep pins all of that to the naive dense-distance-matrix
+// fixpoints on random graph/pattern pairs, for thread counts {1, 4} crossed
+// with every ball-index posture — enabled, disabled, and capped so hard that
+// every node overflows into the per-node BFS fallback (plus a budget so
+// small the whole build is refused). The acceptance gate: all of them
+// bit-identical.
 
 TEST(RandomEquivalenceTest, OptimizedMatchersMatchNaiveOraclesAcrossThreadCounts) {
   struct BallConfig {
@@ -182,13 +183,18 @@ TEST(RandomEquivalenceTest, OptimizedMatchersMatchNaiveOraclesAcrossThreadCounts
   // captures its own snapshot: a snapshot's ball slot keeps the first limits
   // it sees, so a shared one would serve every later config from BFS.
   MatchContext ctxs[2][4];
+  // Pattern labels from the graphs' three commonest (Zipf-assigned) labels,
+  // so that instances match something: two empty relations compare equal
+  // whatever the matcher does.
+  gen::LabelModel common = gen::DefaultExpertiseModel();
+  common.labels.resize(3);
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     const size_t n = 20 + (seed * 13) % 90;
     const size_t m = 2 * n + seed % 40;
     Graph g = gen::ErdosRenyi(n, m, seed);
     Pattern q = gen::RandomPattern(3 + seed % 3, 4 + seed % 4,
                                    static_cast<Distance>(1 + seed % 3), 0.3,
-                                   seed * 31 + 7);
+                                   seed * 31 + 7, common);
 
     MatchRelation naive_bounded = ComputeBoundedSimulationNaive(g, q);
     MatchRelation naive_dual = ComputeDualSimulationNaive(g, q);
@@ -203,7 +209,8 @@ TEST(RandomEquivalenceTest, OptimizedMatchersMatchNaiveOraclesAcrossThreadCounts
                     naive_bounded)
             << "bounded mismatch: seed=" << seed << " threads=" << threads
             << " config=" << configs[c].name;
-        EXPECT_TRUE(ComputeDualSimulation(GraphSnapshot::Capture(g), q, opts, &ctx) ==
+        EXPECT_TRUE(ComputeBoundedSimulation(GraphSnapshot::Capture(g), q, opts, &ctx,
+                                             MatchSemantics::kDualSimulation) ==
                     naive_dual)
             << "dual mismatch: seed=" << seed << " threads=" << threads
             << " config=" << configs[c].name;
@@ -224,13 +231,16 @@ TEST(RandomEquivalenceTest, ThreadCountsProduceBitIdenticalRelations) {
     serial.num_threads = 1;
     MatchContext ctx;
     MatchRelation reference_b = ComputeBoundedSimulation(snap, q, serial, &ctx);
-    MatchRelation reference_d = ComputeDualSimulation(snap, q, serial, &ctx);
+    MatchRelation reference_d =
+        ComputeBoundedSimulation(snap, q, serial, &ctx, MatchSemantics::kDualSimulation);
     for (uint32_t threads : {2u, 4u, 8u}) {
       MatchOptions opts;
       opts.num_threads = threads;
       EXPECT_TRUE(ComputeBoundedSimulation(snap, q, opts, &ctx) == reference_b)
           << "pattern " << i << " threads " << threads;
-      EXPECT_TRUE(ComputeDualSimulation(snap, q, opts, &ctx) == reference_d)
+      EXPECT_TRUE(ComputeBoundedSimulation(snap, q, opts, &ctx,
+                                           MatchSemantics::kDualSimulation) ==
+                  reference_d)
           << "pattern " << i << " threads " << threads;
     }
   }

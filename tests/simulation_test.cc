@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include "src/generator/generators.h"
-#include "src/matching/simulation.h"
+#include "src/matching/bounded_simulation.h"
 
 namespace expfinder {
 namespace {
+
+// Graph simulation as bounded simulation's bound-1 case; the oracle sweep is
+// MatcherSweep in bounded_simulation_test.cc.
 
 // Data: A0 -> B0, A1 (no edge). Pattern: a[A] -> b[B], output a.
 TEST(SimulationTest, EdgeRequirementPrunes) {
@@ -19,7 +22,7 @@ TEST(SimulationTest, EdgeRequirementPrunes) {
   b.Edge(a, bb);
   Pattern q = b.Build().value();
 
-  MatchRelation m = ComputeSimulation(g, q);
+  MatchRelation m = ComputeBoundedSimulation(g, q);
   EXPECT_EQ(m.MatchesOf(0), (std::vector<NodeId>{0}));
   EXPECT_EQ(m.MatchesOf(1), (std::vector<NodeId>{1}));
   EXPECT_FALSE(m.Contains(0, 2));
@@ -33,7 +36,7 @@ TEST(SimulationTest, EmptyWhenAnyNodeUnmatched) {
   auto c = b.Node("C", "c");
   b.Edge(a, c);
   Pattern q = b.Build().value();
-  MatchRelation m = ComputeSimulation(g, q);
+  MatchRelation m = ComputeBoundedSimulation(g, q);
   EXPECT_TRUE(m.IsEmpty());
   EXPECT_TRUE(m.MatchesOf(0).empty());
 }
@@ -54,7 +57,7 @@ TEST(SimulationTest, CyclicPatternOnCyclicData) {
   b.Edge(a, bb).Edge(bb, a);
   Pattern q = b.Build().value();
 
-  MatchRelation m = ComputeSimulation(g, q);
+  MatchRelation m = ComputeBoundedSimulation(g, q);
   EXPECT_EQ(m.MatchesOf(0), (std::vector<NodeId>{0}));
   EXPECT_EQ(m.MatchesOf(1), (std::vector<NodeId>{1}));
 }
@@ -68,7 +71,7 @@ TEST(SimulationTest, SelfLoopPattern) {
   auto a = b.Node("A", "a").Output();
   b.Edge(a, a);
   Pattern q = b.Build().value();
-  MatchRelation m = ComputeSimulation(g, q);
+  MatchRelation m = ComputeBoundedSimulation(g, q);
   EXPECT_EQ(m.MatchesOf(0), (std::vector<NodeId>{0}));
 }
 
@@ -81,7 +84,7 @@ TEST(SimulationTest, ConditionsRestrictCandidates) {
   PatternBuilder b;
   b.Node("A", "a").Where("experience", CmpOp::kGe, 5).Output();
   Pattern q = b.Build().value();
-  MatchRelation m = ComputeSimulation(g, q);
+  MatchRelation m = ComputeBoundedSimulation(g, q);
   EXPECT_EQ(m.MatchesOf(0), (std::vector<NodeId>{0}));
 }
 
@@ -92,7 +95,7 @@ TEST(SimulationTest, WildcardLabelMatchesEverything) {
   PatternBuilder b;
   b.Node("", "any").Output();
   Pattern q = b.Build().value();
-  MatchRelation m = ComputeSimulation(g, q);
+  MatchRelation m = ComputeBoundedSimulation(g, q);
   EXPECT_EQ(m.MatchesOf(0).size(), 2u);
 }
 
@@ -102,13 +105,7 @@ TEST(SimulationTest, UnknownLabelYieldsEmpty) {
   PatternBuilder b;
   b.Node("Z", "z").Output();
   Pattern q = b.Build().value();
-  EXPECT_TRUE(ComputeSimulation(g, q).IsEmpty());
-}
-
-TEST(SimulationTest, RejectsBoundedPattern) {
-  Graph g = gen::BuildFig1Graph();
-  Pattern q = gen::BuildFig1Pattern();
-  EXPECT_DEATH(ComputeSimulation(g, q), "bounds");
+  EXPECT_TRUE(ComputeBoundedSimulation(g, q).IsEmpty());
 }
 
 TEST(SimulationTest, LabelIndexOffMatchesOn) {
@@ -119,34 +116,11 @@ TEST(SimulationTest, LabelIndexOffMatchesOn) {
                     : gen::RandomPattern(4, 4, 1, 0.5, 100 + i);
     MatchOptions on, off;
     off.use_label_index = false;
-    EXPECT_TRUE(ComputeSimulation(g, q, on) == ComputeSimulation(g, q, off)) << i;
+    EXPECT_TRUE(ComputeBoundedSimulation(g, q, on) ==
+                ComputeBoundedSimulation(g, q, off))
+        << i;
   }
 }
-
-struct SweepParam {
-  uint64_t seed;
-  size_t n, m;
-  size_t qn, qm;
-};
-
-class SimulationSweep : public ::testing::TestWithParam<SweepParam> {};
-
-TEST_P(SimulationSweep, CountingMatchesNaiveOracle) {
-  const SweepParam p = GetParam();
-  Graph g = gen::ErdosRenyi(p.n, p.m, p.seed);
-  for (int i = 0; i < 5; ++i) {
-    Pattern q = gen::RandomPattern(p.qn, p.qm, 1, 0.4, p.seed * 31 + i);
-    MatchRelation fast = ComputeSimulation(g, q);
-    MatchRelation naive = ComputeSimulationNaive(g, q);
-    EXPECT_TRUE(fast == naive) << "pattern " << i << "\n" << q.ToText();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RandomGraphs, SimulationSweep,
-    ::testing::Values(SweepParam{1, 30, 90, 3, 3}, SweepParam{2, 50, 250, 4, 5},
-                      SweepParam{3, 80, 240, 5, 7}, SweepParam{4, 120, 600, 4, 6},
-                      SweepParam{5, 60, 420, 6, 9}, SweepParam{6, 25, 50, 3, 2}));
 
 }  // namespace
 }  // namespace expfinder

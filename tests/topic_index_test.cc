@@ -20,7 +20,6 @@
 #include "src/generator/generators.h"
 #include "src/incremental/update.h"
 #include "src/matching/bounded_simulation.h"
-#include "src/matching/dual_simulation.h"
 #include "src/matching/match_context.h"
 #include "src/query/pattern_parser.h"
 #include "src/ranking/fusion.h"
@@ -352,7 +351,8 @@ TEST(TopicSeedingTest, MatcherSweepRelationsIdenticalOnOffCappedAcrossThreads) {
       MatchOptions scan;
       scan.topic_index.enabled = false;
       const MatchRelation bounded_oracle = ComputeBoundedSimulation(g, q, scan);
-      const MatchRelation dual_oracle = ComputeDualSimulation(g, q, scan);
+      const MatchRelation dual_oracle =
+          ComputeBoundedSimulation(g, q, scan, MatchSemantics::kDualSimulation);
       for (uint32_t threads : {1u, 4u}) {
         for (int mode = 0; mode < 3; ++mode) {
           MatchOptions options;
@@ -364,7 +364,9 @@ TEST(TopicSeedingTest, MatcherSweepRelationsIdenticalOnOffCappedAcrossThreads) {
           EXPECT_EQ(ComputeBoundedSimulation(snap, q, options, &ctx), bounded_oracle)
               << "threads=" << threads << " mode=" << mode << "\n" << q.ToText();
           MatchContext dual_ctx;
-          EXPECT_EQ(ComputeDualSimulation(snap, q, options, &dual_ctx), dual_oracle)
+          EXPECT_EQ(ComputeBoundedSimulation(snap, q, options, &dual_ctx,
+                                             MatchSemantics::kDualSimulation),
+                    dual_oracle)
               << "threads=" << threads << " mode=" << mode << "\n" << q.ToText();
         }
       }
