@@ -238,6 +238,32 @@ void BM_ServiceMixedReadWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceMixedReadWrite)->UseRealTime();
 
+void BM_ServiceReadAfterWrite(benchmark::State& state) {
+  // Cache on: each iteration applies one 4-update batch, then reads one
+  // fixed TeamQuery. A batch that provably cannot change the cached answer
+  // carries it to the new version, so the read is a hit; any other batch
+  // makes it recompute. cache_hits is the share of reads served from the
+  // cache. Real time: the read runs on a serving worker.
+  Graph g = *SharedGraph();
+  ServiceOptions opts;
+  opts.engine.match_threads = 1;
+  ExpFinderService service(&g, opts);
+  QueryRequest request;
+  request.pattern = gen::TeamQuery(1);
+  EF_CHECK(service.Query(request).ok());  // warm
+  const size_t hits0 = service.stats().cache_hits;
+  uint64_t seed = 4242;
+  for (auto _ : state) {
+    // The loop is the only writer, so generating from `g` races with nothing.
+    EF_CHECK(service.Mutate(GenerateUpdateStream(g, 4, 0.5, seed++)).ok());
+    benchmark::DoNotOptimize(service.Query(request));
+  }
+  state.counters["cache_hits"] =
+      benchmark::Counter(static_cast<double>(service.stats().cache_hits - hits0),
+                         benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ServiceReadAfterWrite)->UseRealTime();
+
 void BM_ServiceCachedQuery(benchmark::State& state) {
   // The serving fast path: shared cache hit under the reader lock.
   Graph g = *SharedGraph();

@@ -44,8 +44,8 @@ namespace expfinder {
 /// Pattern::CanonicalFingerprint) with the semantics; keys both the
 /// service's result cache and EngineSnapshot::maintained, so a cached and
 /// a maintained answer agree on what "the same query" means. (Graph
-/// version is *not* part of this key — ResultCache folds it in itself; see
-/// result_cache.h.)
+/// version is *not* part of this key — ResultCache entries carry their own
+/// version range; see result_cache.h.)
 uint64_t QueryCacheKey(const Pattern& q, MatchSemantics semantics);
 
 /// \brief How an uncached evaluation produced its relation.

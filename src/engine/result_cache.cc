@@ -2,54 +2,71 @@
 
 namespace expfinder {
 
-uint64_t ResultCache::Key(uint64_t fingerprint, uint64_t graph_version) {
-  uint64_t x = fingerprint ^ (graph_version + 0x9E3779B97F4A7C15ULL +
-                              (fingerprint << 6) + (fingerprint >> 2));
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
+ResultCache::Iter ResultCache::Covering(uint64_t fingerprint, uint64_t version) {
+  auto [begin, end] = by_fingerprint_.equal_range(fingerprint);
+  for (auto it = begin; it != end; ++it) {
+    if (it->second->first <= version && version <= it->second->last) return it->second;
+  }
+  return lru_.end();
 }
 
 std::shared_ptr<const QueryAnswer> ResultCache::Get(uint64_t fingerprint,
                                                     uint64_t graph_version) {
   if (capacity_ == 0) return nullptr;  // disabled: no lookup bookkeeping
-  auto it = map_.find(Key(fingerprint, graph_version));
-  if (it == map_.end() || it->second->fingerprint != fingerprint ||
-      it->second->graph_version != graph_version) {
+  const Iter it = Covering(fingerprint, graph_version);
+  if (it == lru_.end()) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->answer;
+  lru_.splice(lru_.begin(), lru_, it);  // refresh recency
+  return it->answer;
 }
 
 void ResultCache::Put(uint64_t fingerprint, uint64_t graph_version,
-                      std::shared_ptr<const QueryAnswer> answer) {
+                      std::shared_ptr<const QueryAnswer> answer,
+                      std::shared_ptr<const Pattern> pattern) {
   if (capacity_ == 0) return;
-  const uint64_t key = Key(fingerprint, graph_version);
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    it->second->fingerprint = fingerprint;
-    it->second->graph_version = graph_version;
-    it->second->answer = std::move(answer);
-    lru_.splice(lru_.begin(), lru_, it->second);
+  if (const Iter it = Covering(fingerprint, graph_version); it != lru_.end()) {
+    it->answer = std::move(answer);
+    it->pattern = std::move(pattern);
+    lru_.splice(lru_.begin(), lru_, it);
     return;
   }
-  lru_.push_front({fingerprint, graph_version, std::move(answer)});
-  map_[key] = lru_.begin();
-  while (map_.size() > capacity_) {
-    map_.erase(Key(lru_.back().fingerprint, lru_.back().graph_version));
+  lru_.push_front(
+      {fingerprint, graph_version, graph_version, std::move(pattern), std::move(answer)});
+  by_fingerprint_.emplace(fingerprint, lru_.begin());
+  while (lru_.size() > capacity_) {
+    const Iter victim = std::prev(lru_.end());
+    auto [begin, end] = by_fingerprint_.equal_range(victim->fingerprint);
+    for (auto it = begin; it != end; ++it) {
+      if (it->second == victim) {
+        by_fingerprint_.erase(it);
+        break;
+      }
+    }
     lru_.pop_back();
   }
 }
 
+std::vector<ResultCache::Tail> ResultCache::EntriesEndingAt(uint64_t version) const {
+  std::vector<Tail> tails;
+  for (const Entry& e : lru_) {
+    if (e.last == version && e.pattern != nullptr) tails.push_back({e.fingerprint, e.pattern});
+  }
+  return tails;
+}
+
+bool ResultCache::Extend(uint64_t fingerprint, uint64_t from, uint64_t to) {
+  const Iter it = Covering(fingerprint, from);
+  if (it == lru_.end() || it->last != from) return false;
+  it->last = to;
+  return true;
+}
+
 void ResultCache::Clear() {
   lru_.clear();
-  map_.clear();
+  by_fingerprint_.clear();
 }
 
 }  // namespace expfinder

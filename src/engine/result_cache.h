@@ -1,12 +1,20 @@
 // LRU cache of query answers ("the query engine directly returns M(Q,G) if
-// it is already cached", paper §II). The graph version is folded into the
-// cache key itself (ISSUE 6): an entry is the answer to (pattern
-// fingerprint, graph version), so a lookup either finds the answer computed
-// at exactly the requested version or misses — there is no staleness check
-// to scatter at call sites, and a read pinned to an old snapshot
-// (`as_of_version`) can never be served a newer relation. Entries for
-// superseded versions are not proactively dropped; they keep serving pinned
-// reads until LRU pressure evicts them.
+// it is already cached", paper §II). An entry is the answer to a pattern
+// fingerprint over a range of graph versions [first, last]: a lookup at
+// version v hits an entry of its fingerprint whose range covers v, or
+// misses. Put starts a range at the version the answer was computed at, so
+// a read pinned to an old snapshot (`as_of_version`) is never served a
+// newer relation.
+//
+// An edge batch that provably cannot change an answer carries it forward:
+// the writer (ExpFinderService::Mutate) lists the entries ending at the
+// pre-batch version together with the compiled patterns they answer, runs
+// the affected-area test (BatchMayChange, incremental/update.h) outside the
+// cache lock, and extends each entry the test clears to the post-batch
+// version. Only an entry ending at exactly the pre-batch version is
+// extended, so a range never skips a batch. Entries for superseded versions
+// are not proactively dropped; they keep serving pinned reads until LRU
+// pressure evicts them. Capacity counts answers, not versions.
 //
 // An answer also carries the ranked lists served from it (RankedListMemo,
 // ranking/ranked_list_memo.h): each (output node, metric, topic tokens)
@@ -20,9 +28,11 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "src/matching/match_relation.h"
 #include "src/matching/result_graph.h"
+#include "src/query/pattern.h"
 #include "src/ranking/ranked_list_memo.h"
 
 namespace expfinder {
@@ -40,7 +50,7 @@ struct QueryAnswer {
   mutable RankedListMemo ranked_lists{};
 };
 
-/// \brief LRU map (fingerprint, graph version) -> QueryAnswer.
+/// \brief LRU map (fingerprint, version range) -> QueryAnswer.
 ///
 /// `capacity == 0` means *disabled*: Get always misses and Put is a no-op,
 /// with no map lookups and no hit/miss bookkeeping — the counters stay 0, so
@@ -49,18 +59,36 @@ class ResultCache {
  public:
   explicit ResultCache(size_t capacity) : capacity_(capacity) {}
 
-  /// Fetches the answer computed at exactly (fingerprint, graph_version);
-  /// refreshes recency. Entries at other versions neither match nor are
-  /// disturbed.
+  /// Fetches the answer of the entry for `fingerprint` whose version range
+  /// covers `graph_version`; refreshes its recency. Other entries are
+  /// neither matched nor disturbed.
   std::shared_ptr<const QueryAnswer> Get(uint64_t fingerprint, uint64_t graph_version);
 
-  /// Inserts/overwrites the (fingerprint, graph_version) entry; evicts
-  /// least-recently-used beyond capacity.
+  /// Caches `answer`, computed at `graph_version` for the compiled `pattern`,
+  /// as the range [graph_version, graph_version], and evicts the
+  /// least-recently-used entries beyond capacity. An entry already covering
+  /// the version is overwritten instead, keeping its range. A null `pattern`
+  /// makes an entry that is never extended.
   void Put(uint64_t fingerprint, uint64_t graph_version,
-           std::shared_ptr<const QueryAnswer> answer);
+           std::shared_ptr<const QueryAnswer> answer,
+           std::shared_ptr<const Pattern> pattern = nullptr);
+
+  /// An entry whose range ends at a given version, and the pattern it
+  /// answers.
+  struct Tail {
+    uint64_t fingerprint;
+    std::shared_ptr<const Pattern> pattern;
+  };
+  /// The entries with a pattern whose range ends at exactly `version`.
+  std::vector<Tail> EntriesEndingAt(uint64_t version) const;
+
+  /// Moves the end of the entry for `fingerprint` ending at `from` to `to`
+  /// (> from); recency is left alone. Returns whether such an entry still
+  /// existed.
+  bool Extend(uint64_t fingerprint, uint64_t from, uint64_t to);
 
   void Clear();
-  size_t size() const { return map_.size(); }
+  size_t size() const { return lru_.size(); }
   size_t capacity() const { return capacity_; }
 
   size_t hits() const { return hits_; }
@@ -69,19 +97,20 @@ class ResultCache {
  private:
   struct Entry {
     uint64_t fingerprint;
-    uint64_t graph_version;
+    uint64_t first, last;  // the versions the answer holds at, inclusive
+    std::shared_ptr<const Pattern> pattern;
     std::shared_ptr<const QueryAnswer> answer;
   };
+  using Iter = std::list<Entry>::iterator;
 
-  /// The combined map key. Mixes version into the fingerprint
-  /// (splitmix64-style) — entries verify the full (fingerprint, version)
-  /// pair on lookup, so a 64-bit mix collision degrades to a miss, never a
-  /// wrong answer.
-  static uint64_t Key(uint64_t fingerprint, uint64_t graph_version);
+  /// The entry for `fingerprint` whose range contains `version`, or
+  /// lru_.end().
+  Iter Covering(uint64_t fingerprint, uint64_t version);
 
   size_t capacity_;
   std::list<Entry> lru_;  // front = most recent
-  std::unordered_map<uint64_t, std::list<Entry>::iterator> map_;
+  /// Entries by fingerprint: one per disjoint version range.
+  std::unordered_multimap<uint64_t, Iter> by_fingerprint_;
   size_t hits_ = 0, misses_ = 0;
 };
 

@@ -65,6 +65,13 @@ void BoundedBfsNonEmpty(const GraphLike& g, NodeId src, Distance max_depth,
       return InAdj(g, v);
     }
   };
+  if (max_depth == 1) {
+    // The depth-1 visit set is the adjacency list itself: lists hold each
+    // neighbour once (Graph::AddEdge rejects duplicates and every
+    // AddEdgeUnchecked caller dedups first), so no marks and no queue.
+    for (NodeId w : neighbors(src)) visit(w, Distance{1});
+    return;
+  }
   // Seed with the 1-hop neighborhood; src is intentionally NOT pre-marked so
   // it can be re-reached through a cycle.
   for (NodeId w : neighbors(src)) {

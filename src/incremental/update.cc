@@ -1,8 +1,10 @@
 #include "src/incremental/update.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/graph/bfs.h"
 #include "src/util/logging.h"
 #include "src/util/random.h"
 
@@ -62,6 +64,80 @@ Status ValidateBatch(const Graph& g, const UpdateBatch& batch) {
     }
   }
   return Status::OK();
+}
+
+namespace {
+
+/// (node, hop distance) pairs in BFS order: the source at 0, then the nodes
+/// at 1, 2, ... up to the depth asked for.
+using Neighbourhood = std::vector<std::pair<NodeId, Distance>>;
+
+template <bool Forward>
+Neighbourhood CollectNeighbourhood(const Graph& g, NodeId src, Distance depth,
+                                   BfsBuffers* buf) {
+  Neighbourhood hood{{src, 0}};
+  BoundedBfsNonEmpty<Forward>(g, src, depth, buf, [&](NodeId w, Distance d) {
+    if (w != src) hood.emplace_back(w, d);  // a cycle back to src is no nearer
+  });
+  return hood;
+}
+
+/// The distance of the first node of `hood` satisfying `u`, or kUnreachable
+/// when none lies within `limit`. BFS order makes the first hit the nearest.
+Distance Nearest(const Graph& g, const Neighbourhood& hood, const PatternNode& u,
+                 Distance limit) {
+  for (const auto& [w, d] : hood) {
+    if (d > limit) break;
+    if (u.Matches(g, w)) return d;
+  }
+  return kUnreachable;
+}
+
+}  // namespace
+
+std::vector<bool> BatchMayChange(const Graph& before, const Graph& after,
+                                 const UpdateBatch& batch,
+                                 const std::vector<const Pattern*>& patterns) {
+  std::vector<bool> may_change(patterns.size(), false);
+  Distance depth = 0;  // D: the largest finite bound
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const Distance bound = patterns[i]->MaxBound();
+    if (bound == kUnboundedEdge) {
+      may_change[i] = true;  // reachability: no finite area bounds the effect
+    } else {
+      depth = std::max(depth, bound);
+    }
+  }
+  if (depth == 0 || batch.empty()) return may_change;  // edge-less patterns only
+  BfsBuffers buf;
+  buf.EnsureSize(std::max(before.NumNodes(), after.NumNodes()));
+  struct Area {
+    const Graph* g;      // after for an insert, before for a delete
+    Neighbourhood back;  // of the updated edge's source, against edge direction
+    Neighbourhood fwd;   // of its target
+  };
+  std::vector<Area> areas;
+  areas.reserve(batch.size());
+  for (const GraphUpdate& u : batch) {
+    const Graph& g = u.kind == GraphUpdate::Kind::kInsertEdge ? after : before;
+    areas.push_back({&g, CollectNeighbourhood<false>(g, u.src, depth - 1, &buf),
+                     CollectNeighbourhood<true>(g, u.dst, depth - 1, &buf)});
+  }
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    const Pattern& q = *patterns[i];
+    for (size_t a = 0; a < areas.size() && !may_change[i]; ++a) {
+      const Area& area = areas[a];
+      for (const PatternEdge& e : q.edges()) {
+        const Distance d1 = Nearest(*area.g, area.back, q.node(e.src), e.bound - 1);
+        if (d1 != kUnreachable &&
+            Nearest(*area.g, area.fwd, q.node(e.dst), e.bound - 1 - d1) != kUnreachable) {
+          may_change[i] = true;
+          break;
+        }
+      }
+    }
+  }
+  return may_change;
 }
 
 UpdateBatch GenerateUpdateStream(const Graph& g, size_t count, double insert_fraction,

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/graph/graph.h"
+#include "src/query/pattern.h"
 #include "src/util/status.h"
 
 namespace expfinder {
@@ -50,6 +51,27 @@ Status ApplyBatch(Graph* g, const UpdateBatch& batch);
 /// pairs touched by the batch are tracked; untouched pairs are consulted
 /// via Graph::HasEdge.
 Status ValidateBatch(const Graph& g, const UpdateBatch& batch);
+
+/// \brief The affected-area test: for each of `patterns`, whether the edge
+/// batch that turned `before` into `after` may change its match relation
+/// (bounded or dual simulation) or its result graph. `false` is a proof of
+/// "unchanged"; `true` means only "not ruled out".
+///
+/// Let D be the largest finite bound among the patterns. Once per batch,
+/// each update (a, b) gets a's backward and b's forward neighbourhood to
+/// depth D - 1 (a and b at distance 0), read from `after` for an insert and
+/// from `before` for a delete. A pattern may change only if it has an
+/// unbounded edge, or if some update and some pattern edge (u, u', k) have
+/// an x satisfying u at distance d1 in a's neighbourhood and a y satisfying
+/// u' at distance d2 in b's with d1 + 1 + d2 <= k. Otherwise no candidate
+/// pair's distance within any bound moved: a path of length <= k that
+/// appears or disappears runs through an inserted or deleted edge. The
+/// relation is then unchanged, and so is the result graph, whose weights
+/// are those distances. An edge batch leaves node content alone, so every
+/// ranked list of the result graph stays valid too.
+std::vector<bool> BatchMayChange(const Graph& before, const Graph& after,
+                                 const UpdateBatch& batch,
+                                 const std::vector<const Pattern*>& patterns);
 
 /// \brief Generates a sequentially applicable random update stream against
 /// the *current* state of `g` (without mutating it): deletions pick existing

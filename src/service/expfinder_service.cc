@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 
+#include "src/incremental/update.h"
 #include "src/index/topic_index.h"
 #include "src/matching/result_graph.h"
 #include "src/ranking/fusion.h"
@@ -25,10 +26,9 @@ bool CancelRequested(const PendingQuery& pending) {
 }
 
 /// Idle contexts retained between queries. Each WorkerContext holds two
-/// contexts' scratch (BFS buffers, counter arrays, a parked seeding pool)
-/// and pins the snapshots they last bound, so a burst wider than this
-/// drops the surplus on release instead of keeping peak-concurrency memory
-/// for the service's lifetime.
+/// contexts' scratch (BFS buffers, counter arrays, a parked seeding pool),
+/// so a burst wider than this drops the surplus on release instead of
+/// keeping peak-concurrency memory for the service's lifetime.
 size_t IdleContextCap() {
   return std::max<size_t>(8, 2 * ThreadPool::ResolveThreads(0));
 }
@@ -53,6 +53,11 @@ ExpFinderService::ContextLease::ContextLease(ExpFinderService* service)
 }
 
 ExpFinderService::ContextLease::~ContextLease() {
+  // An idle context must not pin the snapshots of its last request: they
+  // would outlive the retained ring, and the next bind would free them
+  // inside another request.
+  ctx_->direct.BindSnapshot(nullptr);
+  ctx_->compressed.BindSnapshot(nullptr);
   std::lock_guard<std::mutex> lock(service_->ctx_mu_);
   if (service_->idle_contexts_.size() < IdleContextCap()) {
     service_->idle_contexts_.push_back(std::move(ctx_));
@@ -505,8 +510,10 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
     response.answer = std::make_shared<const QueryAnswer>(
         QueryAnswer{std::move(matches), std::move(rg)});
     if (use_cache) {
+      // The entry keeps the compiled pattern for Mutate's affected-area test.
+      auto answered = std::make_shared<const Pattern>(pattern);
       std::lock_guard<std::mutex> lock(cache_mu_);
-      cache_.Put(key, response.graph_version, response.answer);
+      cache_.Put(key, response.graph_version, response.answer, std::move(answered));
     }
   }
 
@@ -596,6 +603,10 @@ std::vector<uint64_t> ExpFinderService::RetainedVersions() const {
 
 Status ExpFinderService::Mutate(const UpdateBatch& batch) {
   std::lock_guard<std::mutex> writer(writer_mu_);
+  // The pre-batch state: every writer publishes before it releases the
+  // lock, so the epoch is the live graph as this batch finds it.
+  const std::shared_ptr<const EngineSnapshot> before =
+      epoch_.load(std::memory_order_acquire);
   EF_RETURN_NOT_OK(engine_.ApplyUpdates(batch));
   batches_applied_.fetch_add(1, std::memory_order_relaxed);
   updates_applied_.fetch_add(batch.size(), std::memory_order_relaxed);
@@ -620,6 +631,7 @@ Status ExpFinderService::Mutate(const UpdateBatch& batch) {
       durability_errors_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  ExtendCachedAnswersLocked(*before, batch);
   PublishLocked();
   if (entered_log) ShipLocked(DurableGraph::EncodeBatch(batch));
   // Checkpoint only on the success path: after a failed append the WAL may
@@ -627,6 +639,27 @@ Status ExpFinderService::Mutate(const UpdateBatch& batch) {
   // checkpoint at that LSN would make the just-refused mutation durable.
   if (logged.ok()) MaybeCheckpointLocked();
   return logged;
+}
+
+void ExpFinderService::ExtendCachedAnswersLocked(const EngineSnapshot& before,
+                                                 const UpdateBatch& batch) {
+  const uint64_t to = g_->version();
+  if (cache_.capacity() == 0 || to == before.version) return;
+  std::vector<ResultCache::Tail> tails;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    tails = cache_.EntriesEndingAt(before.version);
+  }
+  if (tails.empty()) return;
+  std::vector<const Pattern*> patterns;
+  patterns.reserve(tails.size());
+  for (const ResultCache::Tail& t : tails) patterns.push_back(t.pattern.get());
+  const std::vector<bool> may_change =
+      BatchMayChange(before.graph->graph(), *g_, batch, patterns);
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  for (size_t i = 0; i < tails.size(); ++i) {
+    if (!may_change[i]) cache_.Extend(tails[i].fingerprint, before.version, to);
+  }
 }
 
 Result<NodeId> ExpFinderService::AddNode(

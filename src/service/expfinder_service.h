@@ -42,9 +42,18 @@
 //     pinned in a ring; QueryRequest::as_of_version serves time-travel
 //     reads from it (evicted versions fail with NotFound).
 //   * Each worker borrows a MatchContext pair from a pool (contexts are
-//     single-owner scratch; see match_context.h) and binds it to the pinned
-//     snapshot; the ResultCache keys answers by (query, version), so pinned
-//     reads can never observe a newer relation.
+//     single-owner scratch; see match_context.h), binds it to the pinned
+//     snapshot, and unbinds it when the request ends, so an idle context
+//     pins no version beyond the retained ring.
+//   * The ResultCache holds each answer over a range of versions and a read
+//     hits only an entry whose range covers its pinned version, so pinned
+//     reads can never observe a newer relation. Mutate carries an entry
+//     across its batch when the affected-area test (BatchMayChange,
+//     incremental/update.h) proves the batch cannot change the answer: the
+//     test runs under the writer lock but outside the cache lock, and the
+//     ranges ending at the pre-batch version are extended before the new
+//     epoch is published or shipped to replicas, so a read at the new
+//     version finds them. AddNode extends nothing.
 //
 // Reads and writes are split between two objects: QueryEngine is the
 // single-threaded writer (writers call its mutating operations, then
@@ -391,6 +400,14 @@ class ExpFinderService {
   /// holds writer_mu_ — Ship order must match LSN order).
   void ShipLocked(std::string payload);
 
+  /// Extends to the live graph's version every cache entry ending at
+  /// `before`'s version whose answer `batch`, just applied to the live
+  /// graph, provably cannot change (caller holds writer_mu_; runs the test
+  /// outside cache_mu_).
+  void ExtendCachedAnswersLocked(const EngineSnapshot& before, const UpdateBatch& batch);
+
+  friend class ExpFinderServiceTestPeer;
+
   Graph* g_;
   ServiceOptions options_;
 
@@ -421,7 +438,7 @@ class ExpFinderService {
   std::deque<std::shared_ptr<const EngineSnapshot>> retained_;
 
   mutable std::mutex cache_mu_;
-  ResultCache cache_;  // guarded by cache_mu_; keys fold in the version
+  ResultCache cache_;  // guarded by cache_mu_
 
   std::mutex ctx_mu_;
   std::vector<std::unique_ptr<WorkerContext>> idle_contexts_;  // guarded by ctx_mu_

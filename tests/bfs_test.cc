@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "src/generator/generators.h"
 #include "src/graph/bfs.h"
@@ -184,6 +187,47 @@ TEST_P(BfsRandomSweep, NonEmptyDistancesAgreeWithPlainBfsOffSource) {
       EXPECT_EQ(nonempty[v], plain[v]) << src << "->" << v;
     }
   }
+}
+
+/// The (w, d) pairs a bounded BFS visits, in visit order.
+template <bool Forward, typename GraphLike>
+std::vector<std::pair<NodeId, Distance>> Visits(const GraphLike& g, NodeId src,
+                                                Distance depth, BfsBuffers* buf) {
+  std::vector<std::pair<NodeId, Distance>> out;
+  BoundedBfsNonEmpty<Forward>(g, src, depth, buf,
+                              [&](NodeId w, Distance d) { out.emplace_back(w, d); });
+  return out;
+}
+
+/// Depth 1 lists the adjacency directly; a depth-2 traversal takes the
+/// general path, whose distance-1 visits come first. Both must agree, order
+/// included, with self-loops present, over Graph and Csr in both directions.
+template <bool Forward, typename GraphLike>
+void ExpectDepthOneMatchesGeneralPath(const GraphLike& g, size_t n, BfsBuffers* buf) {
+  for (NodeId src = 0; src < n; ++src) {
+    auto general = Visits<Forward>(g, src, 2, buf);
+    general.erase(std::remove_if(general.begin(), general.end(),
+                                 [](const auto& p) { return p.second != 1; }),
+                  general.end());
+    EXPECT_EQ(Visits<Forward>(g, src, 1, buf), general)
+        << (Forward ? "forward" : "backward") << " from " << src;
+  }
+}
+
+TEST_P(BfsRandomSweep, DepthOneVisitsEqualGeneralPathInOrder) {
+  Graph g = gen::ErdosRenyi(80, 320, GetParam());
+  for (NodeId v = 0; v < g.NumNodes(); v += 5) ASSERT_TRUE(g.AddEdge(v, v).ok());
+  BfsBuffers buf;
+  buf.EnsureSize(g.NumNodes());
+  ExpectDepthOneMatchesGeneralPath<true>(g, g.NumNodes(), &buf);
+  ExpectDepthOneMatchesGeneralPath<false>(g, g.NumNodes(), &buf);
+  auto snap = g.Publish();
+  ExpectDepthOneMatchesGeneralPath<true>(snap->csr(), g.NumNodes(), &buf);
+  ExpectDepthOneMatchesGeneralPath<false>(snap->csr(), g.NumNodes(), &buf);
+  // A self-loop puts the source among its own depth-1 visits.
+  auto self = Visits<true>(g, 0, 1, &buf);
+  EXPECT_NE(std::find(self.begin(), self.end(), std::make_pair(NodeId{0}, Distance{1})),
+            self.end());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BfsRandomSweep, ::testing::Values(3, 17, 99));

@@ -97,11 +97,11 @@ TEST(ResultCacheTest, LruEvictionOrderPinned) {
 }
 
 TEST(ResultCacheTest, VersionsCoexistUnderFoldedKeys) {
-  // The graph version is folded into the cache key: entries for different
-  // versions of the same query are distinct. A lookup at a newer version is
-  // a plain miss, and — crucially for snapshot-pinned reads — the
-  // old-version entry is NOT dropped: it keeps serving as_of readers until
-  // LRU eviction retires it.
+  // Put starts an entry's version range at the version it was computed at:
+  // entries for different versions of the same query are distinct. A lookup
+  // at a newer version is a plain miss, and — crucially for snapshot-pinned
+  // reads — the old-version entry is NOT dropped: it keeps serving as_of
+  // readers until LRU eviction retires it.
   ResultCache cache(4);
   auto mk = [] {
     return std::make_shared<const QueryAnswer>(
@@ -120,8 +120,8 @@ TEST(ResultCacheTest, VersionsCoexistUnderFoldedKeys) {
 }
 
 TEST(ResultCacheTest, OldVersionsEvictedByLruOnly) {
-  // With versioned keys there is no staleness sweep: old-version entries
-  // leave through the LRU door like everything else.
+  // With versioned entries there is no staleness sweep: old-version
+  // entries leave through the LRU door like everything else.
   ResultCache cache(2);
   auto mk = [] {
     return std::make_shared<const QueryAnswer>(
@@ -134,6 +134,43 @@ TEST(ResultCacheTest, OldVersionsEvictedByLruOnly) {
   EXPECT_NE(cache.Get(1, 11), nullptr);
   EXPECT_NE(cache.Get(1, 12), nullptr);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ResultCacheTest, ExtendCarriesAnEntryAcrossVersions) {
+  ResultCache cache(2);
+  auto mk = [] {
+    return std::make_shared<const QueryAnswer>(
+        QueryAnswer{MatchRelation(1), ResultGraph(Graph(), Pattern(), MatchRelation())});
+  };
+  auto q = std::make_shared<const Pattern>(gen::BuildFig1Pattern());
+  cache.Put(1, 10, mk(), q);
+  cache.Put(2, 10, mk());  // no pattern: never listed, never extended
+  ASSERT_EQ(cache.EntriesEndingAt(10).size(), 1u);
+  EXPECT_EQ(cache.EntriesEndingAt(10)[0].fingerprint, 1u);
+  EXPECT_EQ(cache.EntriesEndingAt(10)[0].pattern, q);
+
+  EXPECT_FALSE(cache.Extend(1, 9, 14));  // only from the exact end
+  EXPECT_TRUE(cache.Extend(1, 10, 14));
+  for (uint64_t v : {10, 12, 14}) EXPECT_NE(cache.Get(1, v), nullptr) << v;
+  EXPECT_EQ(cache.Get(1, 9), nullptr);
+  EXPECT_EQ(cache.Get(1, 15), nullptr);
+  EXPECT_FALSE(cache.Extend(1, 10, 20));  // no longer ends at 10
+  EXPECT_TRUE(cache.EntriesEndingAt(10).empty());
+  ASSERT_EQ(cache.EntriesEndingAt(14).size(), 1u);
+
+  // A Put inside the range overwrites the entry, range kept: capacity
+  // counts answers, not versions.
+  auto replacement = mk();
+  cache.Put(1, 12, replacement, q);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Get(1, 14), replacement);
+  // A version past the range is a new entry; the LRU one (fp 2) goes.
+  cache.Put(1, 15, mk(), q);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.Get(2, 10), nullptr);
+  EXPECT_EQ(cache.Get(1, 12), replacement);
+  EXPECT_NE(cache.Get(1, 15), nullptr);
+  EXPECT_NE(cache.Get(1, 15), replacement);
 }
 
 class EngineFixture : public ::testing::Test {

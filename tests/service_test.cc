@@ -12,7 +12,9 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/generator/generators.h"
@@ -21,6 +23,16 @@
 #include "src/util/random.h"
 
 namespace expfinder {
+
+/// Reaches into the service for what no public call exposes.
+class ExpFinderServiceTestPeer {
+ public:
+  /// The graph snapshot of the current epoch.
+  static std::weak_ptr<const GraphSnapshot> EpochGraph(const ExpFinderService& service) {
+    return service.epoch_.load()->graph;
+  }
+};
+
 namespace {
 
 QueryRequest Fig1Request() {
@@ -718,8 +730,9 @@ TEST_F(ServiceFixture, AsOfVersionServesRetainedSnapshot) {
 }
 
 TEST_F(ServiceFixture, AsOfVersionCacheHitsAreVersionScoped) {
-  // The version is folded into the cache key, so a pinned read can be
-  // served from the cache — and only ever by an entry of its own version.
+  // A pinned read can be served from the cache — and only ever by an entry
+  // whose version range covers its version. Inserting e1 changes the
+  // answer, so the v0 entry is not carried across the batch.
   ExpFinderService service(&g_);
   const uint64_t v0 = service.version();
   ASSERT_TRUE(service.Query(Fig1Request()).ok());  // warm the cache at v0
@@ -793,6 +806,83 @@ TEST_F(ServiceFixture, RetainedRingKeepsTheLastKVersions) {
   }
   EXPECT_EQ(service.stats().snapshots_published, 5u);
   EXPECT_EQ(service.stats().snapshots_retired, 2u);
+}
+
+TEST_F(ServiceFixture, IdleContextsPinNoRetiredSnapshot) {
+  ServiceOptions opts;
+  opts.retained_snapshots = 1;
+  ExpFinderService service(&g_, opts);
+  QueryRequest req = Fig1Request();
+  req.use_cache = false;
+  ASSERT_TRUE(service.Query(req).ok());  // a leased context binds v0
+  const std::weak_ptr<const GraphSnapshot> v0 =
+      ExpFinderServiceTestPeer::EpochGraph(service);
+  auto [src, dst] = gen::Fig1EdgeE1();
+  ASSERT_TRUE(service.Mutate({GraphUpdate::Insert(src, dst)}).ok());
+  ASSERT_EQ(service.RetainedVersions(), std::vector<uint64_t>{service.version()});
+  // v0 left the ring: nothing in the service may still hold it, the idle
+  // context that served the read included.
+  EXPECT_TRUE(v0.expired());
+}
+
+/// Two nodes labelled `a` and `b` without an edge a -> b.
+std::pair<NodeId, NodeId> AbsentEdge(const Graph& g, std::string_view a, std::string_view b) {
+  for (NodeId x = 0; x < g.NumNodes(); ++x) {
+    if (g.NodeLabelName(x) != a) continue;
+    for (NodeId y = 0; y < g.NumNodes(); ++y) {
+      if (y != x && g.NodeLabelName(y) == b && !g.HasEdge(x, y)) return {x, y};
+    }
+  }
+  ADD_FAILURE() << "no absent " << a << " -> " << b << " edge";
+  return {0, 0};
+}
+
+TEST(ServiceCacheTest, BatchOutsideTheQueryAreaKeepsTheCachedAnswer) {
+  Graph g = gen::CollaborationNetwork({.num_people = 300, .num_teams = 40, .seed = 5});
+  ExpFinderService service(&g);
+  PatternBuilder b;
+  auto ba = b.Node("BA", "ba").Output();
+  auto st = b.Node("ST", "st");
+  b.Edge(ba, st, 1);
+  QueryRequest req;
+  req.pattern = b.Build().value();
+  req.top_k = 5;
+  auto first = service.Query(req);
+  ASSERT_TRUE(first.ok());
+  ASSERT_GT(first->answer->matches.TotalPairs(), 0u);
+
+  // An SD -> SD edge cannot touch a bound-1 BA -> ST edge: the cached
+  // answer carries over to the new version.
+  auto [sd1, sd2] = AbsentEdge(g, "SD", "SD");
+  ASSERT_TRUE(service.Mutate({GraphUpdate::Insert(sd1, sd2)}).ok());
+  auto kept = service.Query(req);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(kept->path, ServingPath::kCache);
+  EXPECT_EQ(kept->graph_version, service.version());
+  EXPECT_EQ(kept->answer.get(), first->answer.get());
+  QueryRequest uncached = req;
+  uncached.use_cache = false;
+  auto fresh = service.Query(uncached);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->path, ServingPath::kDirect);
+  EXPECT_TRUE(kept->answer->matches == fresh->answer->matches);
+  EXPECT_EQ(kept->ranked, fresh->ranked);
+
+  // A BA -> ST edge may: the next read recomputes at the new version.
+  auto [x, y] = AbsentEdge(g, "BA", "ST");
+  ASSERT_TRUE(service.Mutate({GraphUpdate::Insert(x, y)}).ok());
+  auto touched = service.Query(req);
+  ASSERT_TRUE(touched.ok());
+  EXPECT_EQ(touched->path, ServingPath::kDirect);
+  EXPECT_EQ(touched->graph_version, service.version());
+  EXPECT_TRUE(touched->answer->matches == ComputeBoundedSimulation(g, req.pattern));
+  // The pre-batch version keeps its own entry for pinned reads.
+  QueryRequest pinned = req;
+  pinned.as_of_version = kept->graph_version;
+  auto old = service.Query(pinned);
+  ASSERT_TRUE(old.ok());
+  EXPECT_EQ(old->path, ServingPath::kCache);
+  EXPECT_EQ(old->answer.get(), first->answer.get());
 }
 
 // ---------------------------------------------------------------------------
