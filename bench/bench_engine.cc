@@ -27,13 +27,13 @@ void EvaluateAndBuildResultGraph(benchmark::State& state, bool use_compression) 
   opts.use_compression = use_compression;
   QueryEngine engine(&g, opts);
   const EvalCore core(opts);
-  MatchContext ctx, compressed_ctx;
+  MatchContext ctx;
   auto snap = engine.Publish();
   Pattern q = gen::TeamQuery(0);
   for (auto _ : state) {
-    EvalPath path = EvalPath::kDirect;
-    auto matches = core.Evaluate(*snap, q, MatchSemantics::kBoundedSimulation, {}, &ctx,
-                                 &compressed_ctx, &path);
+    ServingPath path = ServingPath::kDirect;
+    auto matches =
+        core.Evaluate(*snap, q, MatchSemantics::kBoundedSimulation, {}, &ctx, &path);
     EF_CHECK(matches.ok());
     ResultGraph rg(snap->graph, q, *matches, &ctx);
     benchmark::DoNotOptimize(rg);

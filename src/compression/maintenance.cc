@@ -40,25 +40,6 @@ size_t MaintainedCompression::OnGraphUpdated(const UpdateBatch& batch) {
   return new_blocks;
 }
 
-size_t MaintainedCompression::OnGraphUpdated() {
-  ++num_maintenances_;
-  EF_CHECK(g_->NumNodes() == cg_.partition().block_of.size())
-      << "node set changed; call Rebuild()";
-  Partition p = cg_.partition();
-  size_t passes = 0;
-  while (RefineOnce(*g_, &p)) {
-    ++passes;
-    EF_CHECK(passes <= g_->NumNodes() + 1) << "maintenance refinement diverged";
-  }
-  if (p.num_blocks >
-      static_cast<uint32_t>(rebuild_factor_ * blocks_at_last_rebuild_)) {
-    Rebuild();
-    return passes;
-  }
-  cg_.RebuildFromPartition(*g_, std::move(p));
-  return passes;
-}
-
 void MaintainedCompression::OnNodeAdded(NodeId v) {
   EF_CHECK(g_->IsValidNode(v) && v == cg_.partition().block_of.size())
       << "OnNodeAdded must follow Graph::AddNode immediately";

@@ -37,11 +37,6 @@ class MaintainedCompression {
   /// rebuild_factor x the last full build.
   size_t OnGraphUpdated(const UpdateBatch& batch);
 
-  /// Batch-agnostic variant for callers that do not know which edges
-  /// changed: runs full signature-refinement passes from the current
-  /// partition instead of the localized worklist.
-  size_t OnGraphUpdated();
-
   /// Unconditional recompression from the schema partition.
   void Rebuild();
 

@@ -23,6 +23,17 @@ Status CheckInterrupts(const EvalOverrides& overrides) {
 
 }  // namespace
 
+std::string_view ServingPathName(ServingPath path) {
+  switch (path) {
+    case ServingPath::kCache: return "cache";
+    case ServingPath::kMaintained: return "maintained";
+    case ServingPath::kPlannerShortCircuit: return "planner_short_circuit";
+    case ServingPath::kCompressed: return "compressed";
+    case ServingPath::kDirect: return "direct";
+  }
+  return "unknown";
+}
+
 uint64_t QueryCacheKey(const Pattern& q, MatchSemantics semantics) {
   // The canonical fingerprint, so equivalent conjunctions — e.g. a pattern
   // compiled from topic_terms vs. the same conditions written explicitly in
@@ -36,9 +47,8 @@ Result<MatchRelation> EvalCore::Evaluate(const EngineSnapshot& snap,
                                          const Pattern& q, MatchSemantics semantics,
                                          const EvalOverrides& overrides,
                                          MatchContext* ctx,
-                                         MatchContext* compressed_ctx,
-                                         EvalPath* path) const {
-  *path = EvalPath::kDirect;
+                                         ServingPath* path) const {
+  *path = ServingPath::kDirect;
   EvalPlan plan = planner_.Plan(snap.graph->graph(), q);
   plan.match_options.num_threads =
       overrides.match_threads.value_or(options_.match_threads);
@@ -51,7 +61,7 @@ Result<MatchRelation> EvalCore::Evaluate(const EngineSnapshot& snap,
     plan.match_options.topic_index.enabled = *overrides.use_topic_index;
   }
   if (plan.provably_empty) {
-    *path = EvalPath::kPlannerShortCircuit;
+    *path = ServingPath::kPlannerShortCircuit;
     return MatchRelation(q.NumNodes());
   }
   EF_RETURN_NOT_OK(CheckInterrupts(overrides));  // planned, not yet matched
@@ -61,9 +71,9 @@ Result<MatchRelation> EvalCore::Evaluate(const EngineSnapshot& snap,
       snap.compressed->IsCompatible(q)) {
     // The compressed view was frozen current at publish time — its
     // compatibility with snap.graph needs no version check here.
-    *path = EvalPath::kCompressed;
-    MatchRelation compressed = ComputeBoundedSimulation(
-        snap.compressed_graph, q, plan.match_options, compressed_ctx);
+    *path = ServingPath::kCompressed;
+    MatchRelation compressed =
+        ComputeBoundedSimulation(snap.compressed_graph, q, plan.match_options, ctx);
     EF_RETURN_NOT_OK(CheckInterrupts(overrides));  // matched, not decompressed
     return snap.compressed->Decompress(compressed);
   }

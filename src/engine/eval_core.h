@@ -14,7 +14,7 @@
 //     const end to end: plan, short-circuit, run the one matcher on the
 //     compressed view or the graph, decompress — a pure function of
 //     (snapshot, pattern, overrides). Any number of threads may call it
-//     concurrently, each with its own MatchContext pair.
+//     concurrently, each with its own MatchContext.
 //
 // QueryEngine is the writer (incremental maintainers, compression,
 // publishing); ExpFinderService owns the one EvalCore and the result cache
@@ -26,6 +26,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 
 #include "src/compression/compressed_graph.h"
@@ -48,8 +49,25 @@ namespace expfinder {
 /// version range; see result_cache.h.)
 uint64_t QueryCacheKey(const Pattern& q, MatchSemantics semantics);
 
-/// \brief How an uncached evaluation produced its relation.
-enum class EvalPath { kPlannerShortCircuit, kCompressed, kDirect };
+/// \brief How a query was served, one label per serving path. The service
+/// answers from the first two; EvalCore::Evaluate reports one of the last
+/// three.
+enum class ServingPath {
+  /// Answer returned from the result cache (same pattern, same semantics,
+  /// a version range covering the pinned snapshot).
+  kCache,
+  /// Snapshot of an incrementally maintained query.
+  kMaintained,
+  /// The planner proved the query unsatisfiable; no fixpoint ran.
+  kPlannerShortCircuit,
+  /// Evaluated on the compressed graph Gc and decompressed.
+  kCompressed,
+  /// Direct (bounded/dual) simulation on G.
+  kDirect,
+};
+
+/// Stable lower-case name ("cache", "maintained", ...).
+std::string_view ServingPathName(ServingPath path);
 
 /// \brief Per-call evaluation overrides (the service layer's per-request
 /// knobs). Absent fields fall back to the core's EngineOptions.
@@ -146,14 +164,14 @@ class EvalCore {
   /// Evaluates Q against `snap` under the chosen semantics. Pure function
   /// of (snap, q, overrides) — consults no cache and no maintained state
   /// (the service checks those first) and updates no stats;
-  /// `path` reports how the relation was produced. Each concurrent call
-  /// needs contexts no other call is using (`ctx` evaluates over the graph,
-  /// `compressed_ctx` over Gc); both are bound to the snapshot's handles
-  /// for the duration.
+  /// `path` reports how the relation was produced (kPlannerShortCircuit,
+  /// kCompressed or kDirect). Each concurrent call needs a context no other
+  /// call is using; the matcher binds it to the snapshot's graph or to its
+  /// Gc, whichever it runs on.
   Result<MatchRelation> Evaluate(const EngineSnapshot& snap, const Pattern& q,
                                  MatchSemantics semantics,
                                  const EvalOverrides& overrides, MatchContext* ctx,
-                                 MatchContext* compressed_ctx, EvalPath* path) const;
+                                 ServingPath* path) const;
 
  private:
   EngineOptions options_;

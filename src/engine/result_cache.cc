@@ -12,13 +12,9 @@ ResultCache::Iter ResultCache::Covering(uint64_t fingerprint, uint64_t version) 
 
 std::shared_ptr<const QueryAnswer> ResultCache::Get(uint64_t fingerprint,
                                                     uint64_t graph_version) {
-  if (capacity_ == 0) return nullptr;  // disabled: no lookup bookkeeping
+  if (capacity_ == 0) return nullptr;  // disabled: no lookup
   const Iter it = Covering(fingerprint, graph_version);
-  if (it == lru_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
+  if (it == lru_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it);  // refresh recency
   return it->answer;
 }

@@ -53,8 +53,8 @@ struct QueryAnswer {
 /// \brief LRU map (fingerprint, version range) -> QueryAnswer.
 ///
 /// `capacity == 0` means *disabled*: Get always misses and Put is a no-op,
-/// with no map lookups and no hit/miss bookkeeping — the counters stay 0, so
-/// a disabled cache is indistinguishable from one that was never consulted.
+/// with no map lookups. (The service counts hits in
+/// ServiceStats::cache_hits.)
 class ResultCache {
  public:
   explicit ResultCache(size_t capacity) : capacity_(capacity) {}
@@ -91,9 +91,6 @@ class ResultCache {
   size_t size() const { return lru_.size(); }
   size_t capacity() const { return capacity_; }
 
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-
  private:
   struct Entry {
     uint64_t fingerprint;
@@ -111,7 +108,6 @@ class ResultCache {
   std::list<Entry> lru_;  // front = most recent
   /// Entries by fingerprint: one per disjoint version range.
   std::unordered_multimap<uint64_t, Iter> by_fingerprint_;
-  size_t hits_ = 0, misses_ = 0;
 };
 
 }  // namespace expfinder

@@ -12,16 +12,6 @@ Status ApplyDelta(Graph* g, const Delta& delta) {
   return DurableGraph::ApplyRecord(g, delta.payload);
 }
 
-Result<DeltaBatch> DeltaStream::Poll(size_t max) {
-  auto tail = Wal::TailFrom(dir_, fops_, cursor_, max);
-  if (!tail.ok()) return tail.status();
-  DeltaBatch batch;
-  batch.deltas = std::move(tail->records);
-  batch.lost_prefix = tail->lost_prefix;
-  if (!batch.deltas.empty()) cursor_ = batch.deltas.back().lsn + 1;
-  return batch;
-}
-
 void InProcessDeltaSource::Ship(uint64_t lsn, std::string payload) {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -3,7 +3,7 @@
 // DurableGraph appends per acknowledged Mutate/AddNode — double as the
 // delta stream a replica applies instead of receiving full graph copies.
 //
-// Three layers, bottom up:
+// Two layers, bottom up:
 //
 //   * The codec is DurableGraph's record format verbatim (`batch`/`addnode`
 //     text payloads; see durable_graph.h). A Delta is just a WalRecord:
@@ -12,17 +12,15 @@
 //     recovery — and performs the same version bumps as the primary's
 //     original mutations, which is what keeps replica version numbering
 //     bit-identical to the primary's.
-//   * DeltaStream tails WAL segment files from a given LSN (Wal::TailFrom):
-//     a stateful cursor over the on-disk log, usable with zero coordination
-//     against a live appender. This is the catch-up feed — a restarted or
-//     lagged replica reads checkpoint + stream tail.
 //   * DeltaSource is the pluggable transport interface the fleet consumes
 //     (fetch + blocking await + producer horizon). InProcessDeltaSource is
 //     the in-process implementation: the primary Ships every logged record
 //     into a bounded in-memory window (the live feed — no file reads on the
 //     hot path), and fetches below the window fall back to tailing the WAL
-//     directory when one is configured. A network transport slots in by
-//     implementing the same three methods against an RPC stream.
+//     directory (Wal::TailFrom, which needs no coordination with a live
+//     appender) when one is configured: the catch-up feed a restarted or
+//     lagged replica reads after its checkpoint. A network transport slots
+//     in by implementing the same three methods against an RPC stream.
 //
 // A fetch below everything the source can still produce reports
 // lost_prefix: the subscriber must re-anchor (checkpoint or full snapshot
@@ -62,31 +60,6 @@ struct DeltaBatch {
 /// records the graph already reflects, DataLoss for records that cannot be
 /// consistent with it (a prior record is missing).
 Status ApplyDelta(Graph* g, const Delta& delta);
-
-/// \brief Cursor-bearing tail reader over a WAL directory: the
-/// transport-neutral catch-up feed. Stateless on disk — every Poll
-/// re-scans from the cursor via Wal::TailFrom, so it tolerates concurrent
-/// appends, rotation, and truncation by a live primary.
-class DeltaStream {
- public:
-  /// `file_ops` nullptr = the real filesystem.
-  explicit DeltaStream(std::string dir, FileOps* file_ops = nullptr,
-                       uint64_t from_lsn = 0)
-      : dir_(std::move(dir)), fops_(file_ops), cursor_(from_lsn) {}
-
-  /// Reads up to `max` records at the cursor and advances it past the
-  /// returned run. An empty batch means nothing new is visible yet (live
-  /// tail); lost_prefix means the cursor must be re-anchored via Seek.
-  Result<DeltaBatch> Poll(size_t max);
-
-  uint64_t cursor() const { return cursor_; }
-  void Seek(uint64_t lsn) { cursor_ = lsn; }
-
- private:
-  std::string dir_;
-  FileOps* fops_;
-  uint64_t cursor_;
-};
 
 /// \brief The transport interface a ReplicaFleet consumes. Implementations
 /// must be thread-safe: every replica applier fetches concurrently, and the

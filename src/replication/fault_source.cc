@@ -42,7 +42,7 @@ Result<DeltaBatch> FaultyDeltaSource::Fetch(uint64_t from_lsn, size_t max) {
     }
   }
   if (stall_ms > 0.0) {
-    // Real wall-clock delay: stalls exercise read deadlines and hedging,
+    // Real wall-clock delay: stalls exercise read deadlines and retries,
     // which run on real time.
     std::this_thread::sleep_for(
         std::chrono::duration<double, std::milli>(stall_ms));

@@ -8,7 +8,7 @@
 //   * fetch error   — the call fails with IOError; the applier's retry /
 //                     consecutive-failure accounting path.
 //   * stall         — the call succeeds but only after a delay; exercises
-//                     read deadlines, hedging, and lag-driven quarantine.
+//                     read deadlines, retries, and lag-driven quarantine.
 //   * truncation    — only a prefix of the batch is delivered (a connection
 //                     dropped mid-stream); harmless by construction, the
 //                     next fetch resumes at the cursor.

@@ -201,11 +201,11 @@ void ReplicaFleet::ApplierLoop(Slot* slot) {
   }
 }
 
-std::shared_ptr<const EngineSnapshot> ReplicaFleet::TryAcquire(
-    uint64_t min_version, size_t* replica_idx, ReadRouting routing) {
+std::shared_ptr<const EngineSnapshot> ReplicaFleet::TryAcquire(uint64_t min_version,
+                                                               size_t* replica_idx) {
   const size_t n = slots_.size();
   if (n == 0) return nullptr;
-  if (routing == ReadRouting::kLeastLagged) {
+  if (options_.routing == ReadRouting::kLeastLagged) {
     std::shared_ptr<const EngineSnapshot> best;
     size_t best_idx = 0;
     for (size_t i = 0; i < n; ++i) {
@@ -237,12 +237,11 @@ std::shared_ptr<const EngineSnapshot> ReplicaFleet::TryAcquire(
 
 std::shared_ptr<const EngineSnapshot> ReplicaFleet::Acquire(
     uint64_t min_version, double deadline_ms, size_t* replica_idx,
-    AcquireOutcome* outcome, std::optional<ReadRouting> routing) {
-  const ReadRouting policy = routing.value_or(options_.routing);
+    AcquireOutcome* outcome) {
   auto report = [outcome](AcquireOutcome o) {
     if (outcome != nullptr) *outcome = o;
   };
-  auto snap = TryAcquire(min_version, replica_idx, policy);
+  auto snap = TryAcquire(min_version, replica_idx);
   if (snap != nullptr) {
     report(AcquireOutcome::kOk);
     return snap;
@@ -268,7 +267,7 @@ std::shared_ptr<const EngineSnapshot> ReplicaFleet::Acquire(
       unavailable = true;
       return true;
     }
-    snap = TryAcquire(min_version, replica_idx, policy);
+    snap = TryAcquire(min_version, replica_idx);
     return snap != nullptr;
   });
   report(snap != nullptr ? AcquireOutcome::kOk

@@ -51,7 +51,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,13 +157,13 @@ class ReplicaFleet {
   /// unrecoverable fleet never waits — see AcquireOutcome). On success
   /// `*replica_idx` (optional) receives the chosen replica and its
   /// routed-read counter is bumped; `*outcome` (optional) reports why a
-  /// nullptr came back. `routing` overrides the configured policy for this
-  /// call (the service's hedged second read goes straight to the freshest
-  /// replica regardless of the load-spreading default).
-  std::shared_ptr<const EngineSnapshot> Acquire(
-      uint64_t min_version, double deadline_ms, size_t* replica_idx,
-      AcquireOutcome* outcome = nullptr,
-      std::optional<ReadRouting> routing = std::nullopt);
+  /// nullptr came back. The configured ReadRouting picks among eligible
+  /// replicas; either policy scans every replica, so whether a snapshot
+  /// comes back does not depend on it.
+  std::shared_ptr<const EngineSnapshot> Acquire(uint64_t min_version,
+                                                double deadline_ms,
+                                                size_t* replica_idx,
+                                                AcquireOutcome* outcome = nullptr);
 
   /// Kills one applier (joins it) and marks the replica dead for routing.
   /// The crash half of the catch-up drill. Wakes Acquire waiters — a wait
@@ -229,8 +228,7 @@ class ReplicaFleet {
   bool QuarantineAndRestart(Slot* slot);
   /// Lock-free routing probe; nullptr when nothing satisfies min_version.
   std::shared_ptr<const EngineSnapshot> TryAcquire(uint64_t min_version,
-                                                   size_t* replica_idx,
-                                                   ReadRouting routing);
+                                                   size_t* replica_idx);
   void NotifyWaiters();
 
   const FleetOptions options_;

@@ -68,16 +68,13 @@ void Replica::Publish() {
 Result<MatchRelation> Replica::Evaluate(const Pattern& q,
                                         MatchSemantics semantics,
                                         const EvalOverrides& overrides,
-                                        MatchContext* ctx,
-                                        MatchContext* compressed_ctx,
-                                        EvalPath* path) const {
+                                        MatchContext* ctx, ServingPath* path) const {
   auto snap = snapshot();
   if (!snap) {
     return Status::NotFound("replica " + std::to_string(id_) +
                             " has no published snapshot yet");
   }
-  return core_.Evaluate(*snap, q, semantics, overrides, ctx, compressed_ctx,
-                        path);
+  return core_.Evaluate(*snap, q, semantics, overrides, ctx, path);
 }
 
 }  // namespace expfinder

@@ -91,11 +91,10 @@ class Replica {
 
   /// Evaluates against this replica's published snapshot via its own core
   /// (standalone use; the service routes reads through its own serving
-  /// path instead). Thread-safe given exclusive contexts.
+  /// path instead). Thread-safe given an exclusive context.
   Result<MatchRelation> Evaluate(const Pattern& q, MatchSemantics semantics,
-                                 const EvalOverrides& overrides,
-                                 MatchContext* ctx, MatchContext* compressed_ctx,
-                                 EvalPath* path) const;
+                                 const EvalOverrides& overrides, MatchContext* ctx,
+                                 ServingPath* path) const;
 
   /// The live graph — applier-thread-only (tests compare serialized state
   /// after quiescing).

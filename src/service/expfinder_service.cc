@@ -25,10 +25,10 @@ bool CancelRequested(const PendingQuery& pending) {
   return pending.ticket->cancelled.load(std::memory_order_acquire);
 }
 
-/// Idle contexts retained between queries. Each WorkerContext holds two
-/// contexts' scratch (BFS buffers, counter arrays, a parked seeding pool),
-/// so a burst wider than this drops the surplus on release instead of
-/// keeping peak-concurrency memory for the service's lifetime.
+/// Idle contexts retained between queries. Each holds a worker's scratch
+/// (BFS buffers, counter arrays, a parked seeding pool), so a burst wider
+/// than this drops the surplus on release instead of keeping
+/// peak-concurrency memory for the service's lifetime.
 size_t IdleContextCap() {
   return std::max<size_t>(8, 2 * ThreadPool::ResolveThreads(0));
 }
@@ -49,15 +49,14 @@ ExpFinderService::ContextLease::ContextLease(ExpFinderService* service)
       service_->idle_contexts_.pop_back();
     }
   }
-  if (ctx_ == nullptr) ctx_ = std::make_unique<WorkerContext>();
+  if (ctx_ == nullptr) ctx_ = std::make_unique<MatchContext>();
 }
 
 ExpFinderService::ContextLease::~ContextLease() {
-  // An idle context must not pin the snapshots of its last request: they
-  // would outlive the retained ring, and the next bind would free them
+  // An idle context must not pin the snapshot of its last request: it
+  // would outlive the retained ring, and the next bind would free it
   // inside another request.
-  ctx_->direct.BindSnapshot(nullptr);
-  ctx_->compressed.BindSnapshot(nullptr);
+  ctx_->BindSnapshot(nullptr);
   std::lock_guard<std::mutex> lock(service_->ctx_mu_);
   if (service_->idle_contexts_.size() < IdleContextCap()) {
     service_->idle_contexts_.push_back(std::move(ctx_));
@@ -177,23 +176,9 @@ ReplicaBootstrap ExpFinderService::BootstrapReplica() {
 std::shared_ptr<const EngineSnapshot> ExpFinderService::AcquireRouted(
     uint64_t min_version, AcquireOutcome* outcome) {
   const ReplicationOptions& r = options_.replication;
-  const double budget = r.max_staleness_wait_ms;
-  // Hedging caps the first, policy-routed wait at the hedge threshold; on
-  // a miss the remaining budget funds a second read aimed straight at the
-  // freshest replica. Unfloored reads never wait, so hedging them is moot.
-  const bool hedge =
-      r.hedge_delay_ms > 0.0 && r.hedge_delay_ms < budget && min_version > 0;
-  Timer timer;
   AcquireOutcome last = AcquireOutcome::kTimeout;
-  auto snap = fleet_->Acquire(min_version, hedge ? r.hedge_delay_ms : budget,
+  auto snap = fleet_->Acquire(min_version, r.max_staleness_wait_ms,
                               /*replica_idx=*/nullptr, &last);
-  if (snap == nullptr && hedge && last == AcquireOutcome::kTimeout) {
-    hedged_reads_.fetch_add(1, std::memory_order_relaxed);
-    snap = fleet_->Acquire(min_version,
-                           std::max(0.0, budget - timer.ElapsedMillis()),
-                           /*replica_idx=*/nullptr, &last,
-                           ReadRouting::kLeastLagged);
-  }
   // Bounded retries while the fleet can still recover: a quarantined
   // replica's auto-restart (or a lagging one's catch-up) may land within a
   // retry window. kUnavailable skips this — only operator action helps.
@@ -222,14 +207,6 @@ std::shared_ptr<const EngineSnapshot> ExpFinderService::AcquireRouted(
   }
   *outcome = snap != nullptr ? AcquireOutcome::kOk : last;
   return snap;
-}
-
-void ExpFinderService::ShipLocked(std::string payload) {
-  if (delta_source_ == nullptr) return;
-  const uint64_t lsn =
-      durable_ != nullptr ? durable_->next_lsn() - 1 : ship_lsn_++;
-  delta_source_->Ship(lsn, std::move(payload));
-  deltas_shipped_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ExpFinderService::Resume() {
@@ -270,8 +247,7 @@ QueryTicket ExpFinderService::Submit(QueryRequest request) {
         std::to_string(ThreadPool::ResolveThreads(0)) + " hardware threads");
   }
   if (!valid.ok()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    CompleteTicket(state, std::move(valid));
+    Finish(state, std::move(valid));
     return ticket;
   }
   auto pending = std::make_unique<PendingQuery>();
@@ -279,8 +255,7 @@ QueryTicket ExpFinderService::Submit(QueryRequest request) {
   pending->ticket = state;
   if (Status st = queue_.TryPush(std::move(pending)); !st.ok()) {
     // Backpressure: the queue is full, the caller learns right now.
-    rejected_overload_.fetch_add(1, std::memory_order_relaxed);
-    CompleteTicket(state, std::move(st));
+    Finish(state, std::move(st));
     return ticket;
   }
   // One drain task per admission; the task pops the highest-priority entry,
@@ -304,14 +279,11 @@ void ExpFinderService::DrainOne() {
   queue_latency_[QueueLatencyBucket(queue_ms)].fetch_add(1,
                                                          std::memory_order_relaxed);
   if (shutdown_.load(std::memory_order_acquire)) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
-    CompleteTicket(pending->ticket, Status::Cancelled("service shutting down"));
+    Finish(pending->ticket, Status::Cancelled("service shutting down"));
     return;
   }
   if (CancelRequested(*pending)) {
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
-    CompleteTicket(pending->ticket,
-                   Status::Cancelled("cancelled in admission queue"));
+    Finish(pending->ticket, Status::Cancelled("cancelled in admission queue"));
     return;
   }
   // Queue-level deadline: a budget that expired while the request sat in
@@ -320,17 +292,47 @@ void ExpFinderService::DrainOne() {
   // is served regardless of the budget (Serve re-checks after a miss).
   if (OverBudget(pending->request, pending->submitted) &&
       !UseCache(pending->request)) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    CompleteTicket(pending->ticket,
-                   Status::DeadlineExceeded(
-                       "time budget exhausted in admission queue"));
+    Finish(pending->ticket,
+           Status::DeadlineExceeded("time budget exhausted in admission queue"));
     return;
   }
-  CompleteTicket(pending->ticket, Serve(*pending, queue_ms));
+  std::optional<ServingPath> served;
+  Result<QueryResponse> result = Serve(*pending, queue_ms, &served);
+  Finish(pending->ticket, std::move(result), served);
+}
+
+std::atomic<size_t>& ExpFinderService::TerminalCounter(std::optional<ServingPath> served,
+                                                       const Status& status) {
+  if (served.has_value()) {
+    switch (*served) {
+      case ServingPath::kCache: return cache_hits_;
+      case ServingPath::kMaintained: return maintained_hits_;
+      case ServingPath::kPlannerShortCircuit: return planner_short_circuits_;
+      case ServingPath::kCompressed: return compressed_evals_;
+      case ServingPath::kDirect: return direct_evals_;
+    }
+  }
+  EF_DCHECK(!status.ok()) << "an OK result without a serving path";
+  switch (status.code()) {
+    case StatusCode::kCancelled: return cancelled_;
+    case StatusCode::kUnavailable: return unavailable_;
+    case StatusCode::kResourceExhausted: return rejected_overload_;  // queue full
+    default: return rejected_;
+  }
+}
+
+void ExpFinderService::Finish(const std::shared_ptr<TicketState>& ticket,
+                              Result<QueryResponse> result,
+                              std::optional<ServingPath> served) {
+  // Counted before CompleteTicket releases waiters, so a caller that saw
+  // its ticket complete also sees it counted.
+  TerminalCounter(served, result.status()).fetch_add(1, std::memory_order_relaxed);
+  CompleteTicket(ticket, std::move(result));
 }
 
 Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
-                                              double queue_ms) {
+                                              double queue_ms,
+                                              std::optional<ServingPath>* served) {
   const QueryRequest& request = pending.request;
   const Timer& timer = pending.submitted;
   const bool use_cache = UseCache(request);
@@ -343,7 +345,6 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
     if (!request.pattern.output_node().has_value()) {
       // CompileTopicTerms has no node to hang the predicates on; serving the
       // unfiltered relation would silently ignore the expertise filter.
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       return Status::InvalidArgument(
           "topic_terms require a pattern with an output node");
     }
@@ -361,14 +362,12 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
   std::shared_ptr<const EngineSnapshot> snap;
   if (request.as_of_version.has_value()) {
     if (request.min_version.has_value()) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       return Status::InvalidArgument(
           "as_of_version and min_version are mutually exclusive (an exact "
           "pin already decides the version)");
     }
     snap = FindRetained(*request.as_of_version);
     if (snap == nullptr) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       return Status::NotFound("as_of_version " +
                               std::to_string(*request.as_of_version) +
                               " is not retained (evicted or never published)");
@@ -392,7 +391,6 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
         // Fleet down or unrecoverable (and the primary cannot cover):
         // kUnavailable tells the caller to route away / retry elsewhere,
         // unlike a deadline miss where waiting longer could have worked.
-        unavailable_.fetch_add(1, std::memory_order_relaxed);
         return Status::Unavailable(
             "replica fleet unavailable for min_version " +
             std::to_string(min_version) +
@@ -400,7 +398,6 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
                  ? " and the primary has not reached it"
                  : " (primary fallback disabled)"));
       } else {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
         return Status::DeadlineExceeded(
             "no replica reached min_version " + std::to_string(min_version) +
             " within " +
@@ -416,7 +413,6 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
     if (request.min_version.has_value() && snap->version < *request.min_version) {
       // Without replicas the primary epoch is as fresh as it gets: a floor
       // above it denotes a version that does not exist yet.
-      rejected_.fetch_add(1, std::memory_order_relaxed);
       return Status::DeadlineExceeded(
           "min_version " + std::to_string(*request.min_version) +
           " is beyond the current epoch (version " +
@@ -432,7 +428,6 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
   if (use_cache) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (auto hit = cache_.Get(key, response.graph_version)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       response.answer = std::move(hit);
       response.path = ServingPath::kCache;
     }
@@ -441,17 +436,15 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
   if (response.answer == nullptr) {
     MatchRelation matches;
     ContextLease lease(this);
+    MatchContext& ctx = lease.ctx();
     if (const MatchRelation* maintained = snap->Maintained(key)) {
-      maintained_hits_.fetch_add(1, std::memory_order_relaxed);
       response.path = ServingPath::kMaintained;
       matches = *maintained;  // the snapshot's copy is frozen; ours mutates
     } else {
       if (CancelRequested(pending)) {
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
         return Status::Cancelled("cancelled before evaluation");
       }
       if (OverBudget(request, timer)) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
         return Status::DeadlineExceeded("time budget exhausted before evaluation");
       }
       EvalOverrides overrides;
@@ -461,52 +454,22 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
       overrides.cancelled = &pending.ticket->cancelled;
       overrides.timer = &timer;
       overrides.time_budget_ms = request.time_budget_ms;
-      EvalPath path = EvalPath::kDirect;
-      MatchContext& dctx = lease.ctx().direct;
-      MatchContext& cctx = lease.ctx().compressed;
-      // The lease's contexts accumulate across requests; publish this
+      // The leased context accumulates across requests; publish this
       // request's topic-seeding telemetry as a before/after delta.
-      const size_t builds0 = dctx.topic_index_builds() + cctx.topic_index_builds();
-      const size_t hits0 = dctx.posting_hits() + cctx.posting_hits();
-      const size_t falls0 = dctx.seed_scan_fallbacks() + cctx.seed_scan_fallbacks();
+      const size_t builds0 = ctx.topic_index_builds();
+      const size_t hits0 = ctx.posting_hits();
+      const size_t falls0 = ctx.seed_scan_fallbacks();
       auto evaluated = core_.Evaluate(*snap, pattern, request.semantics, overrides,
-                                      &dctx, &cctx, &path);
-      topic_index_builds_.fetch_add(
-          dctx.topic_index_builds() + cctx.topic_index_builds() - builds0,
-          std::memory_order_relaxed);
-      posting_hits_.fetch_add(dctx.posting_hits() + cctx.posting_hits() - hits0,
-                              std::memory_order_relaxed);
-      seed_scan_fallbacks_.fetch_add(
-          dctx.seed_scan_fallbacks() + cctx.seed_scan_fallbacks() - falls0,
-          std::memory_order_relaxed);
-      if (!evaluated.ok()) {
-        // A cancel observed at an engine stage boundary is its own
-        // terminal state; everything else (stage deadline, eval error)
-        // counts as rejected.
-        if (evaluated.status().IsCancelled()) {
-          cancelled_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          rejected_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return evaluated.status();
-      }
+                                      &ctx, &response.path);
+      topic_index_builds_.fetch_add(ctx.topic_index_builds() - builds0,
+                                    std::memory_order_relaxed);
+      posting_hits_.fetch_add(ctx.posting_hits() - hits0, std::memory_order_relaxed);
+      seed_scan_fallbacks_.fetch_add(ctx.seed_scan_fallbacks() - falls0,
+                                     std::memory_order_relaxed);
+      if (!evaluated.ok()) return evaluated.status();
       matches = std::move(evaluated).value();
-      switch (path) {
-        case EvalPath::kPlannerShortCircuit:
-          planner_short_circuits_.fetch_add(1, std::memory_order_relaxed);
-          response.path = ServingPath::kPlannerShortCircuit;
-          break;
-        case EvalPath::kCompressed:
-          compressed_evals_.fetch_add(1, std::memory_order_relaxed);
-          response.path = ServingPath::kCompressed;
-          break;
-        case EvalPath::kDirect:
-          direct_evals_.fetch_add(1, std::memory_order_relaxed);
-          response.path = ServingPath::kDirect;
-          break;
-      }
     }
-    ResultGraph rg(snap->graph, pattern, matches, &lease.ctx().direct);
+    ResultGraph rg(snap->graph, pattern, matches, &ctx);
     response.answer = std::make_shared<const QueryAnswer>(
         QueryAnswer{std::move(matches), std::move(rg)});
     if (use_cache) {
@@ -516,11 +479,11 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
       cache_.Put(key, response.graph_version, response.answer, std::move(answered));
     }
   }
+  // The request has an answer: it counts under this path even if ranking
+  // refuses it below.
+  *served = response.path;
 
   if (request.top_k) {
-    // Failures past this point keep the serving-path classification the
-    // evaluation earned (the answer exists); only the ranked list is
-    // refused.
     if (CancelRequested(pending)) {
       return Status::Cancelled("cancelled before ranking");
     }
@@ -542,7 +505,7 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
                                 *request.top_k)
               : TopKMatchesWith(response.answer->result_graph, pattern,
                                 *request.top_k, request.metric);
-      if (!ranked.ok()) return ranked.status();  // classification kept (see above)
+      if (!ranked.ok()) return ranked.status();
       response.ranked = std::move(ranked).value();
       memo.Store(rank_key, *request.top_k, response.ranked);
     }
@@ -610,10 +573,16 @@ Status ExpFinderService::Mutate(const UpdateBatch& batch) {
   EF_RETURN_NOT_OK(engine_.ApplyUpdates(batch));
   batches_applied_.fetch_add(1, std::memory_order_relaxed);
   updates_applied_.fetch_add(batch.size(), std::memory_order_relaxed);
-  // WAL before the epoch swap: the batch is durable (per fsync policy)
+  return CommitLocked(DurableGraph::EncodeBatch(batch),
+                      [&] { ExtendCachedAnswersLocked(*before, batch); });
+}
+
+Status ExpFinderService::CommitLocked(std::string record,
+                                      const std::function<void()>& before_publish) {
+  // WAL before the epoch swap: the change is durable (per fsync policy)
   // before any reader can observe it and before the caller sees OK. On a
   // WAL failure the in-memory state still advances (and publishes — the
-  // engine already applied) but the caller gets the error: the mutation is
+  // engine already applied) but the caller gets the error: the change is
   // NOT acknowledged durable and will not survive a crash.
   Status logged = Status::OK();
   // "Entered the log" is the ship condition, not "acknowledged durable": an
@@ -623,20 +592,21 @@ Status ExpFinderService::Mutate(const UpdateBatch& batch) {
   bool entered_log = durable_ == nullptr;
   if (durable_ != nullptr) {
     const uint64_t lsn_before = durable_->next_lsn();
-    logged = durable_->LogBatch(batch);
+    logged = durable_->AppendRecord(record);
     entered_log = durable_->next_lsn() > lsn_before;
-    if (logged.ok()) {
-      wal_appends_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      durability_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
+    (logged.ok() ? wal_appends_ : durability_errors_)
+        .fetch_add(1, std::memory_order_relaxed);
   }
-  ExtendCachedAnswersLocked(*before, batch);
+  if (before_publish) before_publish();
   PublishLocked();
-  if (entered_log) ShipLocked(DurableGraph::EncodeBatch(batch));
+  if (entered_log && delta_source_ != nullptr) {
+    delta_source_->Ship(durable_ != nullptr ? durable_->next_lsn() - 1 : ship_lsn_++,
+                        std::move(record));
+    deltas_shipped_.fetch_add(1, std::memory_order_relaxed);
+  }
   // Checkpoint only on the success path: after a failed append the WAL may
   // hold the record appended-but-unsynced (LSN advanced), and an immediate
-  // checkpoint at that LSN would make the just-refused mutation durable.
+  // checkpoint at that LSN would make the just-refused change durable.
   if (logged.ok()) MaybeCheckpointLocked();
   return logged;
 }
@@ -667,25 +637,10 @@ Result<NodeId> ExpFinderService::AddNode(
     const std::vector<std::pair<std::string, AttrValue>>& attrs) {
   std::lock_guard<std::mutex> writer(writer_mu_);
   auto id = engine_.AddNode(label, attrs);
-  if (id.ok()) {
-    nodes_added_.fetch_add(1, std::memory_order_relaxed);
-    Status logged = Status::OK();
-    bool entered_log = durable_ == nullptr;  // ship condition; see Mutate
-    if (durable_ != nullptr) {
-      const uint64_t lsn_before = durable_->next_lsn();
-      logged = durable_->LogAddNode(*id, label, attrs);
-      entered_log = durable_->next_lsn() > lsn_before;
-      if (logged.ok()) {
-        wal_appends_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        durability_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    PublishLocked();
-    if (entered_log) ShipLocked(DurableGraph::EncodeAddNode(*id, label, attrs));
-    if (!logged.ok()) return logged;  // node exists in memory but is not durable
-    MaybeCheckpointLocked();
-  }
+  if (!id.ok()) return id;
+  nodes_added_.fetch_add(1, std::memory_order_relaxed);
+  // On a failed append the node exists in memory but is not durable.
+  EF_RETURN_NOT_OK(CommitLocked(DurableGraph::EncodeAddNode(*id, label, attrs)));
   return id;
 }
 
@@ -794,7 +749,6 @@ ServiceStats ExpFinderService::stats() const {
   s.routed_reads = routed_reads_.load(std::memory_order_relaxed);
   s.routed_fallbacks = routed_fallbacks_.load(std::memory_order_relaxed);
   s.retried_reads = retried_reads_.load(std::memory_order_relaxed);
-  s.hedged_reads = hedged_reads_.load(std::memory_order_relaxed);
   s.relaxed_reads = relaxed_reads_.load(std::memory_order_relaxed);
   s.unavailable = unavailable_.load(std::memory_order_relaxed);
   if (fleet_ != nullptr) {

@@ -41,10 +41,11 @@
 //   * The last ServiceOptions::retained_snapshots published snapshots stay
 //     pinned in a ring; QueryRequest::as_of_version serves time-travel
 //     reads from it (evicted versions fail with NotFound).
-//   * Each worker borrows a MatchContext pair from a pool (contexts are
-//     single-owner scratch; see match_context.h), binds it to the pinned
-//     snapshot, and unbinds it when the request ends, so an idle context
-//     pins no version beyond the retained ring.
+//   * Each worker borrows one MatchContext from a pool (contexts are
+//     single-owner scratch; see match_context.h). The compressed matcher
+//     binds it to the pinned snapshot's Gc and the result graph to its G,
+//     each a pointer swap, and the lease unbinds it when the request ends,
+//     so an idle context pins no version beyond the retained ring.
 //   * The ResultCache holds each answer over a range of versions and a read
 //     hits only an entry whose range covers its pinned version, so pinned
 //     reads can never observe a newer relation. Mutate carries an entry
@@ -66,8 +67,11 @@
 #include <array>
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -116,21 +120,18 @@ struct ReplicationOptions {
   bool fallback_to_primary = true;
 
   // --- Read-resilience ladder (PR 10). A routed read that misses walks
-  // these rungs in order: hedged second read -> bounded retries ->
-  // staleness relaxation -> primary fallback (above) -> error. Worst-case
-  // routing wait is max_staleness_wait_ms + read_retries * retry_wait_ms.
+  // these rungs in order: bounded retries -> staleness relaxation ->
+  // primary fallback (above) -> error. Worst-case routing wait is
+  // max_staleness_wait_ms + read_retries * retry_wait_ms.
 
   /// Extra Acquire attempts after the budgeted wait timed out while the
   /// fleet could still recover (quarantined replicas pending auto-restart).
-  /// Each waits retry_wait_ms. 0 = no retries.
+  /// For a read with a min_version floor each retry waits up to
+  /// retry_wait_ms more, so retries just lengthen its wait; a read without
+  /// one never waits, so each retry is an immediate re-probe. 0 = no
+  /// retries.
   size_t read_retries = 1;
   double retry_wait_ms = 20.0;
-  /// > 0 enables hedging: the first (policy-routed) wait is capped at this
-  /// threshold, and on a miss a second acquire goes straight to the
-  /// freshest replica (least-lagged routing) with the rest of the
-  /// staleness budget. 0 = off. Only applies to reads with a min_version
-  /// floor (unfloored reads never wait at all).
-  double hedge_delay_ms = 0.0;
   /// > 0 enables bounded-staleness relaxation as the last replica rung: a
   /// read whose floor cannot be met in time accepts a replica within this
   /// many versions BELOW min_version (no extra waiting — a probe). The
@@ -321,25 +322,17 @@ class ExpFinderService {
   FaultyDeltaSource* delta_faults() { return faulty_source_.get(); }
 
  private:
-  /// Per-worker scratch: one context for evaluation over the snapshot's
-  /// graph, one over its Gc, so a worker alternating direct/compressed
-  /// queries doesn't thrash one binding.
-  struct WorkerContext {
-    MatchContext direct;
-    MatchContext compressed;
-  };
-
-  /// RAII borrow of a WorkerContext from the free pool (creates one when
-  /// the pool is empty, returns it on destruction).
+  /// RAII borrow of a worker's MatchContext from the free pool (creates one
+  /// when the pool is empty, unbinds it and returns it on destruction).
   class ContextLease {
    public:
     explicit ContextLease(ExpFinderService* service);
     ~ContextLease();
-    WorkerContext& ctx() { return *ctx_; }
+    MatchContext& ctx() { return *ctx_; }
 
    private:
     ExpFinderService* service_;
-    std::unique_ptr<WorkerContext> ctx_;
+    std::unique_ptr<MatchContext> ctx_;
   };
 
   /// Executor task paired with one admission: pops the highest-priority
@@ -350,9 +343,21 @@ class ExpFinderService {
   /// The read path: pin a snapshot (epoch, replica, or as_of ring), cache
   /// probe, maintained lookup, EvalCore evaluation with cancellation/
   /// deadline checkpoints, ranking. Entirely lock-free against writers.
-  /// Updates the per-outcome counters; `queue_ms` is the admission wait
-  /// already measured by DrainOne.
-  Result<QueryResponse> Serve(const PendingQuery& pending, double queue_ms);
+  /// `*served` receives the serving path once an answer exists (it stays
+  /// set when a later stage fails the request); `queue_ms` is the
+  /// admission wait already measured by DrainOne.
+  Result<QueryResponse> Serve(const PendingQuery& pending, double queue_ms,
+                              std::optional<ServingPath>* served);
+
+  /// The terminal counter of one request (see ServiceStats): its serving
+  /// path when an answer exists, else the one its status code names.
+  std::atomic<size_t>& TerminalCounter(std::optional<ServingPath> served,
+                                       const Status& status);
+
+  /// Every request ends here: counts it in its one terminal counter, then
+  /// completes its ticket (releasing waiters).
+  void Finish(const std::shared_ptr<TicketState>& ticket, Result<QueryResponse> result,
+              std::optional<ServingPath> served = std::nullopt);
 
   /// Publishes the engine's current state as the new epoch and pushes it
   /// into the retained ring (caller holds writer_mu_).
@@ -384,10 +389,9 @@ class ExpFinderService {
   void StartReplication();
 
   /// The replica rungs of the read-resilience ladder: policy-routed
-  /// acquire (capped at the hedge threshold when hedging), hedged
-  /// least-lagged second read, bounded retries, staleness relaxation.
-  /// Returns the snapshot or nullptr; `*outcome` reports the final miss
-  /// kind (kTimeout vs kUnavailable) for the caller's error mapping.
+  /// acquire, bounded retries, staleness relaxation. Returns the snapshot
+  /// or nullptr; `*outcome` reports the final miss kind (kTimeout vs
+  /// kUnavailable) for the caller's error mapping.
   std::shared_ptr<const EngineSnapshot> AcquireRouted(uint64_t min_version,
                                                       AcquireOutcome* outcome);
 
@@ -396,9 +400,16 @@ class ExpFinderService {
   /// threads (fleet bootstrap when no usable checkpoint exists).
   ReplicaBootstrap BootstrapReplica();
 
-  /// Ships one just-logged mutation record into the delta stream (caller
-  /// holds writer_mu_ — Ship order must match LSN order).
-  void ShipLocked(std::string payload);
+  /// The commit path both writers share once the engine applied their
+  /// change (caller holds writer_mu_, so records ship in LSN order):
+  /// appends `record`, the change's encoded WAL record, when durable; runs
+  /// `before_publish` if set (Mutate's cache extension); publishes the new
+  /// epoch; ships the same bytes to the replicas when the record entered
+  /// the log (or durability is off); and checkpoints when due, only after a
+  /// successful append. Returns the append's status: non-OK means applied
+  /// and published but not durable.
+  Status CommitLocked(std::string record,
+                      const std::function<void()>& before_publish = {});
 
   /// Extends to the live graph's version every cache entry ending at
   /// `before`'s version whose answer `batch`, just applied to the live
@@ -441,7 +452,7 @@ class ExpFinderService {
   ResultCache cache_;  // guarded by cache_mu_
 
   std::mutex ctx_mu_;
-  std::vector<std::unique_ptr<WorkerContext>> idle_contexts_;  // guarded by ctx_mu_
+  std::vector<std::unique_ptr<MatchContext>> idle_contexts_;  // guarded by ctx_mu_
 
   /// Set by the destructor before draining: remaining queued requests
   /// complete as Cancelled instead of evaluating.
@@ -501,7 +512,6 @@ class ExpFinderService {
   std::atomic<size_t> routed_reads_{0};
   std::atomic<size_t> routed_fallbacks_{0};
   std::atomic<size_t> retried_reads_{0};
-  std::atomic<size_t> hedged_reads_{0};
   std::atomic<size_t> relaxed_reads_{0};
   std::atomic<size_t> unavailable_{0};
 

@@ -5,17 +5,6 @@
 
 namespace expfinder {
 
-std::string_view ServingPathName(ServingPath path) {
-  switch (path) {
-    case ServingPath::kCache: return "cache";
-    case ServingPath::kMaintained: return "maintained";
-    case ServingPath::kPlannerShortCircuit: return "planner_short_circuit";
-    case ServingPath::kCompressed: return "compressed";
-    case ServingPath::kDirect: return "direct";
-  }
-  return "unknown";
-}
-
 std::string_view QueryPriorityName(QueryPriority priority) {
   switch (priority) {
     case QueryPriority::kBackground: return "background";
@@ -146,7 +135,7 @@ std::string ServiceStats::ToString() const {
      << " deltas_applied=" << deltas_applied
      << " routed_reads=" << routed_reads
      << " routed_fallbacks=" << routed_fallbacks
-     << " retried_reads=" << retried_reads << " hedged_reads=" << hedged_reads
+     << " retried_reads=" << retried_reads
      << " relaxed_reads=" << relaxed_reads
      << " replica_rebootstraps=" << replica_rebootstraps
      << " replica_quarantines=" << replica_quarantines

@@ -30,25 +30,6 @@
 
 namespace expfinder {
 
-/// \brief How a query was served, one label per serving path. Extends the
-/// engine's EvalPath with the two paths that bypass evaluation entirely.
-enum class ServingPath {
-  /// Answer returned from the result cache (same pattern, same semantics,
-  /// same graph version).
-  kCache,
-  /// Snapshot of an incrementally maintained query.
-  kMaintained,
-  /// The planner proved the query unsatisfiable; no fixpoint ran.
-  kPlannerShortCircuit,
-  /// Evaluated on the compressed graph Gc and decompressed.
-  kCompressed,
-  /// Direct (bounded/dual) simulation on G.
-  kDirect,
-};
-
-/// Stable lower-case name ("cache", "maintained", ...).
-std::string_view ServingPathName(ServingPath path);
-
 /// \brief Admission priority of a request. Strict: a queued higher-priority
 /// request is always dequeued before any lower-priority one; within one
 /// priority the queue is FIFO. Priority affects queue order only — it never
@@ -249,20 +230,23 @@ size_t QueueLatencyBucket(double queue_ms);
 /// \brief Cumulative service telemetry (a plain snapshot; the live counters
 /// are atomics inside the service).
 ///
-/// Every submitted request lands in exactly one terminal counter:
-///   * requests that produced no answer (validation failure, queue or
-///     pre-eval deadline, evaluation error) count in `rejected`;
-///   * requests refused at Submit because the admission queue was full
-///     count in `rejected_overload`;
-///   * requests cancelled before their evaluation completed (while queued
-///     or at an evaluation stage boundary) count in `cancelled`;
-///   * reads refused because the replica fleet was down/unrecoverable and
-///     the primary could not cover them count in `unavailable` (PR 10 —
-///     Status::kUnavailable, "route away", vs a `rejected` deadline miss,
-///     "waited and lost");
-///   * anything that completed evaluation keeps its serving-path
-///     classification even if a later stage (ranking, post-eval deadline or
-///     cancel) fails the request.
+/// Every submitted request lands in exactly one terminal counter, bumped
+/// once when its ticket completes by the one function that classifies
+/// requests (ExpFinderService::TerminalCounter), from the serving path that
+/// produced an answer, if any, and the final status:
+///   * a request with an answer counts under its serving path (cache_hits,
+///     maintained_hits, planner_short_circuits, compressed_evals,
+///     direct_evals), even if a later stage (ranking, a post-answer
+///     deadline or cancel) fails it;
+///   * without an answer, Cancelled (queued, at shutdown, or at an
+///     evaluation stage boundary) counts in `cancelled`;
+///   * Unavailable (the replica fleet was down or unrecoverable and the
+///     primary could not cover the read — "route away", vs a `rejected`
+///     deadline miss, "waited and lost") counts in `unavailable`;
+///   * ResourceExhausted (Submit found the admission queue full) counts in
+///     `rejected_overload`;
+///   * any other error (validation failure, queue or pre-eval deadline,
+///     as_of version not retained, evaluation error) counts in `rejected`.
 /// So
 ///   queries == cache_hits + maintained_hits + planner_short_circuits +
 ///              compressed_evals + direct_evals + rejected +
@@ -325,11 +309,10 @@ struct ServiceStats {
   /// Read-resilience ladder telemetry (PR 10; none enter ClassifiedQueries
   /// — each ladder rung is a routing attempt inside one read, and the read
   /// itself still lands in exactly one terminal counter): retries after a
-  /// timed-out pick, hedged second reads, floors served relaxed
-  /// (bounded-stale), and watchdog activity across the fleet (quarantines
-  /// entered, auto-restarts completed).
+  /// timed-out pick, floors served relaxed (bounded-stale), and watchdog
+  /// activity across the fleet (quarantines entered, auto-restarts
+  /// completed).
   size_t retried_reads = 0;
-  size_t hedged_reads = 0;
   size_t relaxed_reads = 0;
   size_t replica_quarantines = 0;
   size_t replica_auto_restarts = 0;

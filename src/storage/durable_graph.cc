@@ -219,7 +219,8 @@ Result<std::unique_ptr<DurableGraph>> DurableGraph::Open(
   return durable;
 }
 
-Status DurableGraph::AppendLocked(const std::string& payload) {
+Status DurableGraph::AppendRecord(const std::string& payload) {
+  std::lock_guard<std::mutex> lock(mu_);
   if (sealed_) {
     return Status::IOError(
         "WAL sealed after an earlier record failed to enter the log; "
@@ -240,18 +241,6 @@ Status DurableGraph::AppendLocked(const std::string& payload) {
   return Status::OK();
 }
 
-Status DurableGraph::LogBatch(const UpdateBatch& batch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(EncodeBatch(batch));
-}
-
-Status DurableGraph::LogAddNode(
-    NodeId id, std::string_view label,
-    const std::vector<std::pair<std::string, AttrValue>>& attrs) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(EncodeAddNode(id, label, attrs));
-}
-
 bool DurableGraph::CheckpointDue() const {
   if (options_.checkpoint_every_n_batches == 0) return false;
   std::lock_guard<std::mutex> lock(mu_);
@@ -261,7 +250,7 @@ bool DurableGraph::CheckpointDue() const {
 
 Status DurableGraph::Checkpoint(const Graph& g, uint64_t applied_lsn) {
   // One checkpoint writer at a time; serialization and the file write run
-  // outside mu_ so concurrent Log* appends are never stalled behind them.
+  // outside mu_ so concurrent appends are never stalled behind them.
   std::lock_guard<std::mutex> ckpt(checkpoint_mu_);
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -92,9 +92,9 @@ struct GraphRecoveryInfo {
   std::string detail;
 };
 
-/// \brief WAL + checkpoint lifecycle over one graph. Log* calls must be
+/// \brief WAL + checkpoint lifecycle over one graph. Appends must be
 /// externally serialized with each other (the service's writer lock does
-/// this); Checkpoint may run concurrently with Log* from another thread.
+/// this); Checkpoint may run concurrently with them from another thread.
 class DurableGraph {
  public:
   /// Opens the durability directory and recovers into `*g`:
@@ -107,11 +107,12 @@ class DurableGraph {
                                                     Graph* g,
                                                     GraphRecoveryInfo* info);
 
-  /// Appends one edge-update batch record (fsync per policy). The batch
-  /// must already be validated — callers log exactly what they applied.
+  /// Appends one encoded record (EncodeBatch / EncodeAddNode; fsync per
+  /// policy). The change must already be validated — callers log exactly
+  /// what they applied, and may ship the same bytes to replicas.
   ///
   /// Failure semantics: if the record never entered the log (torn append,
-  /// failed rotation) the log is SEALED — every later Log*/Checkpoint fails
+  /// failed rotation) the log is SEALED — every later append/Checkpoint fails
   /// too. The caller applied a mutation the log will never hold; appending
   /// later mutations or checkpointing the diverged state would turn the log
   /// into a non-prefix of the applied history, which is worse than stopping
@@ -119,12 +120,10 @@ class DurableGraph {
   /// If the record was appended but its fsync failed, the log stays usable:
   /// the record is in place, merely not yet durable, and the caller simply
   /// must not ack it.
-  Status LogBatch(const UpdateBatch& batch);
+  Status AppendRecord(const std::string& payload);
 
-  /// Appends one addnode record; `id` is the NodeId the node received.
-  /// Same failure semantics as LogBatch.
-  Status LogAddNode(NodeId id, std::string_view label,
-                    const std::vector<std::pair<std::string, AttrValue>>& attrs);
+  /// AppendRecord(EncodeBatch(batch)).
+  Status LogBatch(const UpdateBatch& batch) { return AppendRecord(EncodeBatch(batch)); }
 
   /// True when checkpoint_every_n_batches records accumulated past the
   /// last checkpoint.
@@ -141,7 +140,7 @@ class DurableGraph {
 
   size_t wal_segments() const;
 
-  // --- Record codec (exposed for tests and the replay oracle) ------------
+  // --- Record codec (one encoding feeds AppendRecord and the replicas) ---
 
   static std::string EncodeBatch(const UpdateBatch& batch);
   static std::string EncodeAddNode(
@@ -157,10 +156,6 @@ class DurableGraph {
   DurableGraph(DurabilityOptions options, FileOps* fops)
       : options_(std::move(options)), fops_(fops) {}
 
-  /// Appends one encoded record; seals the log when the record did not
-  /// enter it (see LogBatch).
-  Status AppendLocked(const std::string& payload);
-
   DurabilityOptions options_;
   FileOps* fops_;
 
@@ -169,7 +164,7 @@ class DurableGraph {
   mutable std::mutex mu_;
   std::unique_ptr<Wal> wal_;          // guarded by mu_
   uint64_t last_checkpoint_lsn_ = 0;  // guarded by mu_
-  bool sealed_ = false;               // guarded by mu_; see LogBatch
+  bool sealed_ = false;               // guarded by mu_; see AppendRecord
 
   /// Serializes concurrent Checkpoint calls (one slow writer at a time).
   std::mutex checkpoint_mu_;

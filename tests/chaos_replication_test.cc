@@ -127,7 +127,6 @@ TEST_F(ChaosReplicationFixture, FaultedSweepMatchesSerialReplayOracle) {
   opts.replication.max_staleness_wait_ms = 1000.0;
   opts.replication.read_retries = 1;
   opts.replication.retry_wait_ms = 20.0;
-  opts.replication.hedge_delay_ms = 25.0;  // exercise the hedged path
   opts.replication.fallback_to_primary = true;
   // Every transport fault mode armed at once, at rates high enough that an
   // 8-batch run reliably hits each, low enough that replicas still make

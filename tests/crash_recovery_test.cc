@@ -146,7 +146,7 @@ void RunTrial(uint64_t seed, const FaultPlan& plan, bool strict_acked) {
         NodeId got = g.AddNode(op.label);
         ASSERT_EQ(got, op.id);
         for (const auto& [key, value] : op.attrs) g.SetAttr(got, key, value);
-        logged = (*d)->LogAddNode(op.id, op.label, op.attrs);
+        logged = (*d)->AppendRecord(DurableGraph::EncodeAddNode(op.id, op.label, op.attrs));
       }
       if (logged.ok()) acked = i + 1;  // append + per-record fsync => durable
       if ((i + 1) % kCheckpointEveryOps == 0) {

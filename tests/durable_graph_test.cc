@@ -91,8 +91,9 @@ TEST_F(DurableGraphFixture, RecoveryEqualsSerialReplayOracle) {
 
     NodeId id = oracle.AddNode("D");
     oracle.SetAttr(id, "years", AttrValue(int64_t{7}));
-    ASSERT_TRUE(
-        (*d)->LogAddNode(id, "D", {{"years", AttrValue(int64_t{7})}}).ok());
+    ASSERT_TRUE((*d)->AppendRecord(DurableGraph::EncodeAddNode(
+                                       id, "D", {{"years", AttrValue(int64_t{7})}}))
+                    .ok());
 
     UpdateBatch b2 = {GraphUpdate::Insert(2, static_cast<NodeId>(id))};
     ASSERT_TRUE(ApplyBatch(&oracle, b2).ok());

@@ -17,10 +17,9 @@
 //   * Acquire fails fast (AcquireOutcome::kUnavailable) when no applier can
 //     recover, and waiters are woken on replica death instead of sleeping
 //     out their deadline.
-//   * The service walks the resilience ladder — hedged read, bounded
-//     retries, staleness relaxation, primary fallback — and maps fleet
-//     exhaustion to Status::kUnavailable, keeping the stats classification
-//     invariant intact.
+//   * The service walks the resilience ladder — bounded retries,
+//     staleness relaxation, primary fallback — and maps fleet exhaustion
+//     to Status::kUnavailable, counted in `unavailable` and nowhere else.
 //   * StopReplica/RestartReplica racing Acquire waiters and routed reads is
 //     clean under TSan (this suite carries the concurrency label).
 
@@ -31,7 +30,6 @@
 #include <filesystem>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -658,17 +656,14 @@ TEST(FleetResilienceTest, ConcurrentStopRestartRacesAcquireAndRoutedReads) {
 
   std::vector<std::thread> readers;
   for (size_t t = 0; t < 3; ++t) {
-    readers.emplace_back([&, t] {
+    readers.emplace_back([&] {
       size_t reads = 0;
       while (!done.load() || reads < 20) {
         if (reads >= 300) break;
         const uint64_t floor = (reads % 3 == 0) ? last_version.load() : 0;
-        const std::optional<ReadRouting> routing =
-            (t % 2 == 0) ? std::optional<ReadRouting>(ReadRouting::kLeastLagged)
-                         : std::nullopt;
         size_t idx = 99;
         AcquireOutcome outcome = AcquireOutcome::kOk;
-        auto snap = fleet.Acquire(floor, 20.0, &idx, &outcome, routing);
+        auto snap = fleet.Acquire(floor, 20.0, &idx, &outcome);
         if (snap != nullptr) {
           EXPECT_EQ(outcome, AcquireOutcome::kOk);
           EXPECT_LT(idx, 3u);
@@ -739,12 +734,18 @@ TEST(ServiceResilienceTest, FleetExhaustionMapsToUnavailable) {
   // Kill the only replica: with primary fallback off, the read cannot be
   // served at all — and says so with kUnavailable, not a deadline miss.
   service.fleet()->StopReplica(0);
+  const ServiceStats before = service.stats();
   auto down = service.Query(req);
   ASSERT_FALSE(down.ok());
   EXPECT_TRUE(down.status().IsUnavailable()) << down.status();
   EXPECT_NE(down.status().ToString().find("replica fleet unavailable"),
             std::string::npos)
       << down.status();
+  // The terminal counters only grow, so one more classified request and
+  // one more `unavailable` mean no other counter moved.
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.unavailable - before.unavailable, 1u);
+  EXPECT_EQ(after.ClassifiedQueries() - before.ClassifiedQueries(), 1u);
 
   // Operator restart restores service.
   service.fleet()->RestartReplica(0);
@@ -762,7 +763,7 @@ TEST(ServiceResilienceTest, FleetExhaustionMapsToUnavailable) {
       << s.ToString();
 }
 
-TEST(ServiceResilienceTest, LadderHedgesRetriesAndRelaxesStaleness) {
+TEST(ServiceResilienceTest, LadderRetriesAndRelaxesStaleness) {
   gen::CollaborationConfig cfg;
   cfg.num_people = 48;
   cfg.num_teams = 8;
@@ -775,7 +776,6 @@ TEST(ServiceResilienceTest, LadderHedgesRetriesAndRelaxesStaleness) {
   opts.replication.fallback_to_primary = false;
   opts.replication.read_retries = 2;
   opts.replication.retry_wait_ms = 5.0;
-  opts.replication.hedge_delay_ms = 5.0;
   opts.replication.relax_staleness_versions = 1u << 20;  // floor clamps to 0
   // Transport permanently down, but quarantine disabled: the replicas stay
   // alive (and recoverable) frozen at their bootstrap version.
@@ -800,10 +800,10 @@ TEST(ServiceResilienceTest, LadderHedgesRetriesAndRelaxesStaleness) {
   const uint64_t v1 = service.version();
   ASSERT_GT(v1, v0);
 
-  // A read floored at v1 walks the whole ladder: capped first wait, hedged
-  // least-lagged read, two retries — all miss — then the staleness
-  // relaxation probe accepts the bounded-stale replica at v0. The response
-  // reports the true version served, so the caller can see the relaxation.
+  // A read floored at v1 walks the whole ladder: the budgeted wait and two
+  // retries all miss, then the staleness relaxation probe accepts the
+  // bounded-stale replica at v0. The response reports the true version
+  // served, so the caller can see the relaxation.
   QueryRequest req;
   req.pattern = gen::TeamQuery(0);
   req.use_cache = false;
@@ -813,14 +813,13 @@ TEST(ServiceResilienceTest, LadderHedgesRetriesAndRelaxesStaleness) {
   EXPECT_EQ(resp->graph_version, v0);
 
   ServiceStats s = service.stats();
-  EXPECT_EQ(s.hedged_reads, 1u);
   EXPECT_EQ(s.retried_reads, 2u);
   EXPECT_EQ(s.relaxed_reads, 1u);
   EXPECT_EQ(s.routed_reads, 1u);
   EXPECT_EQ(s.routed_fallbacks, 0u);
   EXPECT_GT(service.delta_faults()->counters().fetch_errors, 0u);
   EXPECT_EQ(s.ClassifiedQueries(), s.queries);
-  EXPECT_NE(s.ToString().find("hedged_reads=1"), std::string::npos)
+  EXPECT_NE(s.ToString().find("retried_reads=2 relaxed_reads=1"), std::string::npos)
       << s.ToString();
 }
 
@@ -837,7 +836,6 @@ TEST(ServiceResilienceTest, LadderFallsBackToPrimaryWhenRelaxationIsOff) {
   opts.replication.fallback_to_primary = true;
   opts.replication.read_retries = 1;
   opts.replication.retry_wait_ms = 5.0;
-  opts.replication.hedge_delay_ms = 5.0;
   opts.replication.relax_staleness_versions = 0;  // strict floors
   opts.replication.delta_faults.fetch_error_prob = 1.0;
   opts.replication.health.quarantine_after_failures = 0;
@@ -856,8 +854,9 @@ TEST(ServiceResilienceTest, LadderFallsBackToPrimaryWhenRelaxationIsOff) {
                   .ok());
   const uint64_t v1 = service.version();
 
-  // Hedge and retry both miss; with strict floors the replica tier is
-  // abandoned and the primary (which has v1 by definition) serves the read.
+  // The budgeted wait and the retry both miss; with strict floors the
+  // replica tier is abandoned and the primary (which has v1 by definition)
+  // serves the read.
   QueryRequest req;
   req.pattern = gen::TeamQuery(0);
   req.use_cache = false;
@@ -867,7 +866,6 @@ TEST(ServiceResilienceTest, LadderFallsBackToPrimaryWhenRelaxationIsOff) {
   EXPECT_GE(resp->graph_version, v1);
 
   ServiceStats s = service.stats();
-  EXPECT_EQ(s.hedged_reads, 1u);
   EXPECT_EQ(s.retried_reads, 1u);
   EXPECT_EQ(s.relaxed_reads, 0u);
   EXPECT_EQ(s.routed_fallbacks, 1u);

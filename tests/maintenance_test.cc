@@ -83,7 +83,7 @@ TEST(MaintenanceTest, AutoRebuildTriggersOnDrift) {
   ASSERT_TRUE(mc.ok());
   UpdateBatch stream = GenerateUpdateStream(g, 100, 0.7, 11);
   ASSERT_TRUE(ApplyBatch(&g, stream).ok());
-  mc->OnGraphUpdated();
+  mc->OnGraphUpdated(stream);
   // Either the partition stayed put or a rebuild fired; both keep stability.
   EXPECT_TRUE(IsStablePartition(g, mc->current().partition()));
 }

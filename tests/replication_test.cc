@@ -135,7 +135,7 @@ TEST_F(ReplicationFixture, WalTailFromReturnsExactlyPostCursorRecords) {
   EXPECT_EQ(capped->next_lsn, 3u);
 }
 
-TEST_F(ReplicationFixture, DeltaStreamSeesLiveAppendsInOrder) {
+TEST_F(ReplicationFixture, WalTailSeesLiveAppendsInOrder) {
   std::string dir = FreshDir();
   WalOptions o;
   o.dir = dir;
@@ -146,26 +146,28 @@ TEST_F(ReplicationFixture, DeltaStreamSeesLiveAppendsInOrder) {
     ASSERT_TRUE((*wal)->Append("live-" + std::to_string(i)).ok());
   }
 
-  DeltaStream stream(dir);
-  auto first = stream.Poll(100);
+  // A reader polls the directory from its cursor, with no handle on the
+  // appending Wal.
+  auto first = Wal::TailFrom(dir, nullptr, 0, 100);
   ASSERT_TRUE(first.ok()) << first.status();
-  ASSERT_EQ(first->deltas.size(), 3u);
-  EXPECT_EQ(stream.cursor(), 3u);
+  ASSERT_EQ(first->records.size(), 3u);
+  EXPECT_EQ(first->next_lsn, 3u);
 
   // Appends racing a live tail: the next poll sees exactly the new run.
   ASSERT_TRUE((*wal)->Append("live-3").ok());
   ASSERT_TRUE((*wal)->Append("live-4").ok());
-  auto second = stream.Poll(100);
+  auto second = Wal::TailFrom(dir, nullptr, first->next_lsn, 100);
   ASSERT_TRUE(second.ok());
-  ASSERT_EQ(second->deltas.size(), 2u);
-  EXPECT_EQ(second->deltas[0].lsn, 3u);
-  EXPECT_EQ(second->deltas[0].payload, "live-3");
-  EXPECT_EQ(second->deltas[1].lsn, 4u);
+  ASSERT_EQ(second->records.size(), 2u);
+  EXPECT_EQ(second->records[0].lsn, 3u);
+  EXPECT_EQ(second->records[0].payload, "live-3");
+  EXPECT_EQ(second->records[1].lsn, 4u);
   EXPECT_FALSE(second->lost_prefix);
 
-  auto third = stream.Poll(100);
+  auto third = Wal::TailFrom(dir, nullptr, second->next_lsn, 100);
   ASSERT_TRUE(third.ok());
-  EXPECT_TRUE(third->deltas.empty());
+  EXPECT_TRUE(third->records.empty());
+  EXPECT_EQ(third->next_lsn, 5u);
 }
 
 TEST_F(ReplicationFixture, WalTailAcrossSegmentsFromMidCursor) {
@@ -365,10 +367,10 @@ TEST_F(ReplicationFixture, ReplicaReplaysShippedBatchesBitIdentically) {
 
   // The replica evaluates from its own published snapshot.
   Pattern q = gen::TeamQuery(0);
-  MatchContext ctx, cctx;
-  EvalPath path;
-  auto relation = replica.Evaluate(q, MatchSemantics::kBoundedSimulation, {},
-                                   &ctx, &cctx, &path);
+  MatchContext ctx;
+  ServingPath path;
+  auto relation =
+      replica.Evaluate(q, MatchSemantics::kBoundedSimulation, {}, &ctx, &path);
   ASSERT_TRUE(relation.ok()) << relation.status();
   EXPECT_TRUE(*relation == ComputeBoundedSimulation(primary, q));
 }

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -561,15 +564,15 @@ TEST_F(ServiceFixture, EvalStageDeadlineAlsoYieldsDeadlineExceeded) {
   QueryEngine engine(&g_);
   const EvalCore core(EngineOptions{});
   Pattern q = gen::BuildFig1Pattern();
-  MatchContext ctx, compressed_ctx;
-  EvalPath path = EvalPath::kDirect;
+  MatchContext ctx;
+  ServingPath path = ServingPath::kDirect;
   Timer started_long_ago;
   EvalOverrides overrides;
   overrides.timer = &started_long_ago;
   overrides.time_budget_ms = 1e-9;  // already expired at the first boundary
   auto snap = engine.Publish();
   auto res = core.Evaluate(*snap, q, MatchSemantics::kBoundedSimulation, overrides,
-                           &ctx, &compressed_ctx, &path);
+                           &ctx, &path);
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsDeadlineExceeded()) << res.status();
 }
@@ -581,14 +584,14 @@ TEST_F(ServiceFixture, CancelMidEvaluationStopsAtStageBoundary) {
   QueryEngine engine(&g_);
   const EvalCore core(EngineOptions{});
   Pattern q = gen::BuildFig1Pattern();
-  MatchContext ctx, compressed_ctx;
-  EvalPath path = EvalPath::kDirect;
+  MatchContext ctx;
+  ServingPath path = ServingPath::kDirect;
   std::atomic<bool> cancel_flag{true};
   EvalOverrides overrides;
   overrides.cancelled = &cancel_flag;
   auto snap = engine.Publish();
   auto res = core.Evaluate(*snap, q, MatchSemantics::kBoundedSimulation, overrides,
-                           &ctx, &compressed_ctx, &path);
+                           &ctx, &path);
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsCancelled()) << res.status();
   // Cancellation wins over an expired deadline (a cancelled request must
@@ -597,7 +600,7 @@ TEST_F(ServiceFixture, CancelMidEvaluationStopsAtStageBoundary) {
   overrides.timer = &started_long_ago;
   overrides.time_budget_ms = 1e-9;
   res = core.Evaluate(*snap, q, MatchSemantics::kBoundedSimulation, overrides, &ctx,
-                      &compressed_ctx, &path);
+                      &path);
   ASSERT_FALSE(res.ok());
   EXPECT_TRUE(res.status().IsCancelled()) << res.status();
 }
@@ -634,47 +637,124 @@ TEST_F(ServiceFixture, QueryAndBatchShareTheSubmitServingPath) {
   EXPECT_EQ(s.ClassifiedQueries(), s.queries);
 }
 
-TEST_F(ServiceFixture, EveryTerminalStateCountedExactlyOnce) {
-  // The ClassifiedQueries regression: one request per terminal state —
-  // direct eval, cache hit, planner short circuit, validation reject,
-  // overload reject, queued cancel — each lands in exactly one counter.
-  ExpFinderService service(&g_, PausedOptions(/*queue_capacity=*/1));
-  QueryTicket queued = service.Submit(UncachedFig1Request());   // -> direct
-  QueryTicket overflow = service.Submit(UncachedFig1Request()); // -> overload
-  EXPECT_TRUE(overflow.done());
-  service.Resume();
-  ASSERT_TRUE(queued.Get().ok());
+/// The nine terminal counters, named as in ServiceStats, and their values.
+constexpr std::array<std::string_view, 9> kTerminalCounters = {
+    "cache_hits", "maintained_hits", "planner_short_circuits",
+    "compressed_evals", "direct_evals", "rejected",
+    "rejected_overload", "cancelled", "unavailable"};
 
-  QueryTicket cancelled_ticket;
+std::array<size_t, 9> TerminalCounts(const ServiceStats& s) {
+  return {s.cache_hits,   s.maintained_hits,   s.planner_short_circuits,
+          s.compressed_evals, s.direct_evals, s.rejected,
+          s.rejected_overload, s.cancelled,   s.unavailable};
+}
+
+/// Runs `serve`, which completes exactly one request on `service`, and
+/// expects it to have moved the terminal counter named `want` by one and
+/// every other terminal counter not at all.
+void ExpectCountedOnceAs(const ExpFinderService& service, std::string_view want,
+                         const std::function<void()>& serve) {
+  ASSERT_NE(std::find(kTerminalCounters.begin(), kTerminalCounters.end(), want),
+            kTerminalCounters.end());
+  const std::array<size_t, 9> before = TerminalCounts(service.stats());
+  serve();
+  const std::array<size_t, 9> after = TerminalCounts(service.stats());
+  for (size_t i = 0; i < kTerminalCounters.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], kTerminalCounters[i] == want ? 1u : 0u)
+        << kTerminalCounters[i] << ", for a request counted as " << want;
+  }
+}
+
+TEST_F(ServiceFixture, EveryTerminalStateCountedExactlyOnce) {
+  // The ClassifiedQueries regression: one request per terminal state, each
+  // moving exactly one of the nine terminal counters, by one.
+  ExpFinderService service(&g_, PausedOptions(/*queue_capacity=*/1));
+  QueryTicket queued;
+  ExpectCountedOnceAs(service, "rejected_overload", [&] {
+    queued = service.Submit(UncachedFig1Request());  // counted at Resume
+    QueryTicket overflow = service.Submit(UncachedFig1Request());
+    EXPECT_TRUE(overflow.done());
+    EXPECT_TRUE(overflow.Get().status().IsResourceExhausted());
+  });
+  ExpectCountedOnceAs(service, "direct_evals", [&] {
+    service.Resume();
+    ASSERT_TRUE(queued.Get().ok());
+  });
+  ExpectCountedOnceAs(service, "direct_evals", [&] {
+    ASSERT_TRUE(service.Query(Fig1Request()).ok());  // and fills the cache
+  });
+  ExpectCountedOnceAs(service, "cache_hits", [&] {
+    ASSERT_EQ(service.Query(Fig1Request())->path, ServingPath::kCache);
+  });
+  // A cacheable request passes the queue's budget check; served from the
+  // cache, it has an answer before ranking refuses its expired budget, so
+  // it counts as a cache hit, not as rejected.
+  ExpectCountedOnceAs(service, "cache_hits", [&] {
+    QueryRequest late = Fig1Request();
+    late.top_k = 2;
+    late.time_budget_ms = 1e-9;
+    auto resp = service.Query(late);
+    ASSERT_TRUE(resp.status().IsDeadlineExceeded()) << resp.status();
+    EXPECT_NE(resp.status().message().find("before ranking"), std::string::npos)
+        << resp.status();
+  });
+  // The same budget on a cache miss fails at the evaluation stage instead.
+  ExpectCountedOnceAs(service, "rejected", [&] {
+    QueryRequest late = Fig1Request();
+    late.semantics = MatchSemantics::kDualSimulation;  // not cached yet
+    late.time_budget_ms = 1e-9;
+    auto resp = service.Query(late);
+    ASSERT_TRUE(resp.status().IsDeadlineExceeded()) << resp.status();
+    EXPECT_NE(resp.status().message().find("before evaluation"), std::string::npos)
+        << resp.status();
+  });
+  ExpectCountedOnceAs(service, "planner_short_circuits", [&] {
+    PatternBuilder imp;
+    imp.Node("NOPE", "x").Output();
+    QueryRequest impossible;
+    impossible.pattern = imp.Build().value();
+    ASSERT_EQ(service.Query(impossible)->path, ServingPath::kPlannerShortCircuit);
+  });
+  ExpectCountedOnceAs(service, "rejected", [&] {
+    EXPECT_TRUE(service.Query(QueryRequest{}).status().IsInvalidArgument());
+  });
+  ExpectCountedOnceAs(service, "rejected", [&] {
+    QueryRequest evicted = Fig1Request();
+    evicted.as_of_version = service.version() + 100;
+    EXPECT_TRUE(service.Query(evicted).status().IsNotFound());
+  });
+  ExpectCountedOnceAs(service, "rejected", [&] {
+    QueryRequest ahead = Fig1Request();
+    ahead.min_version = service.version() + 1;
+    EXPECT_TRUE(service.Query(ahead).status().IsDeadlineExceeded());
+  });
+  ASSERT_TRUE(service.RegisterMaintainedQuery(gen::BuildFig1Pattern()).ok());
+  ExpectCountedOnceAs(service, "maintained_hits", [&] {
+    ASSERT_EQ(service.Query(UncachedFig1Request())->path, ServingPath::kMaintained);
+  });
+  ServiceStats s = service.stats();
+  EXPECT_EQ(s.queries, 11u);
+  EXPECT_EQ(s.ClassifiedQueries(), s.queries);
+
   {
-    // Park a second paused service to get a deterministic queued cancel.
+    ServiceOptions options;
+    options.engine.use_compression = true;
+    ExpFinderService compressed(&g_, options);
+    ExpectCountedOnceAs(compressed, "compressed_evals", [&] {
+      ASSERT_EQ(compressed.Query(UncachedFig1Request())->path, ServingPath::kCompressed);
+    });
+  }
+  {
+    // A paused service gives a deterministic queued cancel.
     ExpFinderService parked(&g_, PausedOptions());
-    cancelled_ticket = parked.Submit(UncachedFig1Request());
-    EXPECT_TRUE(cancelled_ticket.Cancel());
-    parked.Resume();
-    auto st = cancelled_ticket.Get();
-    EXPECT_TRUE(st.status().IsCancelled());
-    EXPECT_EQ(parked.stats().cancelled, 1u);
+    QueryTicket ticket = parked.Submit(UncachedFig1Request());
+    ExpectCountedOnceAs(parked, "cancelled", [&] {
+      EXPECT_TRUE(ticket.Cancel());
+      parked.Resume();
+      EXPECT_TRUE(ticket.Get().status().IsCancelled());
+    });
     EXPECT_EQ(parked.stats().ClassifiedQueries(), parked.stats().queries);
   }
-
-  ASSERT_TRUE(service.Query(Fig1Request()).ok());   // direct eval + cache fill
-  ASSERT_TRUE(service.Query(Fig1Request()).ok());   // cache hit
-  PatternBuilder imp;
-  imp.Node("NOPE", "x").Output();
-  QueryRequest impossible;
-  impossible.pattern = imp.Build().value();
-  ASSERT_TRUE(service.Query(impossible).ok());      // planner short circuit
-  EXPECT_FALSE(service.Query(QueryRequest{}).ok()); // validation reject
-
-  ServiceStats s = service.stats();
-  EXPECT_EQ(s.queries, 6u);
-  EXPECT_EQ(s.rejected_overload, 1u);
-  EXPECT_EQ(s.rejected, 1u);
-  EXPECT_EQ(s.cancelled, 0u);  // the cancel landed on the parked service
-  EXPECT_EQ(s.planner_short_circuits, 1u);
-  EXPECT_EQ(s.cache_hits, 1u);
-  EXPECT_EQ(s.ClassifiedQueries(), s.queries);
 }
 
 TEST_F(ServiceFixture, ShutdownCompletesPendingTicketsAsCancelled) {
