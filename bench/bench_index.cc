@@ -119,6 +119,7 @@ void BM_ServiceTopicQuery(benchmark::State& state) {
   const bool indexed = state.range(1) != 0;
   Graph g = MakeTopicEr(n);
   ServiceOptions options;
+  options.engine.topic_index.enabled = indexed;
   options.engine.topic_index.build_after_uses = 1;
   options.serving_threads = 1;
   ExpFinderService service(&g, options);
@@ -130,7 +131,6 @@ void BM_ServiceTopicQuery(benchmark::State& state) {
   req.metric = RankingMetric::kTopicFusion;
   req.top_k = 10;
   req.use_cache = false;
-  req.use_topic_index = indexed;
   EF_CHECK(service.Query(req).ok());  // warm the slot outside the timing loop
   for (auto _ : state) {
     auto resp = service.Query(req);

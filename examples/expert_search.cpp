@@ -5,8 +5,9 @@
 // predicates on the pattern's output node, candidate seeding draws from the
 // topic inverted index once it is warm, and the ranked list fuses TF-IDF
 // topic relevance with structural goodness (ranking/fusion.h). The final
-// section re-issues the query with the index disabled to show the
-// identical-answers contract and prints the topic-index telemetry.
+// section re-issues the query on a second service with the index disabled
+// to show the identical-answers contract and prints the topic-index
+// telemetry.
 //
 //   $ ./expert_search [nodes] [edges] [seed]
 
@@ -77,11 +78,11 @@ int main(int argc, char** argv) {
   }
 
   // --- The identical-answers contract -------------------------------------
-  QueryRequest scan = request;
-  scan.use_topic_index = false;  // force label-scan seeding for this request
-  scan.use_cache = false;
+  ServiceOptions scan_options = options;
+  scan_options.engine.topic_index.enabled = false;  // label-scan seeding
+  ExpFinderService scan_service(&g, scan_options);
   auto indexed = service.Query(request);
-  auto scanned = service.Query(scan);
+  auto scanned = scan_service.Query(request);
   if (!indexed.ok() || !scanned.ok()) {
     std::cerr << "A/B query failed\n";
     return 1;

@@ -21,6 +21,7 @@
 
 #include "examples/example_args.h"
 #include "src/expfinder.h"
+#include "src/storage/fault_env.h"
 
 using namespace expfinder;
 
@@ -117,7 +118,9 @@ int CmdQuery(GraphStore* store, const std::vector<std::string>& args) {
   if (args.size() < 2) return Usage();
   auto g = store->GetGraph(args[0]);
   if (!g.ok()) return Fail(g.status());
-  auto q = LoadPatternFile(args[1]);
+  auto text = FileOps::Real()->ReadFileToString(args[1]);
+  if (!text.ok()) return Fail(text.status());
+  auto q = ParsePatternText(*text);
   if (!q.ok()) return Fail(q.status());
   size_t k = 5;
   if (args.size() > 2) {

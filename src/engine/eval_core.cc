@@ -53,13 +53,7 @@ Result<MatchRelation> EvalCore::Evaluate(const EngineSnapshot& snap,
   plan.match_options.num_threads =
       overrides.match_threads.value_or(options_.match_threads);
   plan.match_options.ball_index = options_.ball_index;
-  if (overrides.use_ball_index.has_value()) {
-    plan.match_options.ball_index.enabled = *overrides.use_ball_index;
-  }
   plan.match_options.topic_index = options_.topic_index;
-  if (overrides.use_topic_index.has_value()) {
-    plan.match_options.topic_index.enabled = *overrides.use_topic_index;
-  }
   if (plan.provably_empty) {
     *path = ServingPath::kPlannerShortCircuit;
     return MatchRelation(q.NumNodes());

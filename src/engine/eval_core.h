@@ -73,13 +73,6 @@ std::string_view ServingPathName(ServingPath path);
 /// knobs). Absent fields fall back to the core's EngineOptions.
 struct EvalOverrides {
   std::optional<uint32_t> match_threads;
-  /// Per-call ball-index participation; absent = EngineOptions::ball_index.
-  /// Disabling never changes the relation — only the traversal cost — and a
-  /// request that disables it does not invalidate the cached index.
-  std::optional<bool> use_ball_index;
-  /// Per-call topic-index participation; absent = EngineOptions::topic_index.
-  /// Same contract as use_ball_index: never changes the relation.
-  std::optional<bool> use_topic_index;
   /// Cooperative cancellation flag, polled at evaluation stage boundaries
   /// (after planning, before each matcher run, before decompression). When
   /// it reads true the evaluation stops with Status::Cancelled at the next

@@ -44,7 +44,6 @@ std::shared_ptr<const EngineSnapshot> QueryEngine::Publish() {
     next->graph = published_->graph;
   } else {
     next->graph = g_->Publish();
-    stats_.csr_builds += next->graph->chunks_built();
   }
   if (options_.use_compression && compression_ != nullptr &&
       compression_->current().source_version() == g_->version()) {
@@ -62,7 +61,6 @@ std::shared_ptr<const EngineSnapshot> QueryEngine::Publish() {
       // Capture before copying: the copy would seal the pages itself, and
       // the chunks it built would go uncounted.
       next->compressed_graph = cg.gc().Publish();
-      stats_.csr_builds += next->compressed_graph->chunks_built();
       next->compressed = std::make_shared<const CompressedGraph>(cg);
     }
   }
@@ -113,8 +111,6 @@ Status QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
   EF_RETURN_NOT_OK(ApplyBatch(g_, batch));
   for (auto& [key, inc] : maintained_) inc.PostUpdate(batch);
   if (compression_ != nullptr) compression_->OnGraphUpdated(batch);
-  ++stats_.batches_applied;
-  stats_.updates_applied += batch.size();
   BumpEngineSeq();
   return Status::OK();
 }

@@ -33,17 +33,6 @@
 
 namespace expfinder {
 
-/// \brief Writer-side telemetry (cumulative).
-struct EngineStats {
-  size_t batches_applied = 0;
-  size_t updates_applied = 0;
-  /// CSR chunks built by Publish() (GraphSnapshot::chunks_built): one per
-  /// adjacency page and direction sealed by a capture of the graph or of a
-  /// frozen compressed view. A publish after a batch pays only for the
-  /// pages the batch touched; steady state (no mutations) builds none.
-  size_t csr_builds = 0;
-};
-
 /// \brief Stateful writer over the graph, incremental maintenance and
 /// compression; publishes immutable EngineSnapshots for the lock-free
 /// serving path. Single-threaded: the service serializes every call behind
@@ -91,8 +80,6 @@ class QueryEngine {
   /// The compressed graph, or nullptr when not built.
   const CompressedGraph* compressed() const;
 
-  const EngineStats& stats() const { return stats_; }
-
  private:
   /// Marks published state stale; the next Publish() builds a successor.
   void BumpEngineSeq() { ++engine_seq_; }
@@ -108,7 +95,6 @@ class QueryEngine {
   /// Bumped by every mutation; published_->engine_seq trails it exactly
   /// when a republish is owed.
   uint64_t engine_seq_ = 0;
-  EngineStats stats_;
 };
 
 }  // namespace expfinder

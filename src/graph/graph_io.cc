@@ -1,6 +1,5 @@
 #include "src/graph/graph_io.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "src/util/string_util.h"
@@ -142,18 +141,6 @@ Result<Graph> LoadGraphText(std::istream& is) {
                               " nodes but found " + std::to_string(g.NumNodes()));
   }
   return g;
-}
-
-Status SaveGraphFile(const Graph& g, const std::string& path) {
-  std::ofstream f(path);
-  if (!f.is_open()) return Status::IOError("cannot open for writing: " + path);
-  return SaveGraphText(g, f);
-}
-
-Result<Graph> LoadGraphFile(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.is_open()) return Status::IOError("cannot open for reading: " + path);
-  return LoadGraphText(f);
 }
 
 }  // namespace expfinder

@@ -30,10 +30,6 @@ Status SaveGraphText(const Graph& g, std::ostream& os);
 /// malformed input.
 Result<Graph> LoadGraphText(std::istream& is);
 
-/// File-path convenience wrappers.
-Status SaveGraphFile(const Graph& g, const std::string& path);
-Result<Graph> LoadGraphFile(const std::string& path);
-
 /// Splits a line into whitespace-separated tokens, keeping quoted segments
 /// (with backslash escapes) intact — quotes are preserved in the token so
 /// ParseAttrValue can classify it. Exposed for the pattern parser.

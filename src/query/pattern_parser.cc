@@ -1,6 +1,5 @@
 #include "src/query/pattern_parser.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "src/graph/graph_io.h"
@@ -107,20 +106,6 @@ Result<Pattern> LoadPatternStream(std::istream& is) {
 Result<Pattern> ParsePatternText(std::string_view text) {
   std::istringstream is{std::string(text)};
   return LoadPatternStream(is);
-}
-
-Result<Pattern> LoadPatternFile(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.is_open()) return Status::IOError("cannot open for reading: " + path);
-  return LoadPatternStream(f);
-}
-
-Status SavePatternFile(const Pattern& p, const std::string& path) {
-  std::ofstream f(path);
-  if (!f.is_open()) return Status::IOError("cannot open for writing: " + path);
-  f << p.ToText();
-  if (!f.good()) return Status::IOError("stream write failed");
-  return Status::OK();
 }
 
 }  // namespace expfinder

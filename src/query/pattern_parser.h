@@ -26,10 +26,8 @@ namespace expfinder {
 /// output node).
 Result<Pattern> ParsePatternText(std::string_view text);
 
-/// Stream/file variants.
+/// Stream variant.
 Result<Pattern> LoadPatternStream(std::istream& is);
-Result<Pattern> LoadPatternFile(const std::string& path);
-Status SavePatternFile(const Pattern& p, const std::string& path);
 
 }  // namespace expfinder
 

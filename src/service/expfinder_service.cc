@@ -246,6 +246,12 @@ QueryTicket ExpFinderService::Submit(QueryRequest request) {
         "match_threads " + std::to_string(*request.match_threads) + " exceeds the " +
         std::to_string(ThreadPool::ResolveThreads(0)) + " hardware threads");
   }
+  if (valid.ok() && request.as_of_version.has_value() &&
+      request.min_version.has_value()) {
+    valid = Status::InvalidArgument(
+        "as_of_version and min_version are mutually exclusive (an exact pin "
+        "already decides the version)");
+  }
   if (!valid.ok()) {
     Finish(state, std::move(valid));
     return ticket;
@@ -340,14 +346,9 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
   // — cache key, evaluation, result construction, ranking — serves the
   // compiled pattern, so a topic query is an ordinary pattern query to every
   // stage (including as_of serving and the cache, which key on it).
+  // Submit's Validate guarantees the output node the predicates hang on.
   Pattern compiled_pattern;
   if (!request.topic_terms.empty()) {
-    if (!request.pattern.output_node().has_value()) {
-      // CompileTopicTerms has no node to hang the predicates on; serving the
-      // unfiltered relation would silently ignore the expertise filter.
-      return Status::InvalidArgument(
-          "topic_terms require a pattern with an output node");
-    }
     compiled_pattern = CompileTopicTerms(request.pattern, request.topic_terms);
   }
   const Pattern& pattern =
@@ -361,11 +362,6 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
   // never invalidates anything this request reads.
   std::shared_ptr<const EngineSnapshot> snap;
   if (request.as_of_version.has_value()) {
-    if (request.min_version.has_value()) {
-      return Status::InvalidArgument(
-          "as_of_version and min_version are mutually exclusive (an exact "
-          "pin already decides the version)");
-    }
     snap = FindRetained(*request.as_of_version);
     if (snap == nullptr) {
       return Status::NotFound("as_of_version " +
@@ -449,8 +445,6 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
       }
       EvalOverrides overrides;
       overrides.match_threads = request.match_threads;
-      overrides.use_ball_index = request.use_ball_index;
-      overrides.use_topic_index = request.use_topic_index;
       overrides.cancelled = &pending.ticket->cancelled;
       overrides.timer = &timer;
       overrides.time_budget_ms = request.time_budget_ms;
@@ -573,12 +567,15 @@ Status ExpFinderService::Mutate(const UpdateBatch& batch) {
   EF_RETURN_NOT_OK(engine_.ApplyUpdates(batch));
   batches_applied_.fetch_add(1, std::memory_order_relaxed);
   updates_applied_.fetch_add(batch.size(), std::memory_order_relaxed);
-  return CommitLocked(DurableGraph::EncodeBatch(batch),
+  return CommitLocked([&] { return DurableGraph::EncodeBatch(batch); },
                       [&] { ExtendCachedAnswersLocked(*before, batch); });
 }
 
-Status ExpFinderService::CommitLocked(std::string record,
+Status ExpFinderService::CommitLocked(const std::function<std::string()>& encode,
                                       const std::function<void()>& before_publish) {
+  // Only the WAL and the replicas read the record.
+  std::string record;
+  if (durable_ != nullptr || delta_source_ != nullptr) record = encode();
   // WAL before the epoch swap: the change is durable (per fsync policy)
   // before any reader can observe it and before the caller sees OK. On a
   // WAL failure the in-memory state still advances (and publishes — the
@@ -640,7 +637,8 @@ Result<NodeId> ExpFinderService::AddNode(
   if (!id.ok()) return id;
   nodes_added_.fetch_add(1, std::memory_order_relaxed);
   // On a failed append the node exists in memory but is not durable.
-  EF_RETURN_NOT_OK(CommitLocked(DurableGraph::EncodeAddNode(*id, label, attrs)));
+  EF_RETURN_NOT_OK(
+      CommitLocked([&] { return DurableGraph::EncodeAddNode(*id, label, attrs); }));
   return id;
 }
 

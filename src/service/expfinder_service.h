@@ -401,14 +401,15 @@ class ExpFinderService {
   ReplicaBootstrap BootstrapReplica();
 
   /// The commit path both writers share once the engine applied their
-  /// change (caller holds writer_mu_, so records ship in LSN order):
-  /// appends `record`, the change's encoded WAL record, when durable; runs
+  /// change (caller holds writer_mu_, so records ship in LSN order): calls
+  /// `encode` for the change's WAL record only when durability or
+  /// replication is on, and appends the record when durable; runs
   /// `before_publish` if set (Mutate's cache extension); publishes the new
   /// epoch; ships the same bytes to the replicas when the record entered
   /// the log (or durability is off); and checkpoints when due, only after a
   /// successful append. Returns the append's status: non-OK means applied
   /// and published but not durable.
-  Status CommitLocked(std::string record,
+  Status CommitLocked(const std::function<std::string()>& encode,
                       const std::function<void()>& before_publish = {});
 
   /// Extends to the live graph's version every cache entry ending at

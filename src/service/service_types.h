@@ -70,11 +70,6 @@ struct QueryRequest {
   /// count (ThreadPool::ResolveThreads(0)) is refused at Submit with
   /// InvalidArgument.
   std::optional<uint32_t> match_threads;
-  /// Per-request ball-index participation; absent = engine default (see
-  /// EngineOptions::ball_index). Disabling forces the BFS traversal paths
-  /// for this request only — the answer is identical, the cached index
-  /// stays warm for other requests. A debugging / A-B measurement knob.
-  std::optional<bool> use_ball_index;
   /// Free-text expertise terms — the "find experts about X" entry point.
   /// Tokenized (TopicTokens) and compiled into conjunctive
   /// `* has_token "<token>"` predicates on the pattern's output node, so the
@@ -85,10 +80,6 @@ struct QueryRequest {
   /// metric == kTopicFusion the ranked list orders by fused TF-IDF topic
   /// relevance + structure (ranking/fusion.h) instead of structure alone.
   std::vector<std::string> topic_terms;
-  /// Per-request topic-index participation; absent = engine default (see
-  /// EngineOptions::topic_index). Like use_ball_index this never changes
-  /// the relation — only the seeding cost. A debugging / A-B knob.
-  std::optional<bool> use_topic_index;
   /// Pin the evaluation to a specific published graph version instead of
   /// the current epoch. Served from the service's retained-snapshot ring
   /// (ServiceOptions::retained_snapshots): the relation is exactly
@@ -105,7 +96,8 @@ struct QueryRequest {
   /// fallback_to_primary) or fails with Status::DeadlineExceeded. With
   /// replication off the primary epoch either satisfies the floor
   /// immediately or the request fails — no waiting. Mutually exclusive with
-  /// as_of_version (a floor and an exact pin contradict each other).
+  /// as_of_version (a floor and an exact pin contradict each other): a
+  /// request with both is refused at Submit with InvalidArgument.
   /// Absent/0 = any version (the freshest available snapshot).
   std::optional<uint64_t> min_version;
   /// Soft time budget in milliseconds, counted from Submit (queue wait

@@ -3,10 +3,11 @@
 // checkpoint + replay of WAL records at or above its LSN; WAL segments
 // below it can be dropped.
 //
-// On-disk: `<dir>/ckpt-<applied-lsn, 16 hex>.ckpt`, written temp-file +
-// atomic rename (the same hardening GraphStore uses), body:
+// On-disk: `<dir>/ckpt-<applied-lsn, 16 hex>.ckpt` (an LsnFileNames
+// family), each a checksummed file (both in file_codec.h: synced temp file,
+// atomic rename, the same path every GraphStore object takes) whose body
+// is:
 //
-//     # checksum crc32c:<8 hex>          over everything after this line
 //     # expfinder checkpoint v2
 //     applied_lsn <n>
 //     graph_version <v>

@@ -141,8 +141,8 @@ class RealFileOps : public FileOps {
     std::error_code ec;
     fs::rename(from, to, ec);
     if (ec) return Status::IOError("rename " + from + " -> " + to + ": " + ec.message());
-    // The atomic-replace pattern (checkpoints) is only durable once the
-    // directory entry itself is: sync the target's parent.
+    // The atomic-replace pattern (checksummed files, file_codec.h) is only
+    // durable once the directory entry itself is: sync the target's parent.
     return SyncDir(DirOf(to));
   }
 

@@ -1,9 +1,10 @@
-// The injectable file-ops layer under every durable write in the storage
-// subsystem, plus the fault-injecting implementation that proves the
-// recovery paths correct.
+// The injectable file-ops layer under every file the library reads or
+// writes, plus the fault-injecting implementation that proves the recovery
+// paths correct.
 //
-// WAL segments, checkpoints, and (via tests) GraphStore objects are written
-// through a FileOps, never through raw streams, so a test can interpose
+// WAL segments, checkpoints and GraphStore objects go through a FileOps,
+// never through raw streams: RealFileOps (fault_env.cc) is the only code
+// that touches the filesystem, so a test can interpose
 // FaultyFileOps and crash the "process" at an exact byte offset, tear a
 // write in half, fail an fsync or a rename, or flip a bit in flight — and
 // then recover through a clean FileOps over the same directory, exactly

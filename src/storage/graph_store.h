@@ -6,10 +6,13 @@
 //   <dir>/<name>.pattern  — pattern text format (pattern_parser.h)
 //   <dir>/<name>.matches  — match-relation text format (below)
 //
-// Every file starts with a checksum header over the remaining bytes:
-// "# checksum crc32c:<8 hex>" (CRC32C). Mismatches, any other checksum
-// form, truncation, and garbage surface as Corruption naming the offending
-// path — a bad file never crashes the reader or silently parses.
+// Every object is a checksummed file (file_codec.h) written through the
+// real FileOps: a Put that returns OK has been fsync'd and renamed into
+// place with its directory entry synced, like a checkpoint, and an object
+// only ever holds its previous or its new bytes. Checksum mismatches, any
+// other checksum form, truncation, and garbage surface as Corruption naming
+// the offending path — a bad file never crashes the reader or silently
+// parses.
 
 #ifndef EXPFINDER_STORAGE_GRAPH_STORE_H_
 #define EXPFINDER_STORAGE_GRAPH_STORE_H_

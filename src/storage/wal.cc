@@ -1,8 +1,6 @@
 #include "src/storage/wal.h"
 
-#include <algorithm>
-#include <cstdio>
-
+#include "src/storage/file_codec.h"
 #include "src/util/crc32c.h"
 
 namespace expfinder {
@@ -24,31 +22,7 @@ void AppendLE32(std::string* out, uint32_t v) {
   out->push_back(static_cast<char>((v >> 24) & 0xFF));
 }
 
-std::string SegmentName(uint64_t first_lsn) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "wal-%016llx.log",
-                static_cast<unsigned long long>(first_lsn));
-  return buf;
-}
-
-/// Parses "wal-<16 hex>.log"; false for any other filename.
-bool ParseSegmentName(const std::string& name, uint64_t* first_lsn) {
-  if (name.size() != 4 + 16 + 4 || name.compare(0, 4, "wal-") != 0 ||
-      name.compare(20, 4, ".log") != 0) {
-    return false;
-  }
-  uint64_t lsn = 0;
-  for (size_t i = 4; i < 20; ++i) {
-    char c = name[i];
-    uint64_t digit;
-    if (c >= '0' && c <= '9') digit = static_cast<uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') digit = static_cast<uint64_t>(c - 'a') + 10;
-    else return false;
-    lsn = (lsn << 4) | digit;
-  }
-  *first_lsn = lsn;
-  return true;
-}
+constexpr LsnFileNames kSegmentNames{"wal-", ".log"};
 
 }  // namespace
 
@@ -76,18 +50,12 @@ Result<std::unique_ptr<Wal>> Wal::Open(const WalOptions& options,
   EF_RETURN_NOT_OK(fops->CreateDirs(options.dir));
   *recovery = WalRecovery{};
 
+  auto listed = kSegmentNames.List(fops, options.dir);
+  if (!listed.ok()) return listed.status();
   std::vector<Segment> segments;
-  {
-    auto names = fops->ListDir(options.dir);
-    if (!names.ok()) return names.status();
-    for (const std::string& name : *names) {
-      uint64_t first_lsn;
-      if (!ParseSegmentName(name, &first_lsn)) continue;  // foreign file
-      segments.push_back({first_lsn, 0, options.dir + "/" + name});
-    }
+  for (LsnFileNames::File& file : *listed) {
+    segments.push_back({file.lsn, 0, std::move(file.path)});
   }
-  std::sort(segments.begin(), segments.end(),
-            [](const Segment& a, const Segment& b) { return a.first_lsn < b.first_lsn; });
 
   std::unique_ptr<Wal> wal(new Wal(options, fops));
   uint64_t expected_lsn = segments.empty() ? 0 : segments.front().first_lsn;
@@ -204,31 +172,24 @@ Result<WalTail> Wal::TailFrom(const std::string& dir, FileOps* file_ops,
   WalTail tail;
   tail.next_lsn = from_lsn;
 
-  std::vector<std::pair<uint64_t, std::string>> segments;  // (first_lsn, path)
-  auto names = fops->ListDir(dir);
-  if (!names.ok()) return names.status();
-  for (const std::string& name : *names) {
-    uint64_t first_lsn;
-    if (ParseSegmentName(name, &first_lsn)) {
-      segments.emplace_back(first_lsn, dir + "/" + name);
-    }
-  }
-  std::sort(segments.begin(), segments.end());
+  auto listed = kSegmentNames.List(fops, dir);
+  if (!listed.ok()) return listed.status();
+  const std::vector<LsnFileNames::File>& segments = *listed;
 
   uint64_t cursor = from_lsn;
   for (size_t si = 0; si < segments.size(); ++si) {
     if (tail.records.size() >= max_records) break;
     // Sealed segment si holds LSNs [first_lsn, next segment's first_lsn):
     // skip the ones wholly below the cursor without reading them.
-    if (si + 1 < segments.size() && segments[si + 1].first <= cursor) continue;
-    const uint64_t seg_first = segments[si].first;
+    if (si + 1 < segments.size() && segments[si + 1].lsn <= cursor) continue;
+    const uint64_t seg_first = segments[si].lsn;
     if (seg_first > cursor) {
       // [cursor, seg_first) is gone — truncated into a checkpoint, or lost.
       if (!tail.records.empty()) break;  // keep the batch contiguous
       tail.lost_prefix = true;
       cursor = seg_first;
     }
-    auto content = fops->ReadFileToString(segments[si].second);
+    auto content = fops->ReadFileToString(segments[si].path);
     if (!content.ok()) break;  // removed/unreadable mid-scan: stop here
     const std::string& bytes = *content;
     size_t off = 0;
@@ -269,7 +230,7 @@ Result<WalTail> Wal::TailFrom(const std::string& dir, FileOps* file_ops,
 Status Wal::OpenFreshSegment() {
   Segment seg;
   seg.first_lsn = next_lsn_;
-  seg.path = options_.dir + "/" + SegmentName(next_lsn_);
+  seg.path = options_.dir + "/" + kSegmentNames.Format(next_lsn_);
   auto writer = fops_->NewWritableFile(seg.path, /*truncate=*/true);
   if (!writer.ok()) return writer.status();
   writer_ = std::move(writer).value();

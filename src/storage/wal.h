@@ -4,8 +4,9 @@
 // acknowledged mutation and replays the log (from the last checkpoint) at
 // boot.
 //
-// On-disk layout: `<dir>/wal-<first-lsn, 16 hex>.log`, each segment a
-// sequence of records
+// On-disk layout: `<dir>/wal-<first-lsn, 16 hex>.log` (an LsnFileNames
+// family, file_codec.h, so a listing orders the segments), every byte read
+// and written through FileOps, each segment a sequence of records
 //
 //     [u32 payload length LE] [u32 CRC32C(payload) LE] [payload bytes]
 //

@@ -110,19 +110,6 @@ TEST(GraphIoTest, RejectsNodeCountMismatch) {
   EXPECT_TRUE(LoadGraphText(is).status().IsCorruption());
 }
 
-TEST(GraphIoTest, FileRoundTrip) {
-  Graph g = gen::BuildFig1Graph();
-  std::string path = ::testing::TempDir() + "/fig1_io_test.efg";
-  ASSERT_TRUE(SaveGraphFile(g, path).ok());
-  auto loaded = LoadGraphFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectGraphsEqual(g, loaded.value());
-}
-
-TEST(GraphIoTest, MissingFileIsIOError) {
-  EXPECT_TRUE(LoadGraphFile("/nonexistent/dir/g.efg").status().IsIOError());
-}
-
 TEST(TokenizeTest, RespectsQuotes) {
   auto tokens = TokenizeRespectingQuotes("a \"b c\" d=\"e f\" g");
   ASSERT_EQ(tokens.size(), 4u);

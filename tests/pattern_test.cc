@@ -177,15 +177,5 @@ TEST(PatternTextTest, FingerprintSensitivity) {
   EXPECT_EQ(m.Fingerprint(), q1.Fingerprint());
 }
 
-TEST(PatternFileTest, SaveAndLoad) {
-  Pattern q = gen::TeamQuery(1);
-  std::string path = ::testing::TempDir() + "/team1.pattern";
-  ASSERT_TRUE(SavePatternFile(q, path).ok());
-  auto loaded = LoadPatternFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->Fingerprint(), q.Fingerprint());
-  EXPECT_TRUE(LoadPatternFile("/no/such/file.pattern").status().IsIOError());
-}
-
 }  // namespace
 }  // namespace expfinder

@@ -113,22 +113,22 @@ TEST_F(ServiceFixture, PerRequestCacheOptInOverridesDisabledDefault) {
 }
 
 TEST_F(ServiceFixture, PerRequestBallIndexOptOutSameAnswer) {
-  // The per-request A/B knob: disabling the ball index forces the BFS
-  // traversal paths for that request only, with a bit-identical relation.
+  // The ball index changes only the traversal cost: a service over the same
+  // graph with the index disabled (pure BFS paths) serves a bit-identical
+  // relation, before and after the indexed service built its index.
   ServiceOptions opts;
   opts.engine.use_cache = false;  // every request really evaluates
   opts.engine.ball_index.build_after_uses = 1;
   ExpFinderService service(&g_, opts);
+  opts.engine.ball_index.enabled = false;
+  ExpFinderService plain_service(&g_, opts);
   auto indexed = service.Query(Fig1Request());
   ASSERT_TRUE(indexed.ok());
-  QueryRequest req = Fig1Request();
-  req.use_ball_index = false;
-  auto plain = service.Query(req);
+  auto plain = plain_service.Query(Fig1Request());
   ASSERT_TRUE(plain.ok());
   EXPECT_TRUE(plain->answer->matches == indexed->answer->matches);
   EXPECT_EQ(plain->path, ServingPath::kDirect);
-  // And the index stays warm: a third, default request matches too.
-  auto again = service.Query(Fig1Request());
+  auto again = service.Query(Fig1Request());  // served with the index warm
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->answer->matches == indexed->answer->matches);
 }
@@ -518,6 +518,24 @@ TEST_F(ServiceFixture, SubmitRefusesMatchThreadsAboveHardwareThreads) {
     EXPECT_TRUE(resp.status().IsInvalidArgument()) << resp.status();
   }
   EXPECT_EQ(service.stats().rejected, 2u);
+}
+
+TEST_F(ServiceFixture, SubmitRefusesAsOfVersionWithMinVersion) {
+  // A floor and an exact pin contradict each other, so the request is
+  // refused before admission instead of after a queue wait. The service is
+  // paused: a refusal is the only way the ticket is done when Submit
+  // returns.
+  ExpFinderService service(&g_, PausedOptions());
+  QueryRequest contradictory = UncachedFig1Request();
+  contradictory.as_of_version = service.version();
+  contradictory.min_version = service.version();
+  QueryTicket refused = service.Submit(contradictory);
+  EXPECT_TRUE(refused.done());
+  EXPECT_EQ(service.stats().queued, 0u);
+  auto resp = refused.Get();
+  EXPECT_FALSE(resp.ok());
+  EXPECT_TRUE(resp.status().IsInvalidArgument()) << resp.status();
+  EXPECT_EQ(service.stats().rejected, 1u);
 }
 
 TEST_F(ServiceFixture, CancelWhileQueuedNeverTouchesTheEngine) {

@@ -680,12 +680,13 @@ TEST(ServiceTopicQueryTest, TopicTermsServeIdenticalAnswersIndexOnAndOff) {
   ASSERT_TRUE(deferred.ok()) << deferred.status();
   auto on = service.Query(req);  // use 2: builds, seeds from postings
   ASSERT_TRUE(on.ok()) << on.status();
-  req.use_topic_index = false;
-  auto off = service.Query(req);
+  options.engine.topic_index.enabled = false;
+  ExpFinderService scan_service(&g, options);
+  auto off = scan_service.Query(req);
   ASSERT_TRUE(off.ok()) << off.status();
 
   // Identical relation and identical fused ranking — deferred, indexed, and
-  // opted out.
+  // with the index disabled.
   EXPECT_EQ(on->answer->matches, deferred->answer->matches);
   EXPECT_EQ(on->answer->matches, off->answer->matches);
   ASSERT_EQ(on->ranked.size(), off->ranked.size());
@@ -712,7 +713,7 @@ TEST(ServiceTopicQueryTest, TopicTermsWithoutOutputNodeAreRejected) {
   // No output node means CompileTopicTerms has nowhere to hang the
   // expertise predicates; serving the unfiltered relation would silently
   // ignore the filter, so the request must fail loudly instead. (Submit's
-  // pattern validation catches it; Serve double-checks before compiling.)
+  // pattern validation catches it.)
   Graph g = gen::ErdosRenyi(30, 90, 7, gen::TopicExpertiseModel());
   ExpFinderService service(&g);
   QueryRequest req;
