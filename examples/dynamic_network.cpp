@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   }
   QueryRequest request;
   request.pattern = q;
-  request.use_cache = false;  // always read the maintained snapshot
+  request.use_cache = false;  // show the maintained path, not a cache hit
   auto initial = service.Query(request);
   if (!initial.ok()) {
     std::cerr << initial.status() << "\n";

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   QueryRequest fresh = request;
-  fresh.use_cache = false;  // read the maintained snapshot, not the old cache
+  fresh.use_cache = false;  // show the maintained path (a cached answer is fresh too)
   fresh.top_k = std::nullopt;
   auto updated = service.Query(fresh);
   if (!updated.ok()) {

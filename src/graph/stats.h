@@ -1,6 +1,7 @@
 // Descriptive statistics over data graphs: degree profile, label histogram,
-// SCC structure, reciprocity, and a diameter estimate. Used by the planner
-// (selectivity), the manager CLI ("roll-up" view), and benchmark reports.
+// SCC structure, reciprocity, and a diameter estimate. Printed by the
+// manager CLI ("roll-up" view) and the team-formation example; the planner
+// does not read them.
 
 #ifndef EXPFINDER_GRAPH_STATS_H_
 #define EXPFINDER_GRAPH_STATS_H_

@@ -118,8 +118,6 @@ std::string Pattern::ToText() const {
   return os.str();
 }
 
-uint64_t Pattern::Fingerprint() const { return Fnv1a(ToText()); }
-
 uint64_t Pattern::CanonicalFingerprint() const {
   std::ostringstream os;
   os << "# expfinder pattern v1 canonical\n";

@@ -99,10 +99,6 @@ class Pattern {
   /// Canonical text rendering (identical to the pattern file format).
   std::string ToText() const;
 
-  /// Hash of ToText(); the exact-rendering identity (round-trip tests rely
-  /// on parse(ToText()) preserving it).
-  uint64_t Fingerprint() const;
-
   /// Hash of a *canonicalized* rendering: per-node conditions are sorted
   /// (and exact duplicates dropped) before hashing — sound because a node's
   /// conditions are a conjunction, so order and repetition never change

@@ -15,14 +15,6 @@ std::chrono::duration<double, std::milli> Millis(double ms) {
 
 }  // namespace
 
-const char* ReadRoutingName(ReadRouting routing) {
-  switch (routing) {
-    case ReadRouting::kRoundRobin: return "round_robin";
-    case ReadRouting::kLeastLagged: return "least_lagged";
-  }
-  return "unknown";
-}
-
 ReplicaFleet::ReplicaFleet(FleetOptions options, DeltaSource* source,
                            SnapshotInstallFn install)
     : options_(std::move(options)),
@@ -304,40 +296,6 @@ std::vector<ReplicaStatus> ReplicaFleet::Replicas() const {
     out.push_back(rs);
   }
   return out;
-}
-
-size_t ReplicaFleet::TotalDeltasApplied() const {
-  size_t total = 0;
-  for (const auto& slot : slots_) total += slot->replica.deltas_applied();
-  return total;
-}
-
-size_t ReplicaFleet::TotalRoutedReads() const {
-  size_t total = 0;
-  for (const auto& slot : slots_) {
-    total += slot->routed_reads.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-size_t ReplicaFleet::TotalRebootstraps() const {
-  size_t total = 0;
-  for (const auto& slot : slots_) {
-    total += slot->rebootstraps.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-size_t ReplicaFleet::TotalQuarantines() const {
-  size_t total = 0;
-  for (const auto& slot : slots_) total += slot->health.quarantines();
-  return total;
-}
-
-size_t ReplicaFleet::TotalAutoRestarts() const {
-  size_t total = 0;
-  for (const auto& slot : slots_) total += slot->health.auto_restarts();
-  return total;
 }
 
 }  // namespace expfinder

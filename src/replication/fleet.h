@@ -71,8 +71,6 @@ enum class ReadRouting {
   kLeastLagged,
 };
 
-const char* ReadRoutingName(ReadRouting routing);
-
 /// \brief Why an Acquire returned nullptr (kOk iff it returned a snapshot).
 enum class AcquireOutcome {
   kOk,
@@ -113,7 +111,7 @@ struct FleetOptions {
 using SnapshotInstallFn = std::function<ReplicaBootstrap()>;
 
 /// \brief Point-in-time observability for one replica (ServiceStats embeds
-/// these).
+/// these, and sums its fleet totals from them; see kServiceCounters).
 struct ReplicaStatus {
   size_t id = 0;
   bool alive = false;
@@ -132,7 +130,7 @@ struct ReplicaStatus {
   size_t auto_restarts = 0;
 };
 
-/// \brief The fleet. Thread-safe: Acquire/Replicas/counters from any thread;
+/// \brief The fleet. Thread-safe: Acquire/Replicas from any thread;
 /// Start/Stop/StopReplica/RestartReplica serialize among themselves.
 class ReplicaFleet {
  public:
@@ -156,10 +154,11 @@ class ReplicaFleet {
   /// `deadline_ms` (0 deadline or 0 min_version = no waiting; an
   /// unrecoverable fleet never waits — see AcquireOutcome). On success
   /// `*replica_idx` (optional) receives the chosen replica and its
-  /// routed-read counter is bumped; `*outcome` (optional) reports why a
-  /// nullptr came back. The configured ReadRouting picks among eligible
-  /// replicas; either policy scans every replica, so whether a snapshot
-  /// comes back does not depend on it.
+  /// routed-read counter is bumped, once per successful call (the service
+  /// reports their sum as ServiceStats::routed_reads); `*outcome`
+  /// (optional) reports why a nullptr came back. The configured ReadRouting
+  /// picks among eligible replicas; either policy scans every replica, so
+  /// whether a snapshot comes back does not depend on it.
   std::shared_ptr<const EngineSnapshot> Acquire(uint64_t min_version,
                                                 double deadline_ms,
                                                 size_t* replica_idx,
@@ -192,13 +191,6 @@ class ReplicaFleet {
 
   /// Snapshot of every replica's state, in id order.
   std::vector<ReplicaStatus> Replicas() const;
-
-  // --- Aggregate counters -------------------------------------------------
-  size_t TotalDeltasApplied() const;
-  size_t TotalRoutedReads() const;
-  size_t TotalRebootstraps() const;
-  size_t TotalQuarantines() const;
-  size_t TotalAutoRestarts() const;
 
  private:
   struct Slot {

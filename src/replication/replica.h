@@ -70,9 +70,9 @@ class Replica {
   /// successor snapshot. Records below the cursor are skipped (the
   /// checkpoint-overlap idempotence crash recovery also relies on); a
   /// record past the cursor is DataLoss — the feed skipped something, the
-  /// caller must re-anchor. On a mid-batch apply error the replica stays
-  /// on its last published snapshot (the partial state is republished only
-  /// up to the last fully applied record — see implementation).
+  /// caller must re-anchor. On a mid-batch apply error the replica
+  /// republishes only the records before the failing one, which itself
+  /// changed nothing (DurableGraph::ApplyRecord applies all or nothing).
   Status Apply(const DeltaBatch& batch);
 
   /// The replica's current published snapshot; null until the first

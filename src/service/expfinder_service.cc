@@ -91,11 +91,12 @@ ExpFinderService::ExpFinderService(Graph* g, ServiceOptions options)
       executor_(std::make_unique<ThreadPool>(
           ThreadPool::ResolveThreads(options_.serving_threads) + 1)) {
   if (!durability_status_.ok()) {
-    durability_errors_.fetch_add(1, std::memory_order_relaxed);
+    Count<&ServiceStats::durability_errors>();
   }
   if (recovery_info_.data_loss) {
-    data_loss_events_.fetch_add(1, std::memory_order_relaxed);
+    Count<&ServiceStats::data_loss_events>();
   }
+  Count<&ServiceStats::recovered_records>(recovery_info_.replayed_records);
   {
     // The first epoch: no request ever observes a null snapshot.
     std::lock_guard<std::mutex> writer(writer_mu_);
@@ -187,7 +188,7 @@ std::shared_ptr<const EngineSnapshot> ExpFinderService::AcquireRouted(
        attempt < r.read_retries &&
        !shutdown_.load(std::memory_order_acquire);
        ++attempt) {
-    retried_reads_.fetch_add(1, std::memory_order_relaxed);
+    Count<&ServiceStats::retried_reads>();
     snap = fleet_->Acquire(min_version, r.retry_wait_ms,
                            /*replica_idx=*/nullptr, &last);
   }
@@ -202,7 +203,7 @@ std::shared_ptr<const EngineSnapshot> ExpFinderService::AcquireRouted(
     snap = fleet_->Acquire(floor, /*deadline_ms=*/0.0,
                            /*replica_idx=*/nullptr, &probe);
     if (snap != nullptr) {
-      relaxed_reads_.fetch_add(1, std::memory_order_relaxed);
+      Count<&ServiceStats::relaxed_reads>();
     }
   }
   *outcome = snap != nullptr ? AcquireOutcome::kOk : last;
@@ -225,7 +226,7 @@ void ExpFinderService::Resume() {
 QueryTicket ExpFinderService::Submit(QueryRequest request) {
   auto state = std::make_shared<TicketState>();
   QueryTicket ticket(state);
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  Count<&ServiceStats::queries>();
   Status valid = request.pattern.Validate();
   // The priority indexes a queue lane and the metric picks a scorer; values
   // cast from untrusted input must be refused here, not used out of range
@@ -307,23 +308,26 @@ void ExpFinderService::DrainOne() {
   Finish(pending->ticket, std::move(result), served);
 }
 
-std::atomic<size_t>& ExpFinderService::TerminalCounter(std::optional<ServingPath> served,
-                                                       const Status& status) {
+size_t ExpFinderService::TerminalCounter(std::optional<ServingPath> served,
+                                         const Status& status) {
+  using S = ServiceStats;
   if (served.has_value()) {
     switch (*served) {
-      case ServingPath::kCache: return cache_hits_;
-      case ServingPath::kMaintained: return maintained_hits_;
-      case ServingPath::kPlannerShortCircuit: return planner_short_circuits_;
-      case ServingPath::kCompressed: return compressed_evals_;
-      case ServingPath::kDirect: return direct_evals_;
+      case ServingPath::kCache: return ServiceCounterIndex(&S::cache_hits);
+      case ServingPath::kMaintained: return ServiceCounterIndex(&S::maintained_hits);
+      case ServingPath::kPlannerShortCircuit:
+        return ServiceCounterIndex(&S::planner_short_circuits);
+      case ServingPath::kCompressed: return ServiceCounterIndex(&S::compressed_evals);
+      case ServingPath::kDirect: return ServiceCounterIndex(&S::direct_evals);
     }
   }
   EF_DCHECK(!status.ok()) << "an OK result without a serving path";
   switch (status.code()) {
-    case StatusCode::kCancelled: return cancelled_;
-    case StatusCode::kUnavailable: return unavailable_;
-    case StatusCode::kResourceExhausted: return rejected_overload_;  // queue full
-    default: return rejected_;
+    case StatusCode::kCancelled: return ServiceCounterIndex(&S::cancelled);
+    case StatusCode::kUnavailable: return ServiceCounterIndex(&S::unavailable);
+    case StatusCode::kResourceExhausted:  // queue full
+      return ServiceCounterIndex(&S::rejected_overload);
+    default: return ServiceCounterIndex(&S::rejected);
   }
 }
 
@@ -332,7 +336,8 @@ void ExpFinderService::Finish(const std::shared_ptr<TicketState>& ticket,
                               std::optional<ServingPath> served) {
   // Counted before CompleteTicket releases waiters, so a caller that saw
   // its ticket complete also sees it counted.
-  TerminalCounter(served, result.status()).fetch_add(1, std::memory_order_relaxed);
+  counters_[TerminalCounter(served, result.status())].fetch_add(1,
+                                                               std::memory_order_relaxed);
   CompleteTicket(ticket, std::move(result));
 }
 
@@ -375,13 +380,11 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
     const uint64_t min_version = request.min_version.value_or(0);
     AcquireOutcome outcome = AcquireOutcome::kTimeout;
     snap = AcquireRouted(min_version, &outcome);
-    if (snap != nullptr) {
-      routed_reads_.fetch_add(1, std::memory_order_relaxed);
-    } else {
+    if (snap == nullptr) {
       auto primary = epoch_.load(std::memory_order_acquire);
       if (options_.replication.fallback_to_primary &&
           primary->version >= min_version) {
-        routed_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        Count<&ServiceStats::routed_fallbacks>();
         snap = std::move(primary);
       } else if (outcome == AcquireOutcome::kUnavailable) {
         // Fleet down or unrecoverable (and the primary cannot cover):
@@ -415,7 +418,7 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
           std::to_string(snap->version) + ")");
     }
   }
-  snapshot_acquires_.fetch_add(1, std::memory_order_relaxed);
+  Count<&ServiceStats::snapshot_acquires>();
 
   QueryResponse response;
   response.queue_ms = queue_ms;
@@ -455,11 +458,9 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
       const size_t falls0 = ctx.seed_scan_fallbacks();
       auto evaluated = core_.Evaluate(*snap, pattern, request.semantics, overrides,
                                       &ctx, &response.path);
-      topic_index_builds_.fetch_add(ctx.topic_index_builds() - builds0,
-                                    std::memory_order_relaxed);
-      posting_hits_.fetch_add(ctx.posting_hits() - hits0, std::memory_order_relaxed);
-      seed_scan_fallbacks_.fetch_add(ctx.seed_scan_fallbacks() - falls0,
-                                     std::memory_order_relaxed);
+      Count<&ServiceStats::topic_index_builds>(ctx.topic_index_builds() - builds0);
+      Count<&ServiceStats::posting_hits>(ctx.posting_hits() - hits0);
+      Count<&ServiceStats::seed_scan_fallbacks>(ctx.seed_scan_fallbacks() - falls0);
       if (!evaluated.ok()) return evaluated.status();
       matches = std::move(evaluated).value();
     }
@@ -514,7 +515,7 @@ Result<QueryResponse> ExpFinderService::Query(const QueryRequest& request) {
 
 std::vector<Result<QueryResponse>> ExpFinderService::QueryBatch(
     const std::vector<QueryRequest>& requests) {
-  query_batches_.fetch_add(1, std::memory_order_relaxed);
+  Count<&ServiceStats::query_batches>();
   // Submit everything up front — the whole batch is in flight at once —
   // then collect in order. Each request fails or succeeds independently.
   std::vector<QueryTicket> tickets;
@@ -531,12 +532,12 @@ void ExpFinderService::PublishLocked() {
   auto current = epoch_.load(std::memory_order_relaxed);
   if (snap == current) return;  // nothing changed since the last publish
   epoch_.store(snap, std::memory_order_release);
-  snapshots_published_.fetch_add(1, std::memory_order_relaxed);
+  Count<&ServiceStats::snapshots_published>();
   std::lock_guard<std::mutex> ring(ring_mu_);
   retained_.push_back(std::move(snap));
   while (retained_.size() > options_.retained_snapshots) {
     retained_.pop_front();
-    snapshots_retired_.fetch_add(1, std::memory_order_relaxed);
+    Count<&ServiceStats::snapshots_retired>();
   }
 }
 
@@ -565,8 +566,8 @@ Status ExpFinderService::Mutate(const UpdateBatch& batch) {
   const std::shared_ptr<const EngineSnapshot> before =
       epoch_.load(std::memory_order_acquire);
   EF_RETURN_NOT_OK(engine_.ApplyUpdates(batch));
-  batches_applied_.fetch_add(1, std::memory_order_relaxed);
-  updates_applied_.fetch_add(batch.size(), std::memory_order_relaxed);
+  Count<&ServiceStats::batches_applied>();
+  Count<&ServiceStats::updates_applied>(batch.size());
   return CommitLocked([&] { return DurableGraph::EncodeBatch(batch); },
                       [&] { ExtendCachedAnswersLocked(*before, batch); });
 }
@@ -591,15 +592,18 @@ Status ExpFinderService::CommitLocked(const std::function<std::string()>& encode
     const uint64_t lsn_before = durable_->next_lsn();
     logged = durable_->AppendRecord(record);
     entered_log = durable_->next_lsn() > lsn_before;
-    (logged.ok() ? wal_appends_ : durability_errors_)
-        .fetch_add(1, std::memory_order_relaxed);
+    if (logged.ok()) {
+      Count<&ServiceStats::wal_appends>();
+    } else {
+      Count<&ServiceStats::durability_errors>();
+    }
   }
   if (before_publish) before_publish();
   PublishLocked();
   if (entered_log && delta_source_ != nullptr) {
     delta_source_->Ship(durable_ != nullptr ? durable_->next_lsn() - 1 : ship_lsn_++,
                         std::move(record));
-    deltas_shipped_.fetch_add(1, std::memory_order_relaxed);
+    Count<&ServiceStats::deltas_shipped>();
   }
   // Checkpoint only on the success path: after a failed append the WAL may
   // hold the record appended-but-unsynced (LSN advanced), and an immediate
@@ -635,7 +639,7 @@ Result<NodeId> ExpFinderService::AddNode(
   std::lock_guard<std::mutex> writer(writer_mu_);
   auto id = engine_.AddNode(label, attrs);
   if (!id.ok()) return id;
-  nodes_added_.fetch_add(1, std::memory_order_relaxed);
+  Count<&ServiceStats::nodes_added>();
   // On a failed append the node exists in memory but is not durable.
   EF_RETURN_NOT_OK(
       CommitLocked([&] { return DurableGraph::EncodeAddNode(*id, label, attrs); }));
@@ -653,9 +657,9 @@ void ExpFinderService::MaybeCheckpointLocked() {
   auto work = [this, snap, applied_lsn] {
     Status st = durable_->Checkpoint(snap->graph->graph(), applied_lsn);
     if (st.ok()) {
-      checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
+      Count<&ServiceStats::checkpoints_written>();
     } else {
-      durability_errors_.fetch_add(1, std::memory_order_relaxed);
+      Count<&ServiceStats::durability_errors>();
     }
     checkpoint_inflight_.store(false, std::memory_order_release);
   };
@@ -681,9 +685,9 @@ Status ExpFinderService::CheckpointNow() {
   }
   Status st = durable_->Checkpoint(snap->graph->graph(), applied_lsn);
   if (st.ok()) {
-    checkpoints_written_.fetch_add(1, std::memory_order_relaxed);
+    Count<&ServiceStats::checkpoints_written>();
   } else {
-    durability_errors_.fetch_add(1, std::memory_order_relaxed);
+    Count<&ServiceStats::durability_errors>();
   }
   return st;
 }
@@ -717,45 +721,16 @@ uint64_t ExpFinderService::version() const {
 
 ServiceStats ExpFinderService::stats() const {
   ServiceStats s;
-  s.queries = queries_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.maintained_hits = maintained_hits_.load(std::memory_order_relaxed);
-  s.planner_short_circuits = planner_short_circuits_.load(std::memory_order_relaxed);
-  s.compressed_evals = compressed_evals_.load(std::memory_order_relaxed);
-  s.direct_evals = direct_evals_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.rejected_overload = rejected_overload_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
-  s.query_batches = query_batches_.load(std::memory_order_relaxed);
-  s.batches_applied = batches_applied_.load(std::memory_order_relaxed);
-  s.updates_applied = updates_applied_.load(std::memory_order_relaxed);
-  s.nodes_added = nodes_added_.load(std::memory_order_relaxed);
-  s.snapshots_published = snapshots_published_.load(std::memory_order_relaxed);
-  s.snapshot_acquires = snapshot_acquires_.load(std::memory_order_relaxed);
-  s.snapshots_retired = snapshots_retired_.load(std::memory_order_relaxed);
-  s.topic_index_builds = topic_index_builds_.load(std::memory_order_relaxed);
-  s.posting_hits = posting_hits_.load(std::memory_order_relaxed);
-  s.seed_scan_fallbacks = seed_scan_fallbacks_.load(std::memory_order_relaxed);
-  s.wal_appends = wal_appends_.load(std::memory_order_relaxed);
-  s.checkpoints_written = checkpoints_written_.load(std::memory_order_relaxed);
-  s.recovered_records = recovery_info_.replayed_records;
-  s.durability_errors = durability_errors_.load(std::memory_order_relaxed);
-  s.data_loss_events = data_loss_events_.load(std::memory_order_relaxed);
+  if (fleet_ != nullptr) s.replicas = fleet_->Replicas();
+  for (size_t i = 0; i < kNumServiceCounters; ++i) {
+    const ServiceCounter& counter = kServiceCounters[i];
+    size_t& value = s.*counter.field;
+    value = counters_[i].load(std::memory_order_relaxed);
+    if (counter.replica_total == nullptr) continue;
+    for (const ReplicaStatus& replica : s.replicas) value += replica.*counter.replica_total;
+  }
   s.queued = queue_.size();
   s.queued_by_priority = queue_.LaneDepths();
-  s.deltas_shipped = deltas_shipped_.load(std::memory_order_relaxed);
-  s.routed_reads = routed_reads_.load(std::memory_order_relaxed);
-  s.routed_fallbacks = routed_fallbacks_.load(std::memory_order_relaxed);
-  s.retried_reads = retried_reads_.load(std::memory_order_relaxed);
-  s.relaxed_reads = relaxed_reads_.load(std::memory_order_relaxed);
-  s.unavailable = unavailable_.load(std::memory_order_relaxed);
-  if (fleet_ != nullptr) {
-    s.deltas_applied = fleet_->TotalDeltasApplied();
-    s.replica_rebootstraps = fleet_->TotalRebootstraps();
-    s.replica_quarantines = fleet_->TotalQuarantines();
-    s.replica_auto_restarts = fleet_->TotalAutoRestarts();
-    s.replicas = fleet_->Replicas();
-  }
   for (size_t i = 0; i < kQueueLatencyBuckets; ++i) {
     s.queue_latency_histogram[i] = queue_latency_[i].load(std::memory_order_relaxed);
   }

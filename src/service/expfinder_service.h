@@ -349,10 +349,19 @@ class ExpFinderService {
   Result<QueryResponse> Serve(const PendingQuery& pending, double queue_ms,
                               std::optional<ServingPath>* served);
 
-  /// The terminal counter of one request (see ServiceStats): its serving
-  /// path when an answer exists, else the one its status code names.
-  std::atomic<size_t>& TerminalCounter(std::optional<ServingPath> served,
-                                       const Status& status);
+  /// The kServiceCounters index of one request's terminal counter (see
+  /// ServiceStats): its serving path when an answer exists, else the one
+  /// its status code names.
+  static size_t TerminalCounter(std::optional<ServingPath> served, const Status& status);
+
+  /// Adds `n` to the counter of ServiceStats field `kField`: one relaxed
+  /// fetch_add at an index fixed at compile time.
+  template <size_t ServiceStats::*kField>
+  void Count(size_t n = 1) {
+    static_assert(kServiceCounters[ServiceCounterIndex(kField)].replica_total == nullptr,
+                  "a fleet total is summed from ReplicaStatus, not counted");
+    counters_[ServiceCounterIndex(kField)].fetch_add(n, std::memory_order_relaxed);
+  }
 
   /// Every request ends here: counts it in its one terminal counter, then
   /// completes its ticket (releasing waiters).
@@ -467,32 +476,13 @@ class ExpFinderService {
   bool paused_;                // guarded by pause_mu_
   size_t pending_drains_ = 0;  // guarded by pause_mu_
 
-  std::atomic<size_t> queries_{0};
-  std::atomic<size_t> cache_hits_{0};
-  std::atomic<size_t> maintained_hits_{0};
-  std::atomic<size_t> planner_short_circuits_{0};
-  std::atomic<size_t> compressed_evals_{0};
-  std::atomic<size_t> direct_evals_{0};
-  std::atomic<size_t> rejected_{0};
-  std::atomic<size_t> rejected_overload_{0};
-  std::atomic<size_t> cancelled_{0};
-  std::atomic<size_t> query_batches_{0};
-  std::atomic<size_t> batches_applied_{0};
-  std::atomic<size_t> updates_applied_{0};
-  std::atomic<size_t> nodes_added_{0};
-  std::atomic<size_t> snapshots_published_{0};
-  std::atomic<size_t> snapshot_acquires_{0};
-  std::atomic<size_t> snapshots_retired_{0};
-  std::atomic<size_t> topic_index_builds_{0};
-  std::atomic<size_t> posting_hits_{0};
-  std::atomic<size_t> seed_scan_fallbacks_{0};
-  std::atomic<size_t> wal_appends_{0};
-  std::atomic<size_t> checkpoints_written_{0};
-  std::atomic<size_t> durability_errors_{0};
-  std::atomic<size_t> data_loss_events_{0};
   /// At most one periodic checkpoint runs at a time; the flag is cleared
   /// by the checkpoint task itself.
   std::atomic<bool> checkpoint_inflight_{false};
+
+  /// The live value of every kServiceCounters entry, by list position (the
+  /// fleet totals' slots stay zero: stats() sums those from the replicas).
+  std::array<std::atomic<size_t>, kNumServiceCounters> counters_{};
   std::array<std::atomic<size_t>, kQueueLatencyBuckets> queue_latency_{};
 
   /// Replication (null / unused when replication.num_replicas == 0).
@@ -509,12 +499,6 @@ class ExpFinderService {
   /// Delta cursor when durability is off (the WAL assigns LSNs otherwise);
   /// guarded by writer_mu_.
   uint64_t ship_lsn_ = 0;
-  std::atomic<size_t> deltas_shipped_{0};
-  std::atomic<size_t> routed_reads_{0};
-  std::atomic<size_t> routed_fallbacks_{0};
-  std::atomic<size_t> retried_reads_{0};
-  std::atomic<size_t> relaxed_reads_{0};
-  std::atomic<size_t> unavailable_{0};
 
   /// The serving executor: one Submit()ed drain task per admitted request.
   /// Declared last so it is destroyed (and drained) while every member it

@@ -105,41 +105,16 @@ size_t QueueLatencyBucket(double queue_ms) {
 
 std::string ServiceStats::ToString() const {
   std::ostringstream os;
-  os << "queries=" << queries << " cache_hits=" << cache_hits
-     << " maintained_hits=" << maintained_hits
-     << " planner_short_circuits=" << planner_short_circuits
-     << " compressed_evals=" << compressed_evals << " direct_evals=" << direct_evals
-     << " rejected=" << rejected << " rejected_overload=" << rejected_overload
-     << " cancelled=" << cancelled << " unavailable=" << unavailable
-     << " queued=" << queued << " queued_by_lane=[";
+  for (const ServiceCounter& counter : kServiceCounters) {
+    os << counter.key << "=" << this->*counter.field << " ";
+  }
+  os << "queued=" << queued << " queued_by_lane=[";
   for (size_t lane = 0; lane < queued_by_priority.size(); ++lane) {
     if (lane > 0) os << " ";
     os << QueryPriorityName(static_cast<QueryPriority>(lane)) << ":"
        << queued_by_priority[lane];
   }
-  os << "]"
-     << " query_batches=" << query_batches << " batches=" << batches_applied
-     << " updates=" << updates_applied << " nodes_added=" << nodes_added
-     << " snapshots_published=" << snapshots_published
-     << " snapshot_acquires=" << snapshot_acquires
-     << " snapshots_retired=" << snapshots_retired
-     << " wal_appends=" << wal_appends
-     << " checkpoints_written=" << checkpoints_written
-     << " recovered_records=" << recovered_records
-     << " durability_errors=" << durability_errors
-     << " data_loss_events=" << data_loss_events
-     << " topic_index_builds=" << topic_index_builds
-     << " posting_hits=" << posting_hits
-     << " seed_scan_fallbacks=" << seed_scan_fallbacks
-     << " deltas_shipped=" << deltas_shipped
-     << " deltas_applied=" << deltas_applied
-     << " routed_reads=" << routed_reads
-     << " routed_fallbacks=" << routed_fallbacks
-     << " retried_reads=" << retried_reads
-     << " relaxed_reads=" << relaxed_reads
-     << " replica_rebootstraps=" << replica_rebootstraps
-     << " replica_quarantines=" << replica_quarantines
-     << " replica_auto_restarts=" << replica_auto_restarts;
+  os << "]";
   if (!replicas.empty()) {
     os << " replicas=[";
     for (size_t i = 0; i < replicas.size(); ++i) {

@@ -219,8 +219,12 @@ inline constexpr size_t kQueueLatencyBuckets = 12;
 /// Bucket index for one observed queue latency.
 size_t QueueLatencyBucket(double queue_ms);
 
-/// \brief Cumulative service telemetry (a plain snapshot; the live counters
-/// are atomics inside the service).
+/// \brief Cumulative service telemetry (a plain snapshot).
+///
+/// Every scalar counter is listed once more, in kServiceCounters below: the
+/// service keeps one live atomic per entry, and stats() and ToString() loop
+/// over the list. The gauges (`queued` and its lanes, `replicas`, the
+/// queue-latency histogram) are not in it.
 ///
 /// Every submitted request lands in exactly one terminal counter, bumped
 /// once when its ticket completes by the one function that classifies
@@ -332,6 +336,69 @@ struct ServiceStats {
 
   std::string ToString() const;
 };
+
+/// \brief One scalar counter of ServiceStats: its field, the key ToString()
+/// prints it under, and, for a fleet total, the ReplicaStatus field that
+/// stats() adds up over `replicas`.
+struct ServiceCounter {
+  size_t ServiceStats::*field;
+  std::string_view key;
+  size_t ReplicaStatus::*replica_total = nullptr;
+};
+
+/// Every ServiceStats counter, in ToString() order. A new counter takes a
+/// field above and an entry here.
+inline constexpr ServiceCounter kServiceCounters[] = {
+    {&ServiceStats::queries, "queries"},
+    {&ServiceStats::cache_hits, "cache_hits"},
+    {&ServiceStats::maintained_hits, "maintained_hits"},
+    {&ServiceStats::planner_short_circuits, "planner_short_circuits"},
+    {&ServiceStats::compressed_evals, "compressed_evals"},
+    {&ServiceStats::direct_evals, "direct_evals"},
+    {&ServiceStats::rejected, "rejected"},
+    {&ServiceStats::rejected_overload, "rejected_overload"},
+    {&ServiceStats::cancelled, "cancelled"},
+    {&ServiceStats::unavailable, "unavailable"},
+    {&ServiceStats::query_batches, "query_batches"},
+    {&ServiceStats::batches_applied, "batches"},
+    {&ServiceStats::updates_applied, "updates"},
+    {&ServiceStats::nodes_added, "nodes_added"},
+    {&ServiceStats::snapshots_published, "snapshots_published"},
+    {&ServiceStats::snapshot_acquires, "snapshot_acquires"},
+    {&ServiceStats::snapshots_retired, "snapshots_retired"},
+    {&ServiceStats::wal_appends, "wal_appends"},
+    {&ServiceStats::checkpoints_written, "checkpoints_written"},
+    {&ServiceStats::recovered_records, "recovered_records"},
+    {&ServiceStats::durability_errors, "durability_errors"},
+    {&ServiceStats::data_loss_events, "data_loss_events"},
+    {&ServiceStats::topic_index_builds, "topic_index_builds"},
+    {&ServiceStats::posting_hits, "posting_hits"},
+    {&ServiceStats::seed_scan_fallbacks, "seed_scan_fallbacks"},
+    {&ServiceStats::deltas_shipped, "deltas_shipped"},
+    {&ServiceStats::deltas_applied, "deltas_applied", &ReplicaStatus::deltas_applied},
+    {&ServiceStats::routed_reads, "routed_reads", &ReplicaStatus::routed_reads},
+    {&ServiceStats::routed_fallbacks, "routed_fallbacks"},
+    {&ServiceStats::retried_reads, "retried_reads"},
+    {&ServiceStats::relaxed_reads, "relaxed_reads"},
+    {&ServiceStats::replica_rebootstraps, "replica_rebootstraps",
+     &ReplicaStatus::rebootstraps},
+    {&ServiceStats::replica_quarantines, "replica_quarantines",
+     &ReplicaStatus::quarantines},
+    {&ServiceStats::replica_auto_restarts, "replica_auto_restarts",
+     &ReplicaStatus::auto_restarts},
+};
+
+inline constexpr size_t kNumServiceCounters = std::size(kServiceCounters);
+
+/// Position of `field` in kServiceCounters. Evaluated at compile time only
+/// (an unlisted field does not compile), so bumping a counter indexes an
+/// array and never searches the list.
+consteval size_t ServiceCounterIndex(size_t ServiceStats::*field) {
+  for (size_t i = 0; i < kNumServiceCounters; ++i) {
+    if (kServiceCounters[i].field == field) return i;
+  }
+  throw "not a kServiceCounters field";
+}
 
 }  // namespace expfinder
 

@@ -84,6 +84,19 @@ Status WriteCheckpoint(const CheckpointOptions& options, const Graph& g,
   return Status::OK();
 }
 
+void RemoveCheckpointTemps(const CheckpointOptions& options) {
+  FileOps* fops = options.file_ops ? options.file_ops : FileOps::Real();
+  auto names = fops->ListDir(options.dir);
+  if (!names.ok()) return;
+  for (const std::string& name : *names) {
+    const size_t infix = name.find(kChecksummedTempInfix);
+    if (infix != std::string::npos &&
+        kCheckpointNames.Parse(std::string_view(name).substr(0, infix))) {
+      fops->RemoveFile(options.dir + "/" + name);
+    }
+  }
+}
+
 Result<RecoveredCheckpoint> ReadLatestCheckpoint(const CheckpointOptions& options) {
   FileOps* fops = options.file_ops ? options.file_ops : FileOps::Real();
   auto listed = kCheckpointNames.List(fops, options.dir);

@@ -62,6 +62,13 @@ struct RecoveredCheckpoint {
 Status WriteCheckpoint(const CheckpointOptions& options, const Graph& g,
                        uint64_t applied_lsn);
 
+/// Deletes the temps a crash during WriteCheckpoint leaves in `options.dir`
+/// (`ckpt-<16 hex>.ckpt.tmp.*`); every other file stays. Best effort: a
+/// temp that cannot be removed is harmless, since no reader opens one.
+/// Only the directory's one writer may call it, or it could delete the
+/// temp of a checkpoint in flight.
+void RemoveCheckpointTemps(const CheckpointOptions& options);
+
 /// Loads the newest readable checkpoint, falling back over corrupt ones.
 /// NotFound when the directory holds no checkpoint at all; DataLoss when
 /// checkpoints exist but every one is corrupt.

@@ -39,6 +39,9 @@ std::string DurableGraph::EncodeAddNode(
 }
 
 Status DurableGraph::ApplyRecord(Graph* g, std::string_view payload) {
+  // All or nothing: the record is decoded and checked against `g` in full
+  // before the first change, so a replica never publishes, and recovery
+  // never keeps, half a record.
   std::istringstream is{std::string(payload)};
   std::string line;
   if (!std::getline(is, line)) return Status::Corruption("empty WAL record");
@@ -51,7 +54,7 @@ Status DurableGraph::ApplyRecord(Graph* g, std::string_view payload) {
         declared > kMaxBatchCount) {
       return Status::Corruption("bad batch count in WAL record");
     }
-    int64_t seen = 0;
+    UpdateBatch batch;
     while (std::getline(is, line)) {
       std::string_view sv = Trim(line);
       if (sv.empty()) continue;
@@ -63,22 +66,25 @@ Status DurableGraph::ApplyRecord(Graph* g, std::string_view payload) {
         return Status::Corruption("bad update line in WAL batch record: " +
                                   std::string(sv));
       }
-      ++seen;
       NodeId s = static_cast<NodeId>(src), d = static_cast<NodeId>(dst);
       if (!g->IsValidNode(s) || !g->IsValidNode(d)) {
         // The addnode record that created this endpoint is gone.
         return Status::DataLoss("WAL batch references unknown node " +
                                 std::to_string(src) + "/" + std::to_string(dst));
       }
-      if (tokens[0] == "+") {
-        if (!g->HasEdge(s, d)) EF_RETURN_NOT_OK(g->AddEdge(s, d));
-      } else {
-        if (g->HasEdge(s, d)) EF_RETURN_NOT_OK(g->RemoveEdge(s, d));
-      }
+      batch.push_back(tokens[0] == "+" ? GraphUpdate::Insert(s, d)
+                                       : GraphUpdate::Delete(s, d));
     }
-    if (seen != declared) {
+    if (batch.size() != static_cast<size_t>(declared)) {
       return Status::Corruption("WAL batch declared " + std::to_string(declared) +
-                                " updates, found " + std::to_string(seen));
+                                " updates, found " + std::to_string(batch.size()));
+    }
+    // Every endpoint exists and each edge's presence is tested first, so
+    // neither call below can fail.
+    for (const GraphUpdate& u : batch) {
+      const bool insert = u.kind == GraphUpdate::Kind::kInsertEdge;
+      if (insert == g->HasEdge(u.src, u.dst)) continue;  // already applied
+      EF_RETURN_NOT_OK(insert ? g->AddEdge(u.src, u.dst) : g->RemoveEdge(u.src, u.dst));
     }
     return Status::OK();
   }
@@ -100,7 +106,7 @@ Status DurableGraph::ApplyRecord(Graph* g, std::string_view payload) {
     auto label = ParseAttrValue(head[2]);
     std::string label_str =
         (label && label->is_string()) ? label->AsString() : head[2];
-    NodeId v = g->AddNode(label_str);
+    std::vector<std::pair<std::string, AttrValue>> attrs;
     for (size_t i = 3; i < head.size(); ++i) {
       size_t eq = head[i].find('=');
       if (eq == std::string::npos || eq == 0) {
@@ -110,8 +116,10 @@ Status DurableGraph::ApplyRecord(Graph* g, std::string_view payload) {
       if (!value) {
         return Status::Corruption("bad addnode attribute value '" + head[i] + "'");
       }
-      g->SetAttr(v, head[i].substr(0, eq), *value);
+      attrs.emplace_back(head[i].substr(0, eq), std::move(*value));
     }
+    NodeId v = g->AddNode(label_str);
+    for (auto& [key, value] : attrs) g->SetAttr(v, key, std::move(value));
     return Status::OK();
   }
 
@@ -125,6 +133,9 @@ Result<std::unique_ptr<DurableGraph>> DurableGraph::Open(
   EF_RETURN_NOT_OK(fops->CreateDirs(options.dir));
 
   CheckpointOptions ckpt_options{options.dir, fops, options.keep_checkpoints};
+  // This DurableGraph is the directory's one writer: a checkpoint temp here
+  // is what a crash mid-write left behind.
+  RemoveCheckpointTemps(ckpt_options);
   Graph recovered;
   uint64_t applied_lsn = 0;
   auto checkpoint = ReadLatestCheckpoint(ckpt_options);

@@ -97,7 +97,9 @@ struct GraphRecoveryInfo {
 /// this); Checkpoint may run concurrently with them from another thread.
 class DurableGraph {
  public:
-  /// Opens the durability directory and recovers into `*g`:
+  /// Opens the durability directory, which the returned object then owns
+  /// alone, and recovers into `*g`. It first deletes the checkpoint temps a
+  /// crash mid-checkpoint left there (RemoveCheckpointTemps); then:
   ///   * durable state present -> `*g` is REPLACED by checkpoint + replay;
   ///   * fresh directory -> `*g` is kept and becomes the initial
   ///     checkpoint (a pre-seeded graph is durable from boot).
@@ -147,7 +149,8 @@ class DurableGraph {
       NodeId id, std::string_view label,
       const std::vector<std::pair<std::string, AttrValue>>& attrs);
 
-  /// Applies one decoded record to `g`, idempotently (see header comment).
+  /// Applies one record to `g`, idempotently (see header comment) and all
+  /// or nothing: on any error `g` and its version are unchanged.
   /// Corruption for unparseable payloads, DataLoss for records
   /// inconsistent with the graph (a prior record is missing).
   static Status ApplyRecord(Graph* g, std::string_view payload);

@@ -24,8 +24,9 @@ std::string Crc32cHex(std::string_view body) {
 Status WriteChecksummedFile(FileOps* fops, const std::string& path,
                             std::string_view body) {
   static std::atomic<uint64_t> seq{0};
-  const std::string tmp = path + ".tmp." + std::to_string(static_cast<long>(getpid())) +
-                          "." + std::to_string(seq.fetch_add(1));
+  const std::string tmp = path + std::string(kChecksummedTempInfix) +
+                          std::to_string(static_cast<long>(getpid())) + "." +
+                          std::to_string(seq.fetch_add(1));
   Status st;
   {
     auto file = fops->NewWritableFile(tmp, /*truncate=*/true);

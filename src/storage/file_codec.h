@@ -28,13 +28,17 @@ namespace expfinder {
 /// The checksummed file's header line up to its 8 hex digits.
 inline constexpr std::string_view kChecksumLinePrefix = "# checksum crc32c:";
 
+/// What WriteChecksummedFile appends to the target path to name its temp.
+inline constexpr std::string_view kChecksummedTempInfix = ".tmp.";
+
 /// Replaces `path` with a checksummed file holding `body`, atomically and
-/// durably: the bytes go to a temp sibling named uniquely per call (pid and
-/// a process-wide sequence, so concurrent writers of one path never share
-/// one), which is synced, closed and renamed over `path` (Rename syncs the
-/// directory). On any failure the temp is removed (best effort) and `path`
-/// keeps its previous bytes, or stays absent; a crash before the rename
-/// leaves at worst a stray `<path>.tmp.*` no reader looks at.
+/// durably: the bytes go to a temp sibling `<path>.tmp.<pid>.<seq>`, named
+/// uniquely per call (pid and a process-wide sequence, so concurrent
+/// writers of one path never share one), which is synced, closed and
+/// renamed over `path` (Rename syncs the directory). On any failure the
+/// temp is removed (best effort) and `path` keeps its previous bytes, or
+/// stays absent; a crash before the rename leaves at worst a stray
+/// `<path>.tmp.*` no reader looks at, for the directory's owner to sweep.
 Status WriteChecksummedFile(FileOps* fops, const std::string& path,
                             std::string_view body);
 

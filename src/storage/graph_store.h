@@ -13,6 +13,10 @@
 // other checksum form, truncation, and garbage surface as Corruption naming
 // the offending path — a bad file never crashes the reader or silently
 // parses.
+//
+// A crash mid-Put leaves its temp (`<name>.<kind>.tmp.*`) behind, and Open
+// does not sweep such temps: live writers may share a store directory, and
+// a temp may belong to a Put in flight.
 
 #ifndef EXPFINDER_STORAGE_GRAPH_STORE_H_
 #define EXPFINDER_STORAGE_GRAPH_STORE_H_

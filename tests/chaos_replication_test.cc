@@ -258,8 +258,8 @@ TEST_F(ChaosReplicationFixture, FaultedSweepMatchesSerialReplayOracle) {
   service.delta_faults()->SetPlan(cut);
   ASSERT_TRUE(WaitFor(
       [&] {
-        return service.fleet()->TotalQuarantines() > 0 &&
-               service.fleet()->TotalAutoRestarts() > 0;
+        const ServiceStats stats = service.stats();
+        return stats.replica_quarantines > 0 && stats.replica_auto_restarts > 0;
       },
       15000.0))
       << "transport cut never quarantined/auto-restarted any replica";

@@ -1,9 +1,11 @@
 // DurableGraph: recovery == the serial replay oracle, checkpoint + WAL
-// truncation, corrupt-checkpoint fallback, duplicate-replay idempotence,
-// and the record codec itself.
+// truncation, corrupt-checkpoint fallback, the sweep of crashed checkpoint
+// temps, duplicate-replay idempotence, and the record codec itself (each
+// record applies all or nothing).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -18,6 +20,8 @@
 #include "src/storage/durable_graph.h"
 #include "src/storage/fault_env.h"
 #include "src/util/crc32c.h"
+#include "src/util/random.h"
+#include "src/util/string_util.h"
 
 namespace expfinder {
 namespace {
@@ -260,6 +264,49 @@ TEST_F(DurableGraphFixture, AllCheckpointsCorruptDegradesWithoutAborting) {
   EXPECT_TRUE(info.data_loss);
 }
 
+TEST_F(DurableGraphFixture, OpenRemovesStrayCheckpointTemps) {
+  Graph oracle = MakeBase();
+  {
+    Graph g = MakeBase();
+    GraphRecoveryInfo info;
+    auto d = DurableGraph::Open(Options(), &g, &info);
+    ASSERT_TRUE(d.ok()) << d.status();
+    UpdateBatch b = {GraphUpdate::Insert(0, 2)};
+    ASSERT_TRUE(ApplyBatch(&oracle, b).ok());
+    ASSERT_TRUE((*d)->LogBatch(b).ok());
+  }
+  // A crash between creating a checkpoint's temp and renaming it leaves the
+  // first; the others are not checkpoint temps and must stay.
+  const std::string stray = "ckpt-0000000000000001.ckpt.tmp.4242.0";
+  const std::vector<std::string> kept = {"notes.txt", "ckpt-zz.ckpt.tmp.1.0",
+                                         "fig1.graph.tmp.1.0"};
+  for (const std::string& name : kept) {
+    auto f = FileOps::Real()->NewWritableFile(dir_ + "/" + name, /*truncate=*/true);
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE((*f)->Append("half written").ok());
+    ASSERT_TRUE((*f)->Close().ok());
+  }
+  auto f = FileOps::Real()->NewWritableFile(dir_ + "/" + stray, /*truncate=*/true);
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE((*f)->Append("# checksum crc32c:00000000\n# expfinder chec").ok());
+  ASSERT_TRUE((*f)->Close().ok());
+
+  Graph recovered;
+  GraphRecoveryInfo info;
+  auto d = DurableGraph::Open(Options(), &recovered, &info);
+  ASSERT_TRUE(d.ok()) << d.status();
+  auto names = FileOps::Real()->ListDir(dir_);
+  ASSERT_TRUE(names.ok());
+  EXPECT_EQ(std::count(names->begin(), names->end(), stray), 0);
+  for (const std::string& name : kept) {
+    EXPECT_EQ(std::count(names->begin(), names->end(), name), 1) << name;
+  }
+  EXPECT_TRUE(info.from_checkpoint);
+  EXPECT_EQ(info.replayed_records, 1u);
+  EXPECT_FALSE(info.data_loss);
+  EXPECT_EQ(GraphText(recovered), GraphText(oracle));
+}
+
 // --- Record codec ----------------------------------------------------------
 
 TEST(DurableRecordCodecTest, BatchRoundTrip) {
@@ -339,6 +386,106 @@ TEST(DurableRecordCodecTest, GarbagePayloadIsCorruption) {
   // An endpoint that does not fit 32 bits (it would truncate to node 0).
   EXPECT_TRUE(DurableGraph::ApplyRecord(&g, "batch 1\n+ 4294967296 1").IsCorruption());
   EXPECT_EQ(g.NumEdges(), 0u);
+}
+
+/// A valid record for `g`: a batch that inserts absent and deletes present
+/// edges, or the next node with a quoted label and attributes.
+std::string ValidRecord(const Graph& g, Rng& rng) {
+  if (rng.NextBool()) {
+    UpdateBatch batch;
+    const size_t n = 2 + rng.NextBounded(5);
+    for (size_t i = 0; i < n; ++i) {
+      const auto s = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+      const auto d = static_cast<NodeId>(rng.NextBounded(g.NumNodes()));
+      batch.push_back(g.HasEdge(s, d) ? GraphUpdate::Delete(s, d)
+                                      : GraphUpdate::Insert(s, d));
+    }
+    return DurableGraph::EncodeBatch(batch);
+  }
+  return DurableGraph::EncodeAddNode(
+      static_cast<NodeId>(g.NumNodes()), "New \"hire\"",
+      {{"name", AttrValue("Ada \"the\" Analyst")},
+       {"years", AttrValue(int64_t{3})},
+       {"score", AttrValue(1.5)}});
+}
+
+/// One random corruption of `record`: a bit flip, a truncation, a duplicated
+/// or dropped line, a huge count or id, or a broken quote.
+std::string MutateRecord(std::string record, Rng& rng) {
+  static const char* const kHuge[] = {"4294967295", "4294967296", "67108865",
+                                      "9223372036854775807", "99999999999999999999",
+                                      "-1"};
+  std::vector<std::string> lines = Split(record, '\n');
+  const size_t line = rng.NextBounded(lines.size());
+  const uint64_t kind = rng.NextBounded(7);
+  switch (kind) {
+    case 0: {
+      const size_t pos = rng.NextBounded(record.size());
+      record[pos] = static_cast<char>(record[pos] ^ (1 << rng.NextBounded(8)));
+      return record;
+    }
+    case 1:
+      record.resize(rng.NextBounded(record.size()));
+      return record;
+    case 2:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(line), lines[line]);
+      return Join(lines, "\n");
+    case 3:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(line));
+      return Join(lines, "\n");
+    case 4:
+    case 5: {
+      // A huge value for the header's count or id (4), or for one of the
+      // first two numbers on any line (5).
+      std::string& target = lines[kind == 4 ? 0 : line];
+      std::vector<std::string> tokens = Split(target, ' ');
+      if (tokens.size() < 2) return record;
+      tokens[1 + rng.NextBounded(std::min<size_t>(2, tokens.size() - 1))] =
+          kHuge[rng.NextBounded(std::size(kHuge))];
+      target = Join(tokens, " ");
+      return Join(lines, "\n");
+    }
+    default: {
+      const size_t quote = record.find('"', rng.NextBounded(record.size()));
+      if (quote != std::string::npos && rng.NextBool()) {
+        record.erase(quote, 1);
+      } else {
+        record.insert(rng.NextBounded(record.size()), 1, '"');
+      }
+      return record;
+    }
+  }
+}
+
+TEST(DurableRecordCodecTest, MutatedRecordsApplyAllOrNothing) {
+  // Every call returns a Status, and one that fails leaves the graph and
+  // its version exactly as they were: a replica publishes, and recovery
+  // keeps, only whole records.
+  Graph base;
+  for (int i = 0; i < 8; ++i) base.AddNode(i % 2 == 0 ? "A" : "B");
+  for (NodeId v = 0; v < 8; ++v) ASSERT_TRUE(base.AddEdge(v, (v + 1) % 8).ok());
+  base.SetAttr(0, "name", AttrValue("alpha"));
+  const std::string base_text = GraphText(base);
+  size_t failed = 0;
+  size_t applied = 0;
+  for (uint64_t seed : {11, 12, 13, 14}) {
+    Rng rng(seed);
+    for (int iter = 0; iter < 400; ++iter) {
+      const std::string record = MutateRecord(ValidRecord(base, rng), rng);
+      Graph g = base;
+      const Status st = DurableGraph::ApplyRecord(&g, record);
+      if (st.ok()) {
+        ++applied;
+        continue;
+      }
+      ++failed;
+      EXPECT_EQ(g.version(), base.version()) << st << "\n" << record;
+      EXPECT_EQ(GraphText(g), base_text) << st << "\n" << record;
+    }
+  }
+  // Both outcomes occur: the sweep is not vacuous on either side.
+  EXPECT_GT(failed, 400u);
+  EXPECT_GT(applied, 100u);
 }
 
 }  // namespace

@@ -456,8 +456,8 @@ TEST(FleetResilienceTest, WatchdogQuarantinesAndAutoRestartsPoisonedReplica) {
       },
       5000.0))
       << "quarantined replica never auto-restarted to version " << target;
-  EXPECT_GE(fleet.TotalQuarantines(), 1u);
-  EXPECT_GE(fleet.TotalAutoRestarts(), 1u);
+  EXPECT_GE(fleet.Replicas()[0].quarantines, 1u);
+  EXPECT_GE(fleet.Replicas()[0].auto_restarts, 1u);
   EXPECT_GE(fleet.health(0).quarantines(), 1u);
   EXPECT_GE(fleet.Replicas()[0].installs, 2u);  // bootstrap + re-anchor
   EXPECT_GE(faulty.counters().garbled_frames, 1u);

@@ -545,7 +545,6 @@ TEST_F(ReplicationFixture, FleetRoundRobinSpreadsReadsAcrossReplicas) {
   EXPECT_EQ(rs[0].routed_reads + rs[1].routed_reads, 8u);
   EXPECT_GT(rs[0].routed_reads, 0u);  // round-robin used both
   EXPECT_GT(rs[1].routed_reads, 0u);
-  EXPECT_EQ(fleet.TotalRoutedReads(), 8u);
   EXPECT_EQ(rs[0].lag, 0u);
   fleet.Stop();
 
@@ -791,10 +790,10 @@ TEST_F(ReplicationFixture, TopicTermsShareCacheLineWithExplicitPattern) {
       "*", CmpOp::kHasToken, AttrValue("graph"));
 
   // The compiled topic pattern renders differently (sorted conditions),
-  // so the exact fingerprint differs while the canonical one agrees —
-  // that is precisely what makes the cache line shared.
+  // while the canonical fingerprint agrees — that is precisely what makes
+  // the cache line shared.
   Pattern compiled = CompileTopicTerms(base, {"Graph", "MINING"});
-  EXPECT_NE(compiled.Fingerprint(), explicit_pattern.Fingerprint());
+  EXPECT_NE(compiled.ToText(), explicit_pattern.ToText());
   EXPECT_EQ(compiled.CanonicalFingerprint(),
             explicit_pattern.CanonicalFingerprint());
   EXPECT_EQ(QueryCacheKey(compiled, MatchSemantics::kBoundedSimulation),

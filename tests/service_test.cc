@@ -349,6 +349,72 @@ TEST_F(ServiceFixture, StatsStayClassified) {
   EXPECT_FALSE(s.ToString().empty());
 }
 
+/// Splits a ToString() rendering at the spaces outside brackets: one
+/// `key=value` pair per element, a bracketed list kept whole.
+std::vector<std::string> KeyValuePairs(std::string_view text) {
+  std::vector<std::string> pairs(1);
+  int depth = 0;
+  for (char c : text) {
+    if (c == ' ' && depth == 0) {
+      pairs.emplace_back();
+      continue;
+    }
+    if (c == '[') ++depth;
+    if (c == ']') --depth;
+    pairs.back().push_back(c);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+TEST(ServiceStatsTest, ToStringPrintsEveryListedCounterOnce) {
+  ServiceStats s;
+  for (size_t i = 0; i < kNumServiceCounters; ++i) {
+    s.*kServiceCounters[i].field = 101 + i;
+  }
+  s.queued = 7;
+  s.queued_by_priority = {1, 2, 4};
+  ReplicaStatus up;
+  up.alive = true;
+  up.version = 9;
+  up.lag = 3;
+  up.routed_reads = 11;
+  ReplicaStatus quarantined;
+  quarantined.id = 1;
+  quarantined.quarantined = true;
+  quarantined.version = 8;
+  quarantined.lag = 4;
+  quarantined.routed_reads = 5;
+  s.replicas = {up, quarantined};
+  for (size_t i = 0; i < kQueueLatencyBuckets; ++i) s.queue_latency_histogram[i] = i;
+
+  // Each entry owns its field (a shared one would read back another value)
+  // and prints its key=value exactly once.
+  const std::vector<std::string> printed = KeyValuePairs(s.ToString());
+  for (size_t i = 0; i < kNumServiceCounters; ++i) {
+    const ServiceCounter& counter = kServiceCounters[i];
+    EXPECT_EQ(s.*counter.field, 101 + i) << counter.key;
+    const std::string pair = std::string(counter.key) + "=" + std::to_string(101 + i);
+    EXPECT_EQ(std::count(printed.begin(), printed.end(), pair), 1) << pair;
+  }
+  // And nothing else: exactly these pairs, one per counter and gauge.
+  const std::vector<std::string> want = KeyValuePairs(
+      "queries=101 cache_hits=102 maintained_hits=103 planner_short_circuits=104 "
+      "compressed_evals=105 direct_evals=106 rejected=107 rejected_overload=108 "
+      "cancelled=109 unavailable=110 queued=7 "
+      "queued_by_lane=[background:1 normal:2 interactive:4] query_batches=111 "
+      "batches=112 updates=113 nodes_added=114 snapshots_published=115 "
+      "snapshot_acquires=116 snapshots_retired=117 wal_appends=118 "
+      "checkpoints_written=119 recovered_records=120 durability_errors=121 "
+      "data_loss_events=122 topic_index_builds=123 posting_hits=124 "
+      "seed_scan_fallbacks=125 deltas_shipped=126 deltas_applied=127 "
+      "routed_reads=128 routed_fallbacks=129 retried_reads=130 relaxed_reads=131 "
+      "replica_rebootstraps=132 replica_quarantines=133 replica_auto_restarts=134 "
+      "replicas=[r0:up,v9,lag3,reads11 r1:quarantined,v8,lag4,reads5] "
+      "queue_latency_ms=[0 1 2 3 4 5 6 7 8 9 10 11]");
+  EXPECT_EQ(printed, want);
+}
+
 TEST(ServingPathTest, NamesAreStable) {
   EXPECT_EQ(ServingPathName(ServingPath::kCache), "cache");
   EXPECT_EQ(ServingPathName(ServingPath::kMaintained), "maintained");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -44,7 +45,7 @@ TEST_F(StoreFixture, PatternRoundTrip) {
   ASSERT_TRUE(store_->PutPattern("fig1q", q).ok());
   auto loaded = store_->GetPattern("fig1q");
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->Fingerprint(), q.Fingerprint());
+  EXPECT_EQ(loaded->ToText(), q.ToText());
 }
 
 TEST_F(StoreFixture, MatchesRoundTrip) {
@@ -134,29 +135,43 @@ TEST_F(StoreFixture, CrashBeforeRenameLeavesObjectIntact) {
 }
 
 TEST_F(StoreFixture, ConcurrentPutsOfOneNameNeverTearTheFile) {
-  // Two writers hammering the same object: unique temp names + atomic
-  // rename mean every read observes one complete, checksum-valid version
-  // (either writer's), never an interleaving of both.
+  // Two writers hammering the same object while a reader reads it: unique
+  // temp names + atomic rename mean every read observes one complete,
+  // checksum-valid version (either writer's), never a half-written file or
+  // an interleaving of both.
   Graph small = gen::BuildFig1Graph();
   Graph big = gen::BuildFig1Graph();
   for (int i = 0; i < 40; ++i) big.AddNode("ST");
+  ASSERT_TRUE(store_->PutGraph("contested", small).ok());
 
-  std::vector<std::thread> writers;
+  std::atomic<int> writing{2};
+  std::vector<std::thread> threads;
   for (int w = 0; w < 2; ++w) {
-    writers.emplace_back([&, w] {
+    threads.emplace_back([&, w] {
       const Graph& mine = (w == 0) ? small : big;
       for (int i = 0; i < 30; ++i) {
         Status st = store_->PutGraph("contested", mine);
-        ASSERT_TRUE(st.ok()) << st;
+        EXPECT_TRUE(st.ok()) << st;
       }
+      writing.fetch_sub(1);
     });
   }
-  for (auto& t : writers) t.join();
-
-  auto loaded = store_->GetGraph("contested");
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_TRUE(loaded->NumNodes() == small.NumNodes() ||
-              loaded->NumNodes() == big.NumNodes());
+  size_t reads = 0;
+  threads.emplace_back([&] {
+    // At least one read after both writers finish, however they are scheduled.
+    bool last = false;
+    while (!last) {
+      last = writing.load() == 0;
+      auto loaded = store_->GetGraph("contested");
+      ++reads;
+      ASSERT_TRUE(loaded.ok()) << "read " << reads << ": " << loaded.status();
+      ASSERT_TRUE(loaded->NumNodes() == small.NumNodes() ||
+                  loaded->NumNodes() == big.NumNodes())
+          << loaded->NumNodes();
+    }
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_GT(reads, 1u);
 }
 
 TEST_F(StoreFixture, EmptyFileIsCorruptionNamingThePath) {

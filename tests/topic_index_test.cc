@@ -410,14 +410,14 @@ TEST(CompileTopicTermsTest, CompilesSortedUniqueTokensOntoTheOutputNode) {
   EXPECT_TRUE(HasTextPredicates(compiled));
 
   // The compiled pattern is an ordinary pattern: it round-trips through the
-  // text format with an identical fingerprint.
+  // text format with an identical rendering.
   auto reparsed = ParsePatternText(compiled.ToText());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status() << "\n" << compiled.ToText();
-  EXPECT_EQ(reparsed->Fingerprint(), compiled.Fingerprint());
+  EXPECT_EQ(reparsed->ToText(), compiled.ToText());
 
   // No terms / tokenless terms compile to the pattern unchanged.
-  EXPECT_EQ(CompileTopicTerms(q, {}).Fingerprint(), q.Fingerprint());
-  EXPECT_EQ(CompileTopicTerms(q, {"!!!", "  "}).Fingerprint(), q.Fingerprint());
+  EXPECT_EQ(CompileTopicTerms(q, {}).ToText(), q.ToText());
+  EXPECT_EQ(CompileTopicTerms(q, {"!!!", "  "}).ToText(), q.ToText());
 }
 
 TEST(CompileTopicTermsTest, CompiledPatternMatchesExactlyTheTopicalNodes) {
