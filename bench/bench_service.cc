@@ -109,10 +109,11 @@ void BM_ServiceSubmitAsync(benchmark::State& state) {
 BENCHMARK(BM_ServiceSubmitAsync)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_ServiceSubmitOverhead(benchmark::State& state) {
-  // Submit must cost O(queue push): measured with serving paused so no
-  // evaluation ever interleaves — this is the pure admission path
-  // (validate + push + ticket). Tickets are completed as Cancelled at
-  // service destruction, outside the timed region.
+  // Submit of a request that queues: validation, the cache key (Submit
+  // computes it once for the probe and the worker), the push and the
+  // ticket. Measured with serving paused and the cache off, so no
+  // evaluation or probe ever interleaves. Tickets are completed as
+  // Cancelled at service destruction, outside the timed region.
   Graph g = *SharedGraph();
   ServiceOptions opts = ReaderOptions();
   opts.start_paused = true;
@@ -243,7 +244,8 @@ void BM_ServiceReadAfterWrite(benchmark::State& state) {
   // fixed TeamQuery. A batch that provably cannot change the cached answer
   // carries it to the new version, so the read is a hit; any other batch
   // makes it recompute. cache_hits is the share of reads served from the
-  // cache. Real time: the read runs on a serving worker.
+  // cache. Real time: a read that misses runs on a serving worker (a hit
+  // completes inside Submit).
   Graph g = *SharedGraph();
   ServiceOptions opts;
   opts.engine.match_threads = 1;
@@ -265,7 +267,8 @@ void BM_ServiceReadAfterWrite(benchmark::State& state) {
 BENCHMARK(BM_ServiceReadAfterWrite)->UseRealTime();
 
 void BM_ServiceCachedQuery(benchmark::State& state) {
-  // The serving fast path: shared cache hit under the reader lock.
+  // The serving fast path: a cache hit, which Submit completes on the
+  // calling thread without a worker hop.
   Graph g = *SharedGraph();
   ExpFinderService service(&g);
   QueryRequest request;
@@ -282,8 +285,9 @@ void BM_ServiceCachedTopK(benchmark::State& state) {
   // metric (arg 0 social impact, 1 degree, 2 topic fusion). The answer
   // memoizes its ranked lists, so after the warm-up read no iteration ranks.
   // Fusion needs topic-labelled nodes, so every variant runs on the same
-  // topic graph (result_nodes reports its result graph's size). Real time:
-  // the work runs on a serving worker, not on the timed thread.
+  // topic graph (result_nodes reports its result graph's size). Real time,
+  // though each iteration is a hit whose memo covers k, which Submit
+  // completes on the timed thread.
   static constexpr RankingMetric kMetrics[] = {RankingMetric::kSocialImpact,
                                                RankingMetric::kDegree,
                                                RankingMetric::kTopicFusion};

@@ -1,7 +1,8 @@
 #include "src/query/pattern.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/util/string_util.h"
 
@@ -94,62 +95,54 @@ Status Pattern::Validate() const {
   return Status::OK();
 }
 
-std::string Pattern::ToText() const {
-  std::ostringstream os;
-  os << "# expfinder pattern v1\n";
-  for (const PatternNode& n : nodes_) {
-    os << "node " << n.name << " ";
-    os << (n.label.empty() ? "*" : "\"" + EscapeQuoted(n.label) + "\"");
-    for (const Condition& c : n.conditions) {
-      os << " " << c.attr() << " " << CmpOpToken(c.op()) << " " << c.rhs().Serialize();
-    }
-    os << "\n";
-  }
-  for (const PatternEdge& e : edges_) {
-    os << "edge " << nodes_[e.src].name << " " << nodes_[e.dst].name << " ";
-    if (e.bound == kUnboundedEdge) {
-      os << "*";
-    } else {
-      os << e.bound;
-    }
-    os << "\n";
-  }
-  if (output_) os << "output " << nodes_[*output_].name << "\n";
-  return os.str();
-}
+std::string Pattern::ToText() const { return Render(/*canonical=*/false); }
 
-uint64_t Pattern::CanonicalFingerprint() const {
-  std::ostringstream os;
-  os << "# expfinder pattern v1 canonical\n";
+uint64_t Pattern::CanonicalFingerprint() const { return Fnv1a(Render(/*canonical=*/true)); }
+
+std::string Pattern::Render(bool canonical) const {
+  std::string text =
+      canonical ? "# expfinder pattern v1 canonical\n" : "# expfinder pattern v1\n";
+  std::vector<std::string> conditions;
   for (const PatternNode& n : nodes_) {
-    os << "node " << n.name << " ";
-    os << (n.label.empty() ? "*" : "\"" + EscapeQuoted(n.label) + "\"");
-    // A node's conditions are one conjunction: order and duplicates never
-    // change its matches, so neither may they change the cache identity.
-    std::vector<std::string> rendered;
-    rendered.reserve(n.conditions.size());
-    for (const Condition& c : n.conditions) {
-      std::ostringstream cs;
-      cs << c.attr() << " " << CmpOpToken(c.op()) << " " << c.rhs().Serialize();
-      rendered.push_back(cs.str());
+    text += "node ";
+    text += n.name;
+    if (n.label.empty()) {
+      text += " *";
+    } else {
+      text += " \"";
+      text += EscapeQuoted(n.label);
+      text += '"';
     }
-    std::sort(rendered.begin(), rendered.end());
-    rendered.erase(std::unique(rendered.begin(), rendered.end()),
-                   rendered.end());
-    for (const std::string& r : rendered) os << " " << r;
-    os << "\n";
+    conditions.clear();
+    for (const Condition& c : n.conditions) conditions.push_back(c.ToString());
+    if (canonical) {
+      // A node's conditions are one conjunction: order and duplicates never
+      // change its matches, so neither may they change the cache identity.
+      std::sort(conditions.begin(), conditions.end());
+      conditions.erase(std::unique(conditions.begin(), conditions.end()),
+                       conditions.end());
+    }
+    for (const std::string& c : conditions) {
+      text += ' ';
+      text += c;
+    }
+    text += '\n';
   }
   for (const PatternEdge& e : edges_) {
-    os << "edge " << nodes_[e.src].name << " " << nodes_[e.dst].name << " ";
-    if (e.bound == kUnboundedEdge) {
-      os << "*";
-    } else {
-      os << e.bound;
-    }
-    os << "\n";
+    text += "edge ";
+    text += nodes_[e.src].name;
+    text += ' ';
+    text += nodes_[e.dst].name;
+    text += ' ';
+    text += e.bound == kUnboundedEdge ? "*" : std::to_string(e.bound);
+    text += '\n';
   }
-  if (output_) os << "output " << nodes_[*output_].name << "\n";
-  return Fnv1a(os.str());
+  if (output_) {
+    text += "output ";
+    text += nodes_[*output_].name;
+    text += '\n';
+  }
+  return text;
 }
 
 PatternBuilder::NodeRef& PatternBuilder::NodeRef::Where(std::string attr, CmpOp op,

@@ -111,6 +111,11 @@ class Pattern {
   uint64_t CanonicalFingerprint() const;
 
  private:
+  /// The text ToText returns, or with `canonical` the text
+  /// CanonicalFingerprint hashes: its own header line and each node's
+  /// conditions sorted and deduplicated.
+  std::string Render(bool canonical) const;
+
   std::vector<PatternNode> nodes_;
   std::vector<PatternEdge> edges_;
   std::vector<std::vector<uint32_t>> out_, in_;

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -25,7 +26,11 @@ namespace expfinder {
 
 /// \brief One admitted request waiting for a serving worker.
 struct PendingQuery {
+  /// The request, its topic terms already compiled into `request.pattern`
+  /// (Submit compiles them once).
   QueryRequest request;
+  /// QueryCacheKey of the compiled pattern and the request's semantics.
+  uint64_t key = 0;
   std::shared_ptr<TicketState> ticket;
   /// Started at Submit; measures queue wait and anchors the request's
   /// time budget (which covers queue time by design).

@@ -38,6 +38,13 @@ ServiceOptions ClampOptions(ServiceOptions options) {
   return options;
 }
 
+/// The ranking a request asks for, as its answer's memo keys it. (Submit's
+/// Validate guarantees the output node.)
+RankedListKey RankKeyOf(const QueryRequest& request) {
+  return MakeRankedListKey(request.pattern.output_node().value_or(0), request.metric,
+                           request.topic_terms);
+}
+
 }  // namespace
 
 ExpFinderService::ContextLease::ContextLease(ExpFinderService* service)
@@ -224,6 +231,7 @@ void ExpFinderService::Resume() {
 }
 
 QueryTicket ExpFinderService::Submit(QueryRequest request) {
+  const Timer submitted;
   auto state = std::make_shared<TicketState>();
   QueryTicket ticket(state);
   Count<&ServiceStats::queries>();
@@ -257,9 +265,38 @@ QueryTicket ExpFinderService::Submit(QueryRequest request) {
     Finish(state, std::move(valid));
     return ticket;
   }
+  // Topic terms compile into extra output-node predicates, once, here;
+  // every later stage (cache key, evaluation, result graph, ranking) serves
+  // the compiled pattern, so a topic query is an ordinary pattern query to
+  // each of them. Validate guaranteed the output node they hang on.
+  if (!request.topic_terms.empty()) {
+    request.pattern = CompileTopicTerms(request.pattern, request.topic_terms);
+  }
+  const uint64_t key = QueryCacheKey(request.pattern, request.semantics);
+  // A cache hit needs no worker: when the answer is cached at the version a
+  // worker would read (the primary epoch, once it meets min_version; with
+  // replicas too, since a hit evaluates nothing) and its memo covers top_k,
+  // the ticket completes here. It skips the priority lanes and counts as a
+  // 0 ms queue wait. A paused service queues every request, hits included,
+  // and an as_of read queues so that a version evicted from the retained
+  // ring stays NotFound even while a cache entry still covers it.
+  if (UseCache(request) && !request.as_of_version.has_value() && !Paused()) {
+    QueryResponse response;
+    response.graph_version = version();
+    if (response.graph_version >= request.min_version.value_or(0) &&
+        FromCache(request, key, &response)) {
+      Count<&ServiceStats::snapshot_acquires>();
+      queue_latency_[0].fetch_add(1, std::memory_order_relaxed);
+      response.eval_ms = submitted.ElapsedMillis();
+      Finish(state, std::move(response), ServingPath::kCache);
+      return ticket;
+    }
+  }
   auto pending = std::make_unique<PendingQuery>();
   pending->request = std::move(request);
+  pending->key = key;
   pending->ticket = state;
+  pending->submitted = submitted;
   if (Status st = queue_.TryPush(std::move(pending)); !st.ok()) {
     // Backpressure: the queue is full, the caller learns right now.
     Finish(state, std::move(st));
@@ -345,20 +382,9 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
                                               double queue_ms,
                                               std::optional<ServingPath>* served) {
   const QueryRequest& request = pending.request;
+  const Pattern& pattern = request.pattern;  // topic terms compiled in by Submit
   const Timer& timer = pending.submitted;
   const bool use_cache = UseCache(request);
-  // Topic terms compile into extra output-node predicates; everything below
-  // — cache key, evaluation, result construction, ranking — serves the
-  // compiled pattern, so a topic query is an ordinary pattern query to every
-  // stage (including as_of serving and the cache, which key on it).
-  // Submit's Validate guarantees the output node the predicates hang on.
-  Pattern compiled_pattern;
-  if (!request.topic_terms.empty()) {
-    compiled_pattern = CompileTopicTerms(request.pattern, request.topic_terms);
-  }
-  const Pattern& pattern =
-      request.topic_terms.empty() ? request.pattern : compiled_pattern;
-  const uint64_t key = QueryCacheKey(pattern, request.semantics);
 
   // Pin the snapshot this request evaluates against: the current epoch
   // (one atomic load), or a retained historical version for as_of reads.
@@ -424,19 +450,12 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
   response.queue_ms = queue_ms;
   response.graph_version = snap->version;
 
-  if (use_cache) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (auto hit = cache_.Get(key, response.graph_version)) {
-      response.answer = std::move(hit);
-      response.path = ServingPath::kCache;
-    }
-  }
-
+  const bool complete = use_cache && FromCache(request, pending.key, &response);
   if (response.answer == nullptr) {
     MatchRelation matches;
     ContextLease lease(this);
     MatchContext& ctx = lease.ctx();
-    if (const MatchRelation* maintained = snap->Maintained(key)) {
+    if (const MatchRelation* maintained = snap->Maintained(pending.key)) {
       response.path = ServingPath::kMaintained;
       matches = *maintained;  // the snapshot's copy is frozen; ours mutates
     } else {
@@ -471,42 +490,56 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
       // The entry keeps the compiled pattern for Mutate's affected-area test.
       auto answered = std::make_shared<const Pattern>(pattern);
       std::lock_guard<std::mutex> lock(cache_mu_);
-      cache_.Put(key, response.graph_version, response.answer, std::move(answered));
+      cache_.Put(pending.key, response.graph_version, response.answer,
+                 std::move(answered));
     }
   }
   // The request has an answer: it counts under this path even if ranking
   // refuses it below.
   *served = response.path;
 
-  if (request.top_k) {
+  // A hit whose memo covered top_k is complete; anything else still ranks.
+  if (request.top_k && !complete) {
     if (CancelRequested(pending)) {
       return Status::Cancelled("cancelled before ranking");
     }
     if (OverBudget(request, timer)) {
       return Status::DeadlineExceeded("time budget exhausted before ranking");
     }
-    // Each ranking of an answer runs once: a later request whose k the
-    // memoized list covers copies its prefix. A miss ranks with its own k,
-    // outside every lock, and offers the list back to the memo. (Submit's
-    // Validate guarantees the output node.)
-    const RankedListKey rank_key = MakeRankedListKey(
-        pattern.output_node().value_or(0), request.metric, request.topic_terms);
-    RankedListMemo& memo = response.answer->ranked_lists;
-    if (!memo.Find(rank_key, *request.top_k, &response.ranked)) {
-      Result<std::vector<RankedMatch>> ranked =
-          request.metric == RankingMetric::kTopicFusion
-              ? TopKTopicFusion(response.answer->result_graph, pattern,
-                                snap->graph->graph(), request.topic_terms,
-                                *request.top_k)
-              : TopKMatchesWith(response.answer->result_graph, pattern,
-                                *request.top_k, request.metric);
-      if (!ranked.ok()) return ranked.status();
-      response.ranked = std::move(ranked).value();
-      memo.Store(rank_key, *request.top_k, response.ranked);
-    }
+    // Each ranking of an answer runs once: it ranks with this request's k,
+    // outside every lock, and offers the list to the answer's memo, from
+    // which later hits whose k it covers copy a prefix.
+    Result<std::vector<RankedMatch>> ranked =
+        request.metric == RankingMetric::kTopicFusion
+            ? TopKTopicFusion(response.answer->result_graph, pattern,
+                              snap->graph->graph(), request.topic_terms, *request.top_k)
+            : TopKMatchesWith(response.answer->result_graph, pattern, *request.top_k,
+                              request.metric);
+    if (!ranked.ok()) return ranked.status();
+    response.ranked = std::move(ranked).value();
+    response.answer->ranked_lists.Store(RankKeyOf(request), *request.top_k,
+                                        response.ranked);
   }
   response.eval_ms = timer.ElapsedMillis();
   return response;
+}
+
+bool ExpFinderService::FromCache(const QueryRequest& request, uint64_t key,
+                                 QueryResponse* response) {
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    response->answer = cache_.Get(key, response->graph_version);
+  }
+  if (response->answer == nullptr) return false;
+  response->path = ServingPath::kCache;
+  return !request.top_k.has_value() ||
+         response->answer->ranked_lists.Find(RankKeyOf(request), *request.top_k,
+                                             &response->ranked);
+}
+
+bool ExpFinderService::Paused() {
+  std::lock_guard<std::mutex> lock(pause_mu_);
+  return paused_;
 }
 
 Result<QueryResponse> ExpFinderService::Query(const QueryRequest& request) {

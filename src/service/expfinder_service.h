@@ -5,12 +5,15 @@
 //
 // Serving model — asynchronous submission over one queue:
 //
-//   * Submit(request) validates, admits the request into a bounded
-//     priority queue, and returns a QueryTicket in O(queue push) — no
-//     evaluation happens on the submitting thread. Serving workers drain
-//     the queue (strict priority, FIFO within a priority) and complete the
-//     ticket; callers Wait / TryGet / Cancel or register a completion
-//     callback.
+//   * Submit(request) validates, compiles the request's topic terms and
+//     computes its cache key, and probes the result cache. A hit whose
+//     ranked list is memoized completes the ticket right there, on the
+//     submitting thread: it evaluates and ranks nothing, so it never
+//     waits for a worker. Every other request is admitted into a bounded
+//     priority queue, and Submit returns its QueryTicket without evaluating
+//     anything. Serving workers drain the queue (strict priority, FIFO
+//     within a priority) and complete the ticket; callers Wait / TryGet /
+//     Cancel or register a completion callback.
 //   * Overload is explicit: when the queue is full, Submit completes the
 //     ticket immediately with kResourceExhausted (counted in
 //     ServiceStats::rejected_overload). A request whose time budget expires
@@ -20,7 +23,8 @@
 //     boundaries).
 //   * Query / QueryBatch are thin synchronous wrappers over Submit — there
 //     is exactly one serving path, so priorities, deadlines, admission
-//     control, and stats apply uniformly.
+//     control, and stats apply uniformly. One function (FromCache) is the
+//     cache step of both Submit and the workers.
 //
 // Concurrency model — epoch-published snapshots (ISSUE 6; replaces the
 // PR 3 reader/writer lock):
@@ -116,7 +120,9 @@ struct ReplicationOptions {
   /// still bootstrapping, all replicas down, or min_version unreachable in
   /// time). Off = such reads fail instead — kUnavailable when the fleet is
   /// down/unrecoverable, kDeadlineExceeded when it was merely too slow —
-  /// keeping the primary strictly write-only for this workload.
+  /// keeping evaluation off the primary. A cache hit evaluates nothing, so
+  /// either way Submit serves it at the primary epoch when that meets
+  /// min_version (see ExpFinderService::Submit).
   bool fallback_to_primary = true;
 
   // --- Read-resilience ladder (PR 10). A routed read that misses walks
@@ -189,8 +195,9 @@ struct ServiceOptions {
   ReplicationOptions replication;
   /// Open for admission but paused for serving: Submit queues requests
   /// (admission control, priorities, and Cancel all work) but nothing
-  /// evaluates until Resume(). Useful for maintenance windows — warm the
-  /// queue while a bulk load runs — and for deterministic tests of queue
+  /// evaluates until Resume() — cache hits included, which a running
+  /// service completes inside Submit. Useful for maintenance windows — warm
+  /// the queue while a bulk load runs — and for deterministic tests of queue
   /// behavior. Query/QueryBatch on a paused service block until Resume(),
   /// and so does Wait() on any queued ticket, cancelled or not: queued
   /// terminal states (cancel, expired budget) are observed at dequeue.
@@ -216,10 +223,16 @@ class ExpFinderService {
 
   const ServiceOptions& options() const { return options_; }
 
-  /// Submits one request for asynchronous evaluation and returns its
-  /// ticket. Costs O(queue push): validation + admission, no evaluation.
-  /// On validation failure or a full queue the returned ticket is already
-  /// complete (InvalidArgument / ResourceExhausted). Thread-safe.
+  /// Submits one request and returns its ticket. Costs validation, topic
+  /// compilation, the cache key and at most one cache probe; never an
+  /// evaluation or a ranking. The returned ticket is already complete on validation
+  /// failure or a full queue (InvalidArgument / ResourceExhausted), and on
+  /// a cache hit: a running service serves a request from the cache here,
+  /// as a kCache response with queue_ms 0, when the answer is cached at the
+  /// primary epoch, that epoch meets min_version, and the answer's memo
+  /// covers top_k (or none is asked). Such a hit skips the priority lanes,
+  /// and with replicas it is served at the primary and not routed. Paused
+  /// services and as_of_version reads always queue. Thread-safe.
   QueryTicket Submit(QueryRequest request);
 
   /// Starts serving when the service was constructed with
@@ -228,9 +241,9 @@ class ExpFinderService {
   void Resume();
 
   /// Synchronous convenience: Submit(request) + Wait. Exactly the same
-  /// serving path — the request passes through the admission queue and is
-  /// evaluated by a serving worker, so priorities, deadlines, and overload
-  /// rejection apply identically.
+  /// serving path — a cache hit completes inside Submit, anything else
+  /// passes through the admission queue and is served by a worker, so
+  /// priorities, deadlines, and overload rejection apply identically.
   Result<QueryResponse> Query(const QueryRequest& request);
 
   /// Submits every request up front, then waits for all tickets; results
@@ -340,14 +353,23 @@ class ExpFinderService {
   /// expired budget), and otherwise serves it and completes the ticket.
   void DrainOne();
 
-  /// The read path: pin a snapshot (epoch, replica, or as_of ring), cache
-  /// probe, maintained lookup, EvalCore evaluation with cancellation/
-  /// deadline checkpoints, ranking. Entirely lock-free against writers.
-  /// `*served` receives the serving path once an answer exists (it stays
-  /// set when a later stage fails the request); `queue_ms` is the
+  /// The read path of a queued request: pin a snapshot (epoch, replica, or
+  /// as_of ring), cache probe, maintained lookup, EvalCore evaluation with
+  /// cancellation/deadline checkpoints, ranking. Entirely lock-free against
+  /// writers. `*served` receives the serving path once an answer exists (it
+  /// stays set when a later stage fails the request); `queue_ms` is the
   /// admission wait already measured by DrainOne.
   Result<QueryResponse> Serve(const PendingQuery& pending, double queue_ms,
                               std::optional<ServingPath>* served);
+
+  /// The cache step of every read, in Submit and in Serve: on a hit for
+  /// `key` at `response->graph_version`, sets the answer and the kCache
+  /// path and, for a ranked request, copies the answer's memoized top-k
+  /// when it covers k. Returns whether that completed the response.
+  bool FromCache(const QueryRequest& request, uint64_t key, QueryResponse* response);
+
+  /// Whether the service is paused (start_paused and no Resume() yet).
+  bool Paused();
 
   /// The kServiceCounters index of one request's terminal counter (see
   /// ServiceStats): its serving path when an answer exists, else the one

@@ -56,7 +56,8 @@ struct QueryRequest {
   /// Matching semantics. Dual simulation is never served from the
   /// compressed graph or from maintained bounded-simulation state.
   MatchSemantics semantics = MatchSemantics::kBoundedSimulation;
-  /// Admission-queue priority (see QueryPriority).
+  /// Admission-queue priority (see QueryPriority). A cache hit that Submit
+  /// completes inline never enters the queue, so its priority is unused.
   QueryPriority priority = QueryPriority::kNormal;
   /// When set, the response carries the top-K ranked output-node matches.
   std::optional<size_t> top_k;
@@ -106,7 +107,8 @@ struct QueryRequest {
   /// a running fixpoint. A budget that expires while the request is still
   /// queued fails it with Status::DeadlineExceeded without ever touching
   /// the engine (a warm cache hit is still served — it costs no
-  /// evaluation).
+  /// evaluation — and so is its memoized ranked list, which costs no
+  /// ranking).
   double time_budget_ms = 0.0;
 };
 
@@ -128,7 +130,7 @@ struct QueryResponse {
   /// relation is exactly M(Q, G@graph_version)).
   uint64_t graph_version = 0;
   /// Time spent in the admission queue before a worker picked the request
-  /// up.
+  /// up; 0 for a cache hit that Submit completed itself.
   double queue_ms = 0.0;
   /// Wall time from Submit to completion, end to end (queue wait included).
   double eval_ms = 0.0;
@@ -200,8 +202,10 @@ class QueryTicket {
   /// result: on the completing thread (before waiters already blocked in
   /// Wait()/Get() are released), or inline right here when the ticket is
   /// already done. At most one callback per ticket. The callback runs on a
-  /// serving worker — keep it cheap, and never block it on other tickets
-  /// of the same service.
+  /// serving worker, or on the caller's thread for a ticket Submit already
+  /// completed (a validation failure, a full queue, or a cache hit) —
+  /// keep it cheap, and never block it on other tickets of the same
+  /// service.
   void OnComplete(std::function<void(const Result<QueryResponse>&)> callback);
 
   /// The underlying shared state (service-internal).
@@ -212,7 +216,7 @@ class QueryTicket {
 };
 
 /// Number of buckets in the queue-latency histogram: bucket i counts
-/// dequeues whose queue wait fell in [2^(i-1), 2^i) milliseconds (bucket 0:
+/// requests whose queue wait fell in [2^(i-1), 2^i) milliseconds (bucket 0:
 /// < 1 ms), with the last bucket catching everything longer.
 inline constexpr size_t kQueueLatencyBuckets = 12;
 
@@ -322,9 +326,10 @@ struct ServiceStats {
   /// coherent snapshot (the lanes sum to a single instant's depth, though
   /// `queued` itself is sampled separately).
   std::array<size_t, kNumQueryPriorities> queued_by_priority{};
-  /// Queue-wait distribution over every dequeued request (see
-  /// QueueLatencyBucket). Sums to the number of requests that reached a
-  /// serving worker.
+  /// Queue-wait distribution over every request served past admission (see
+  /// QueueLatencyBucket): each one a worker dequeued, plus each cache hit
+  /// Submit completed itself, which counts as 0 ms (bucket 0). Requests
+  /// refused at Submit are not in it.
   std::array<size_t, kQueueLatencyBuckets> queue_latency_histogram{};
 
   /// Sum of the per-outcome counters; equals `queries` when quiescent.

@@ -763,6 +763,57 @@ TEST(ServiceResilienceTest, FleetExhaustionMapsToUnavailable) {
       << s.ToString();
 }
 
+TEST(ServiceResilienceTest, CacheHitNeedsNoReplica) {
+  // A hit evaluates nothing, so Submit serves it at the primary epoch even
+  // with primary fallback off; a read with work left still needs the fleet.
+  gen::CollaborationConfig cfg;
+  cfg.num_people = 48;
+  cfg.num_teams = 8;
+  Graph g = gen::CollaborationNetwork(cfg);
+
+  ServiceOptions opts;
+  opts.replication.num_replicas = 1;
+  opts.replication.poll_interval_ms = 1.0;
+  opts.replication.max_staleness_wait_ms = 50.0;
+  opts.replication.fallback_to_primary = false;
+  ExpFinderService service(&g, opts);
+  ASSERT_NE(service.fleet(), nullptr);
+  const uint64_t v0 = service.version();
+  ASSERT_TRUE(WaitFor(
+      [&] {
+        auto rs = service.fleet()->Replicas();
+        return rs[0].alive && rs[0].version == v0;
+      },
+      5000.0));
+
+  QueryRequest cached;
+  cached.pattern = gen::TeamQuery(0);
+  auto warm = service.Query(cached);  // a miss: routed, cached at v0
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ASSERT_EQ(warm->graph_version, v0);
+
+  service.fleet()->StopReplica(0);
+  const ServiceStats before = service.stats();
+  auto hit = service.Query(cached);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(hit->path, ServingPath::kCache);
+  EXPECT_EQ(hit->graph_version, service.version());
+  EXPECT_EQ(hit->answer.get(), warm->answer.get());
+
+  QueryRequest uncached = cached;
+  uncached.use_cache = false;
+  auto down = service.Query(uncached);
+  ASSERT_FALSE(down.ok());
+  EXPECT_TRUE(down.status().IsUnavailable()) << down.status();
+
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 1u);
+  EXPECT_EQ(after.unavailable - before.unavailable, 1u);
+  EXPECT_EQ(after.routed_reads, before.routed_reads);  // the hit was not routed
+  EXPECT_EQ(after.routed_fallbacks, 0u);
+  EXPECT_EQ(after.ClassifiedQueries(), after.queries);
+}
+
 TEST(ServiceResilienceTest, LadderRetriesAndRelaxesStaleness) {
   gen::CollaborationConfig cfg;
   cfg.num_people = 48;

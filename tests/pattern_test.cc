@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/generator/generators.h"
+#include "src/index/topic_index.h"
 #include "src/query/pattern.h"
 #include "src/query/pattern_parser.h"
 
@@ -175,6 +182,72 @@ TEST(PatternTextTest, FingerprintSensitivity) {
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(reparsed->ToText(), q1.ToText());
   EXPECT_EQ(reparsed->CanonicalFingerprint(), q1.CanonicalFingerprint());
+}
+
+/// A pattern over the given nodes, edges (src, dst, bound) and output.
+Pattern MakePattern(std::vector<PatternNode> nodes,
+                    const std::vector<PatternEdge>& edges,
+                    std::optional<PatternNodeId> output) {
+  Pattern p;
+  for (PatternNode& n : nodes) {
+    EXPECT_TRUE(p.AddNode(std::move(n)).ok());
+  }
+  for (const PatternEdge& e : edges) {
+    EXPECT_TRUE(p.AddEdge(e.src, e.dst, e.bound).ok());
+  }
+  if (output) {
+    EXPECT_TRUE(p.SetOutput(*output).ok());
+  }
+  return p;
+}
+
+TEST(PatternTextTest, CanonicalFingerprintsArePinned) {
+  // Cache keys and maintained-query keys are built on CanonicalFingerprint,
+  // so its value for a given pattern must never move. These values were
+  // computed by the ostringstream renderer that the string appends replaced.
+  const Condition exp_ge_5("experience", CmpOp::kGe, AttrValue(int64_t{5}));
+  const Condition score_gt("score", CmpOp::kGt, AttrValue(0.75));
+  const Condition city_eq("city", CmpOp::kEq, AttrValue(std::string("Edinburgh")));
+  const Condition quoted_ne("motto", CmpOp::kNe,
+                            AttrValue(std::string("say \"hi\" \\ bye")));
+  const Pattern base = MakePattern(
+      {{"lead", "Data \"Lead\" \\ A", {exp_ge_5, city_eq}},
+       {"any", "", {score_gt}},
+       {"sd", "SD", {}}},
+      {{0, 1, 2}, {1, 2, 1}}, PatternNodeId{0});
+  struct Golden {
+    std::string name;
+    Pattern pattern;
+    uint64_t fingerprint;
+  };
+  const std::vector<Golden> corpus = {
+      {"escaped and wildcard labels", base, 0x28821219ADADE2FDULL},
+      {"conditions shuffled and duplicated",
+       MakePattern({{"lead", "Data \"Lead\" \\ A", {city_eq, exp_ge_5, city_eq, exp_ge_5}},
+                    {"any", "", {score_gt, score_gt}},
+                    {"sd", "SD", {}}},
+                   {{0, 1, 2}, {1, 2, 1}}, PatternNodeId{0}),
+       0x28821219ADADE2FDULL},
+      {"int, double, string and escaped string constants",
+       MakePattern({{"x", "ST", {quoted_ne, score_gt, exp_ge_5, city_eq}}}, {},
+                   PatternNodeId{0}),
+       0x8FDB351F1E1E5CA4ULL},
+      {"topic terms", CompileTopicTerms(base, {"Graph databases", "query optimisation"}),
+       0xDE2C7179EE2BE0C5ULL},
+      {"unbounded edge",
+       MakePattern({{"a", "BA", {}}, {"b", "ST", {exp_ge_5}}, {"c", "SD", {}}},
+                   {{0, 1, kUnboundedEdge}, {1, 2, 3}, {2, 0, 1}}, PatternNodeId{2}),
+       0xC8BD377671D41B8EULL},
+      {"no output node",
+       MakePattern({{"a", "BA", {}}, {"b", "", {city_eq}}}, {{0, 1, 1}}, std::nullopt),
+       0x671D6CA0C4E94792ULL},
+  };
+  for (const Golden& g : corpus) {
+    EXPECT_EQ(g.pattern.CanonicalFingerprint(), g.fingerprint) << g.name;
+  }
+  // Order and duplicates within a node's conjunction do not change the key.
+  EXPECT_EQ(corpus[1].pattern.CanonicalFingerprint(),
+            corpus[0].pattern.CanonicalFingerprint());
 }
 
 }  // namespace

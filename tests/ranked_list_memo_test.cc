@@ -276,6 +276,7 @@ TEST_F(ServiceRankedListMemoTest, ReplicaReadsServeTheMemoOfTheirVersion) {
   const uint64_t v0 = service.version();
   ASSERT_GT(v0, 0u);
   const std::vector<std::string> terms = {"graph databases"};
+  ASSERT_GT(OutputMatches(terms), 25u);  // a k = 10 list does not cover k = 25
   for (RankingMetric metric : {RankingMetric::kTopicFusion, RankingMetric::kCloseness}) {
     SCOPED_TRACE(RankingMetricName(metric));
     // Warm through the primary's retained ring (as_of reads are not routed).
@@ -283,17 +284,29 @@ TEST_F(ServiceRankedListMemoTest, ReplicaReadsServeTheMemoOfTheirVersion) {
     req.as_of_version = v0;
     auto warm = service.Query(req);
     ASSERT_TRUE(warm.ok()) << warm.status();
-    // The same version read through the replica hits the warm answer.
+    // The memo covers k = 10: the read completes inside Submit at the
+    // primary's v0, without a replica.
     req.as_of_version.reset();
     req.min_version = v0;
     const size_t routed0 = service.stats().routed_reads;
+    QueryTicket inline_hit = service.Submit(req);
+    ASSERT_TRUE(inline_hit.done());
+    auto hit = inline_hit.Get();
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    EXPECT_EQ(service.stats().routed_reads, routed0);
+    EXPECT_EQ(hit->graph_version, v0);
+    EXPECT_EQ(hit->path, ServingPath::kCache);
+    EXPECT_EQ(hit->answer.get(), warm->answer.get());
+    EXPECT_EQ(hit->ranked, warm->ranked);
+    // k = 25 is beyond the memo: the read queues and routes, hits the v0
+    // entry on the replica and ranks on the replica's snapshot.
+    req.top_k = 25;
     auto routed = service.Query(req);
     ASSERT_TRUE(routed.ok()) << routed.status();
     EXPECT_EQ(service.stats().routed_reads, routed0 + 1);
     EXPECT_EQ(routed->graph_version, v0);
     EXPECT_EQ(routed->path, ServingPath::kCache);
     EXPECT_EQ(routed->answer.get(), warm->answer.get());
-    EXPECT_EQ(routed->ranked, warm->ranked);
     EXPECT_EQ(routed->ranked, Oracle(req, *routed, g_));
   }
 }

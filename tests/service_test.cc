@@ -34,6 +34,12 @@ class ExpFinderServiceTestPeer {
   static std::weak_ptr<const GraphSnapshot> EpochGraph(const ExpFinderService& service) {
     return service.epoch_.load()->graph;
   }
+
+  /// Pauses a running service, as start_paused does until Resume().
+  static void Pause(ExpFinderService& service) {
+    std::lock_guard<std::mutex> lock(service.pause_mu_);
+    service.paused_ = true;
+  }
 };
 
 namespace {
@@ -702,9 +708,9 @@ TEST_F(ServiceFixture, OnCompleteFiresInlineWhenAlreadyDone) {
 }
 
 TEST_F(ServiceFixture, QueryAndBatchShareTheSubmitServingPath) {
-  // Query/QueryBatch are wrappers over Submit: every request passes
-  // through the admission queue, so the queue-latency histogram accounts
-  // for each of them exactly once.
+  // Query/QueryBatch are wrappers over Submit: every request is served past
+  // admission, by a worker or (a cache hit) inside Submit at 0 ms, so the
+  // queue-latency histogram accounts for each of them exactly once.
   ExpFinderService service(&g_);
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(service.Query(Fig1Request()).ok());
   std::vector<QueryRequest> batch(4, Fig1Request());
@@ -719,6 +725,65 @@ TEST_F(ServiceFixture, QueryAndBatchShareTheSubmitServingPath) {
   EXPECT_EQ(dequeued, 8u);  // one admission per request, wrapper or not
   EXPECT_EQ(s.query_batches, 1u);
   EXPECT_EQ(s.ClassifiedQueries(), s.queries);
+}
+
+TEST_F(ServiceFixture, CacheHitCompletesInsideSubmit) {
+  ExpFinderService service(&g_);
+  QueryRequest req = Fig1Request();
+  req.top_k = 3;
+  auto warm = service.Query(req);  // evaluated and ranked by a worker
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ASSERT_EQ(warm->path, ServingPath::kDirect);
+  const ServiceStats before = service.stats();
+
+  QueryTicket ticket = service.Submit(req);
+  ASSERT_TRUE(ticket.done());  // served before Submit returned
+  std::thread::id completed_on;
+  ticket.OnComplete([&](const Result<QueryResponse>&) {
+    completed_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(completed_on, std::this_thread::get_id());
+  auto hit = ticket.Get();
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(hit->path, ServingPath::kCache);
+  EXPECT_EQ(hit->queue_ms, 0.0);
+  EXPECT_EQ(hit->graph_version, service.version());
+  EXPECT_EQ(hit->answer.get(), warm->answer.get());
+  EXPECT_EQ(hit->ranked, warm->ranked);  // the memoized list, not re-ranked
+
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
+  EXPECT_EQ(after.queue_latency_histogram[0], before.queue_latency_histogram[0] + 1);
+  EXPECT_EQ(after.queued, 0u);
+  EXPECT_EQ(after.ClassifiedQueries(), after.queries);
+}
+
+TEST_F(ServiceFixture, PausedServiceQueuesCacheHits) {
+  ServiceOptions opts;
+  opts.serving_threads = 1;
+  ExpFinderService service(&g_, opts);
+  QueryRequest req = Fig1Request();
+  req.top_k = 2;
+  auto warm = service.Query(req);  // caches the answer and its ranked list
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ExpFinderServiceTestPeer::Pause(service);
+
+  // The budget expires in the queue, but the hit and its memoized list
+  // cost neither evaluation nor ranking, so the worker still serves it.
+  req.time_budget_ms = 0.01;
+  QueryTicket ticket = service.Submit(req);
+  EXPECT_FALSE(ticket.done());  // a hit, but nothing is served while paused
+  EXPECT_EQ(service.stats().queued, 1u);
+  EXPECT_EQ(service.stats().cache_hits, 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+  service.Resume();
+  auto resp = ticket.Get();
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->path, ServingPath::kCache);
+  EXPECT_EQ(resp->ranked, warm->ranked);
+  EXPECT_EQ(service.stats().cache_hits, 1u);
+  EXPECT_EQ(service.stats().ClassifiedQueries(), service.stats().queries);
 }
 
 /// The nine terminal counters, named as in ServiceStats, and their values.
@@ -1047,6 +1112,39 @@ TEST(ServiceCacheTest, BatchOutsideTheQueryAreaKeepsTheCachedAnswer) {
   ASSERT_TRUE(old.ok());
   EXPECT_EQ(old->path, ServingPath::kCache);
   EXPECT_EQ(old->answer.get(), first->answer.get());
+}
+
+TEST(ServiceCacheTest, EvictedAsOfVersionIsNotFoundEvenWhenCached) {
+  // as_of reads queue and pin from the retained ring, so a cache entry that
+  // still covers an evicted version does not bring the version back.
+  Graph g = gen::CollaborationNetwork({.num_people = 300, .num_teams = 40, .seed = 5});
+  ServiceOptions opts;
+  opts.retained_snapshots = 1;
+  ExpFinderService service(&g, opts);
+  PatternBuilder b;
+  auto ba = b.Node("BA", "ba").Output();
+  auto st = b.Node("ST", "st");
+  b.Edge(ba, st, 1);
+  QueryRequest req;
+  req.pattern = b.Build().value();
+  const uint64_t v0 = service.version();
+  auto warm = service.Query(req);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+
+  // The batch is outside the query's area: the v0 entry now spans v0..v1.
+  auto [sd1, sd2] = AbsentEdge(g, "SD", "SD");
+  ASSERT_TRUE(service.Mutate({GraphUpdate::Insert(sd1, sd2)}).ok());
+  ASSERT_EQ(service.RetainedVersions(), std::vector<uint64_t>{service.version()});
+  auto current = service.Query(req);
+  ASSERT_TRUE(current.ok());
+  EXPECT_EQ(current->path, ServingPath::kCache);
+  EXPECT_EQ(current->answer.get(), warm->answer.get());
+
+  QueryRequest evicted = req;
+  evicted.as_of_version = v0;
+  auto resp = service.Query(evicted);
+  ASSERT_FALSE(resp.ok());
+  EXPECT_TRUE(resp.status().IsNotFound()) << resp.status();
 }
 
 // ---------------------------------------------------------------------------

@@ -126,6 +126,9 @@ void RunSnapshotSweep(const SweepConfig& cfg) {
     }
   };
 
+  // Unpinned hits complete inside Submit, beside the writer: the sweep
+  // must see some, or it checks none of them.
+  std::atomic<size_t> unpinned_cache_hits{0};
   std::atomic<bool> writer_done{false};
   std::thread writer([&] {
     for (size_t b = 0; b < batches.size(); ++b) {
@@ -166,7 +169,11 @@ void RunSnapshotSweep(const SweepConfig& cfg) {
             req.as_of_version = pinned;
           }
         }
-        check_response(p, service.Query(req), pinned);
+        auto resp = service.Query(req);
+        if (!pinned && resp.ok() && resp->path == ServingPath::kCache) {
+          unpinned_cache_hits.fetch_add(1);
+        }
+        check_response(p, resp, pinned);
         ++reads;
       }
     });
@@ -175,6 +182,7 @@ void RunSnapshotSweep(const SweepConfig& cfg) {
   for (auto& r : readers) r.join();
 
   for (const std::string& f : failures) ADD_FAILURE() << f;
+  EXPECT_GT(unpinned_cache_hits.load(), 0u);
 
   // Final state equals the serial replay, and the ring holds the newest
   // versions with every one of them still servable.
