@@ -28,6 +28,28 @@ void BM_Simulation(benchmark::State& state) {
 }
 BENCHMARK(BM_Simulation)->Arg(1000)->Arg(4000)->Arg(16000)->Arg(64000)->Complexity();
 
+/// BM_Simulation with seeding forced serial (num_threads 1): the auto fan-out
+/// above should never be slower than this.
+void BM_SimulationOneThread(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(0));
+  Graph g = MakeEr(n, 1);
+  Pattern q = gen::RandomPattern(4, 5, 1, 0.4, 11);
+  SnapshotPtr snap = g.Publish();
+  MatchContext ctx;
+  MatchOptions serial;
+  serial.num_threads = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeBoundedSimulation(snap, q, serial, &ctx));
+  }
+  state.SetComplexityN(static_cast<int64_t>(n));
+}
+BENCHMARK(BM_SimulationOneThread)
+    ->Arg(1000)
+    ->Arg(4000)
+    ->Arg(16000)
+    ->Arg(64000)
+    ->Complexity();
+
 void BM_BoundedSimulation(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   Graph g = MakeEr(n, 1);

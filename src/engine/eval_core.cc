@@ -46,9 +46,10 @@ uint64_t QueryCacheKey(const Pattern& q, MatchSemantics semantics) {
 Result<MatchRelation> EvalCore::Evaluate(const EngineSnapshot& snap,
                                          const Pattern& q, MatchSemantics semantics,
                                          const EvalOverrides& overrides,
-                                         MatchContext* ctx,
-                                         ServingPath* path) const {
+                                         MatchContext* ctx, ServingPath* path,
+                                         const SupportPairs** pairs) const {
   *path = ServingPath::kDirect;
+  if (pairs != nullptr) *pairs = nullptr;
   EvalPlan plan = planner_.Plan(snap.graph->graph(), q);
   plan.match_options.num_threads =
       overrides.match_threads.value_or(options_.match_threads);
@@ -71,7 +72,10 @@ Result<MatchRelation> EvalCore::Evaluate(const EngineSnapshot& snap,
     EF_RETURN_NOT_OK(CheckInterrupts(overrides));  // matched, not decompressed
     return snap.compressed->Decompress(compressed);
   }
-  return ComputeBoundedSimulation(snap.graph, q, plan.match_options, ctx, semantics);
+  MatchRelation matches =
+      ComputeBoundedSimulation(snap.graph, q, plan.match_options, ctx, semantics);
+  if (pairs != nullptr) *pairs = &ctx->Pairs();
+  return matches;
 }
 
 }  // namespace expfinder

@@ -160,11 +160,15 @@ class EvalCore {
   /// `path` reports how the relation was produced (kPlannerShortCircuit,
   /// kCompressed or kDirect). Each concurrent call needs a context no other
   /// call is using; the matcher binds it to the snapshot's graph or to its
-  /// Gc, whichever it runs on.
+  /// Gc, whichever it runs on. `pairs`, when given, receives the support
+  /// pairs of a kDirect run (ctx->Pairs(), for ResultGraph's pair form)
+  /// and nullptr on the other paths, whose relation no run on snap.graph
+  /// produced.
   Result<MatchRelation> Evaluate(const EngineSnapshot& snap, const Pattern& q,
                                  MatchSemantics semantics,
                                  const EvalOverrides& overrides, MatchContext* ctx,
-                                 ServingPath* path) const;
+                                 ServingPath* path,
+                                 const SupportPairs** pairs = nullptr) const;
 
  private:
   EngineOptions options_;

@@ -104,8 +104,10 @@ class GraphSnapshot {
                              bool* built_now) const;
 
   /// The already-built index, or nullptr — never builds, never counts a
-  /// use. For secondary consumers (ResultGraph construction) riding on
-  /// whatever the matchers warmed. Lock-free.
+  /// use. For secondary consumers riding on whatever the matchers warmed:
+  /// ResultGraph's scan forms, which build result graphs for relations no
+  /// matcher run produced on this snapshot (maintained or decompressed
+  /// answers). Lock-free.
   const KhopIndex* CachedBallIndex() const {
     return published_ball_.load(std::memory_order_acquire);
   }

@@ -11,26 +11,19 @@ namespace expfinder {
 
 namespace {
 
-/// Capped, stratified hop-bounded BFS over nonempty paths (the same
-/// frontier discipline as BoundedBfsNonEmpty: the source is not pre-marked,
-/// so it appears in its own ball iff it lies on a cycle). Appends every
-/// visited node to *out in visit order — which is nondecreasing-depth
-/// order, i.e. already stratified — and writes the per-depth visit counts
-/// to strata[0..depth-1]. Returns false, with *out restored and strata
-/// zeroed, as soon as more than max_nodes nodes would be collected: hubs
-/// pay for at most max_nodes + one frontier expansion, not their full ball.
-template <bool Forward>
+/// Capped, stratified hop-bounded forward BFS over nonempty paths (the
+/// same frontier discipline as BoundedBfsNonEmpty: the source is not
+/// pre-marked, so it appears in its own ball iff it lies on a cycle).
+/// Appends every visited node to *out in visit order — which is
+/// nondecreasing-depth order, i.e. already stratified — and writes the
+/// per-depth visit counts to strata[0..depth-1]. Returns false, with *out
+/// restored and strata zeroed, as soon as more than max_nodes nodes would be
+/// collected: hubs pay for at most max_nodes + one frontier expansion, not
+/// their full ball.
 bool CollectBall(const Csr& g, NodeId src, Distance depth, size_t max_nodes,
                  BfsBuffers* buf, std::vector<NodeId>* out, uint32_t* strata) {
   const size_t start = out->size();
   std::fill_n(strata, depth, 0u);
-  auto neighbors = [&](NodeId v) {
-    if constexpr (Forward) {
-      return OutAdj(g, v);
-    } else {
-      return InAdj(g, v);
-    }
-  };
   bool overflow = false;
   auto visit = [&](NodeId w, Distance d) {
     if (out->size() - start >= max_nodes) {
@@ -41,7 +34,7 @@ bool CollectBall(const Csr& g, NodeId src, Distance depth, size_t max_nodes,
     ++strata[d - 1];
     return true;
   };
-  for (NodeId w : neighbors(src)) {
+  for (NodeId w : OutAdj(g, src)) {
     if (buf->dist[w] != kUnreachable) continue;
     buf->dist[w] = 1;
     buf->touched.push_back(w);
@@ -53,7 +46,7 @@ bool CollectBall(const Csr& g, NodeId src, Distance depth, size_t max_nodes,
     NodeId v = buf->queue[head++];
     Distance d = buf->dist[v];
     if (d >= depth) continue;
-    for (NodeId w : neighbors(v)) {
+    for (NodeId w : OutAdj(g, v)) {
       if (buf->dist[w] != kUnreachable) continue;
       buf->dist[w] = d + 1;
       buf->touched.push_back(w);
@@ -72,15 +65,11 @@ bool CollectBall(const Csr& g, NodeId src, Distance depth, size_t max_nodes,
 
 }  // namespace
 
-/// Builds one direction of the index, fanning node ranges out over the
-/// pool. Returns false when more than budget_entries entries would be
-/// stored.
-template <bool Forward>
-bool KhopIndex::BuildSide(const Csr& csr, Distance depth, const BallIndexOptions& limits,
-                          size_t budget_entries, ThreadPool* pool, size_t workers,
-                          Side* side) {
+std::unique_ptr<KhopIndex> KhopIndex::Build(const Csr& csr, Distance depth,
+                                            const BallIndexOptions& limits,
+                                            ThreadPool* pool, size_t workers) {
+  EF_CHECK(depth >= 1 && depth != kUnreachable) << "ball index depth must be finite";
   const size_t n = csr.NumNodes();
-  side->overflow = DenseBitset(1, n);
   std::vector<uint32_t> counts(n * static_cast<size_t>(depth), 0);
   const size_t chunks = (pool != nullptr && workers > 1) ? workers : 1;
   std::vector<std::vector<NodeId>> chunk_nodes(chunks);
@@ -96,14 +85,14 @@ bool KhopIndex::BuildSide(const Csr& csr, Distance depth, const BallIndexOptions
     for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
       if (over_budget.load(std::memory_order_relaxed)) return;
       const size_t before = out.size();
-      if (!CollectBall<Forward>(csr, v, depth, limits.max_ball_nodes, &buf, &out,
-                                strata.data())) {
+      if (!CollectBall(csr, v, depth, limits.max_ball_nodes, &buf, &out, strata.data())) {
         chunk_overflow[chunk].push_back(v);
         continue;
       }
       std::copy_n(strata.data(), depth, counts.begin() + static_cast<size_t>(v) * depth);
       const size_t added = out.size() - before;
-      if (total.fetch_add(added, std::memory_order_relaxed) + added > budget_entries) {
+      if (total.fetch_add(added, std::memory_order_relaxed) + added >
+          limits.max_total_entries) {
         over_budget.store(true, std::memory_order_relaxed);
         return;
       }
@@ -114,38 +103,23 @@ bool KhopIndex::BuildSide(const Csr& csr, Distance depth, const BallIndexOptions
   } else {
     run_chunk(0, 0, n);
   }
-  if (over_budget.load(std::memory_order_relaxed)) return false;
+  if (over_budget.load(std::memory_order_relaxed)) return nullptr;
 
   // Stitch: strata counts -> offsets, chunk outputs (already in node order)
   // -> one flat array, overflow lists -> the bitset.
-  side->off.assign(counts.size() + 1, 0);
-  for (size_t i = 0; i < counts.size(); ++i) side->off[i + 1] = side->off[i] + counts[i];
-  side->nodes.clear();
-  side->nodes.reserve(side->off.back());
-  for (const auto& part : chunk_nodes) {
-    side->nodes.insert(side->nodes.end(), part.begin(), part.end());
-  }
-  EF_CHECK(side->nodes.size() == side->off.back()) << "ball index stitch mismatch";
-  for (const auto& part : chunk_overflow) {
-    for (NodeId v : part) side->overflow.Set(0, v);
-  }
-  return true;
-}
-
-std::unique_ptr<KhopIndex> KhopIndex::Build(const Csr& csr, Distance depth,
-                                            const BallIndexOptions& limits,
-                                            ThreadPool* pool, size_t workers) {
-  EF_CHECK(depth >= 1 && depth != kUnreachable) << "ball index depth must be finite";
   auto idx = std::unique_ptr<KhopIndex>(new KhopIndex());
-  idx->n_ = csr.NumNodes();
+  idx->n_ = n;
   idx->depth_ = depth;
-  if (!BuildSide<true>(csr, depth, limits, limits.max_total_entries, pool, workers,
-                       &idx->fwd_)) {
-    return nullptr;
+  idx->off_.assign(counts.size() + 1, 0);
+  for (size_t i = 0; i < counts.size(); ++i) idx->off_[i + 1] = idx->off_[i] + counts[i];
+  idx->nodes_.reserve(idx->off_.back());
+  for (const auto& part : chunk_nodes) {
+    idx->nodes_.insert(idx->nodes_.end(), part.begin(), part.end());
   }
-  const size_t remaining = limits.max_total_entries - idx->fwd_.nodes.size();
-  if (!BuildSide<false>(csr, depth, limits, remaining, pool, workers, &idx->rev_)) {
-    return nullptr;
+  EF_CHECK(idx->nodes_.size() == idx->off_.back()) << "ball index stitch mismatch";
+  idx->overflow_ = DenseBitset(1, n);
+  for (const auto& part : chunk_overflow) {
+    for (NodeId v : part) idx->overflow_.Set(0, v);
   }
   return idx;
 }

@@ -22,14 +22,20 @@
 // Dual simulation is contained in bounded simulation (it only adds
 // constraints), and the two coincide on an edge-less pattern.
 //
-// ComputeBoundedSimulation runs the cubic-time counting worklist fixpoint:
-//   fwd[e=(u,u')][v]  = |{v' in mat(u') : 0 < dist(v,v') <= bound(e)}|
-// seeded by a forward ball scan (or hop-bounded BFS) from every candidate;
-// removing v' from mat(u') decrements the supporters in its reverse ball,
-// and zero counters cascade. Dual semantics adds the mirror family
-//   bwd[e=(u,u')][v'] = |{v in mat(u) : 0 < dist(v,v') <= bound(e)}|
-// seeded over each candidate's reverse ball, whose removals cascade into
-// the descendants' backward counters.
+// ComputeBoundedSimulation runs the cubic-time counting worklist fixpoint
+// over one graph walk. Seeding scans the forward ball (or runs a
+// hop-bounded BFS) of every candidate v of each pattern node u, up to u's
+// largest out-bound, and records v's support pairs: for each out-edge
+// e = (u, u'), every candidate v' of u' with 0 < dist(v, v') <= bound(e),
+// with that distance (SupportPairs, match_context.h). The counters are
+//   fwd[e][v]  = |{v' in mat(u') : (v, v') a pair of e}|
+// and, under dual semantics, the mirror family
+//   bwd[e][v'] = |{v in mat(u) : (v, v') a pair of e}|
+// counted from the same pairs. Removing v' from mat(u') decrements fwd
+// over a reverse index of e's pairs (and, dual, removing v decrements bwd
+// over v's own pairs); zero counters cascade. After seeding nothing walks
+// the graph: the fixpoint reads the pairs, and ResultGraph's pair form
+// assembles the result graph from the pairs that survive.
 //
 // The *Naive functions in bounded_simulation.h, simulation.h and
 // dual_simulation.h re-derive each fixpoint by brute force; they are the
@@ -58,9 +64,11 @@ class MatchContext;
 /// Binds `ctx` (required) to the snapshot — the CSR, ball index and topic
 /// index come from the snapshot, shared with every other reader of the
 /// same version, and the binding persists so ResultGraph construction
-/// rides the same state; the context's BFS buffers and counter arrays are
-/// reused across calls. This is the serving path: any number of threads may
-/// evaluate against one snapshot concurrently, each with its own context.
+/// rides the same state; the context's BFS buffers and support-pair
+/// storage are reused across calls, and ctx->Pairs() holds this run's
+/// pairs until the next. This is the serving path: any number of threads
+/// may evaluate against one snapshot concurrently, each with its own
+/// context.
 MatchRelation ComputeBoundedSimulation(
     const SnapshotPtr& s, const Pattern& q, const MatchOptions& options,
     MatchContext* ctx, MatchSemantics semantics = MatchSemantics::kBoundedSimulation);

@@ -11,8 +11,10 @@
 //     context pays to its telemetry.
 //   * EnsureBuffers/Buffers provide one BfsBuffers per parallel seeding
 //     worker (worker 0 doubles as the serial-path buffer).
-//   * Counters provides the per-edge int32 counter arrays (two independent
-//     pools, because dual simulation needs a forward and a backward family).
+//   * Pairs holds the support pairs of the last matcher run (SupportPairs
+//     below) with the refinement counters over them, all sized by
+//     candidates and pairs, never by |V|. Unbinding trims their capacity to
+//     O(|V|) words, so an idle context keeps no large evaluation's pairs.
 //   * Pool lazily owns the ThreadPool used for parallel seeding.
 //
 // A MatchContext is single-owner state: it must not be shared between
@@ -26,10 +28,10 @@
 #ifndef EXPFINDER_MATCHING_MATCH_CONTEXT_H_
 #define EXPFINDER_MATCHING_MATCH_CONTEXT_H_
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/graph/bfs.h"
@@ -39,6 +41,60 @@
 #include "src/util/thread_pool.h"
 
 namespace expfinder {
+
+/// \brief The support pairs of one ComputeBoundedSimulation run.
+///
+/// For a pattern edge e = (u, u', k), the pairs of e are every candidate v
+/// of u and candidate w of u' with 0 < dist(v, w) <= k, each tagged with
+/// dist(v, w). The forward ball scan that seeds v finds all of them, and
+/// after it nothing walks the data graph again: refinement decrements
+/// supporters through a reverse index over the pairs, dual simulation
+/// counts its backward counters from them, and ResultGraph's pair form
+/// keeps the pairs whose two endpoints survive. Their number is bounded by
+/// the candidate pairs within bound: the same order as the result graph
+/// such a pattern already holds, whose edges are exactly the surviving
+/// pairs.
+struct SupportPairs {
+  struct Pair {
+    uint32_t target;  ///< index of w in candidates[u']
+    Distance dist;    ///< dist(v, w), the shortest nonempty distance
+  };
+  struct Edge {
+    /// Candidate i of the edge's source owns pairs[offsets[i], offsets[i+1]),
+    /// in ball-scan order.
+    std::vector<uint32_t> offsets;
+    std::vector<Pair> pairs;
+
+    // Refinement state, sized by the edge's candidates and pairs (the
+    // matcher's scratch; ResultGraph reads only the two vectors above).
+    /// Per source candidate: its pairs whose target is still matched.
+    std::vector<int32_t> live_targets;
+    /// Dual only, per target candidate: its pairs whose source is still
+    /// matched.
+    std::vector<int32_t> live_sources;
+    /// Reverse index, built by the first removal of one of the edge's
+    /// targets: target j's sources are rev_sources[rev_offsets[j],
+    /// rev_offsets[j+1]).
+    std::vector<uint32_t> rev_offsets;
+    std::vector<uint32_t> rev_sources;
+
+    std::span<const Pair> Of(uint32_t i) const {
+      return {pairs.data() + offsets[i], offsets[i + 1] - offsets[i]};
+    }
+  };
+
+  /// Per pattern node, its candidates as sorted data-node ids; pair sources
+  /// and targets index these lists.
+  std::vector<std::vector<NodeId>> candidates;
+  /// Per pattern edge, indexed like Pattern::edges().
+  std::vector<Edge> edges;
+  /// Seeding scratch: per pattern node, the candidates before each 64-bit
+  /// word of its candidate bitmap row (IndexOf is one popcount).
+  std::vector<uint32_t> rank;
+
+  /// Words of heap capacity held by the vectors above.
+  size_t CapacityWords() const;
+};
 
 /// \brief Reusable matcher scratch, bound to one published snapshot at a
 /// time.
@@ -52,8 +108,9 @@ class MatchContext {
   /// index slots the matchers then read. The context retains the handle,
   /// pinning the snapshot for as long as the binding lasts (a worker binds
   /// per request; the snapshot matcher overloads bind on entry). Binding
-  /// nullptr unbinds.
-  void BindSnapshot(SnapshotPtr snapshot) { snapshot_ = std::move(snapshot); }
+  /// nullptr unbinds, and frees the support pairs if they hold more than
+  /// kIdlePairWordsPerNode words per node of the unbound graph.
+  void BindSnapshot(SnapshotPtr snapshot);
   const SnapshotPtr& bound_snapshot() const { return snapshot_; }
 
   /// The bound snapshot's shared k-hop ball index at (at least) `depth`, or
@@ -105,10 +162,14 @@ class MatchContext {
   /// Scratch buffers of `worker` (EnsureBuffers must have covered it).
   BfsBuffers& Buffers(size_t worker) { return buffers_[worker]; }
 
-  /// Reusable counter arrays: `count` arrays of `n` zeroed int32s.
-  /// `pool_index` selects an independent family (0 and 1), so dual
-  /// simulation can hold its forward and backward counters simultaneously.
-  std::vector<std::vector<int32_t>>& Counters(size_t pool_index, size_t count, size_t n);
+  /// The support pairs of the last ComputeBoundedSimulation run on this
+  /// context, valid until the next run or unbind. The matcher fills them;
+  /// a caller that builds the run's result graph passes them to
+  /// ResultGraph's pair form explicitly.
+  SupportPairs& Pairs() { return pairs_; }
+
+  /// Support-pair capacity an unbound context keeps, in words per node.
+  static constexpr size_t kIdlePairWordsPerNode = 2;
 
   /// The seeding thread pool. Grow-only: an existing pool with at least
   /// `num_workers` workers is reused as-is (dispatch with an explicit
@@ -117,12 +178,12 @@ class MatchContext {
   /// candidate-list sizes (and therefore SeedWorkers) vary per pattern node.
   ThreadPool& Pool(size_t num_workers);
 
-  /// Worker count for a seeding phase over `work_items` units.
-  /// requested == 1 forces the serial path; requested == 0 resolves to
-  /// hardware_concurrency and is additionally capped so each worker gets a
-  /// meaningful amount of work; an explicit requested > 1 is honoured (only
-  /// capped by work_items) so tests can force the parallel path on small
-  /// inputs.
+  /// Worker count for a parallel phase that scans about `work_items`
+  /// adjacency or ball entries. requested == 1 forces the serial path;
+  /// requested == 0 resolves to hardware_concurrency and is additionally
+  /// capped so each worker scans enough entries to outweigh its dispatch;
+  /// an explicit requested > 1 is honoured (only capped by work_items) so
+  /// tests can force the parallel path on small inputs.
   size_t SeedWorkers(uint32_t requested, size_t work_items) const;
 
  private:
@@ -138,7 +199,7 @@ class MatchContext {
   size_t seed_scan_fallbacks_ = 0;
 
   std::deque<BfsBuffers> buffers_;  // deque: stable addresses across growth
-  std::array<std::vector<std::vector<int32_t>>, 2> counters_;
+  SupportPairs pairs_;
   std::unique_ptr<ThreadPool> pool_;
 };
 

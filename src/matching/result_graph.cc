@@ -1,51 +1,101 @@
 #include "src/matching/result_graph.h"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "src/graph/csr.h"
 #include "src/graph/khop_index.h"
 #include "src/matching/match_context.h"
 #include "src/util/dense_bitset.h"
+#include "src/util/logging.h"
 
 namespace expfinder {
+
+namespace {
+
+/// Marks a candidate the relation does not keep.
+constexpr uint32_t kNoPosition = std::numeric_limits<uint32_t>::max();
+
+}  // namespace
 
 ResultGraph::ResultGraph(const Graph& g, const Pattern& q, const MatchRelation& m) {
   MatchContext ctx;
   ctx.BindSnapshot(GraphSnapshot::Capture(g));
-  Build(q, m, &ctx);
+  Scan(q, m, &ctx);
 }
 
 ResultGraph::ResultGraph(const SnapshotPtr& s, const Pattern& q,
                          const MatchRelation& m, MatchContext* ctx) {
   ctx->BindSnapshot(s);
-  Build(q, m, ctx);
+  Scan(q, m, ctx);
 }
 
-void ResultGraph::Build(const Pattern& q, const MatchRelation& m, MatchContext* ctx) {
-  const GraphSnapshot& s = *ctx->bound_snapshot();
-  const Graph& g = s.graph();
+ResultGraph::ResultGraph(const Pattern& q, const MatchRelation& m,
+                         const SupportPairs& pairs) {
+  CollectNodes(q, m);
+  if (nodes_.empty() || q.NumEdges() == 0) return;
+  EF_DCHECK(m.NumPatternNodes() == q.NumNodes() &&
+            pairs.candidates.size() == q.NumNodes() &&
+            pairs.edges.size() == q.NumEdges())
+      << "support pairs of another pattern";
+  // Per pattern node, the candidate index of each match and the result
+  // position of each candidate (kNoPosition where m drops it): one merge of
+  // the sorted candidate list with the sorted matches it keeps.
+  std::vector<std::vector<uint32_t>> index_of(q.NumNodes()), pos(q.NumNodes());
+  for (PatternNodeId u = 0; u < q.NumNodes(); ++u) {
+    const auto& list = pairs.candidates[u];
+    const auto& kept = m.MatchesOf(u);
+    pos[u].assign(list.size(), kNoPosition);
+    index_of[u].resize(kept.size());
+    for (uint32_t i = 0, k = 0; i < list.size() && k < kept.size(); ++i) {
+      if (list[i] != kept[k]) continue;
+      pos[u][i] = matches_of_[u][k];
+      index_of[u][k++] = i;
+    }
+  }
+  Assemble(m, [&](PatternNodeId u, size_t k, auto& add) {
+    for (uint32_t e : q.OutEdges(u)) {
+      const auto& dst_pos = pos[q.edges()[e].dst];
+      for (const SupportPairs::Pair& p : pairs.edges[e].Of(index_of[u][k])) {
+        if (dst_pos[p.target] != kNoPosition) add(dst_pos[p.target], p.dist);
+      }
+    }
+  });
+}
+
+void ResultGraph::CollectNodes(const Pattern& q, const MatchRelation& m) {
   // Union of matched data nodes, sorted and deduplicated.
+  nodes_.reserve(m.TotalPairs());
   for (PatternNodeId u = 0; u < m.NumPatternNodes(); ++u) {
     const auto& list = m.MatchesOf(u);
     nodes_.insert(nodes_.end(), list.begin(), list.end());
   }
   std::sort(nodes_.begin(), nodes_.end());
   nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
-  index_.reserve(nodes_.size() * 2);
-  for (uint32_t i = 0; i < nodes_.size(); ++i) index_.emplace(nodes_[i], i);
 
   matches_of_.resize(q.NumNodes());
   for (PatternNodeId u = 0; u < m.NumPatternNodes(); ++u) {
-    for (NodeId v : m.MatchesOf(u)) matches_of_[u].push_back(index_.at(v));
+    auto it = nodes_.begin();
+    matches_of_[u].reserve(m.MatchesOf(u).size());
+    for (NodeId v : m.MatchesOf(u)) {
+      it = std::lower_bound(it, nodes_.end(), v);  // the lists are sorted
+      matches_of_[u].push_back(static_cast<uint32_t>(it - nodes_.begin()));
+    }
   }
-
   out_.resize(nodes_.size());
   in_.resize(nodes_.size());
+}
+
+void ResultGraph::Scan(const Pattern& q, const MatchRelation& m, MatchContext* ctx) {
+  CollectNodes(q, m);
   if (nodes_.empty() || q.NumEdges() == 0) return;
 
   // The bound snapshot's CSR and the context's buffers. The ball index is
   // strictly opportunistic: whatever the matchers warmed on the snapshot —
   // never built here.
+  const GraphSnapshot& s = *ctx->bound_snapshot();
+  const Graph& g = s.graph();
   const Csr& csr = s.csr();
   ctx->EnsureBuffers(1, g.NumNodes());
   BfsBuffers* buf = &ctx->Buffers(0);
@@ -58,95 +108,78 @@ void ResultGraph::Build(const Pattern& q, const MatchRelation& m, MatchContext* 
     for (NodeId v : m.MatchesOf(u)) member.Set(u, v);
   }
   // Dense node -> result-position map for the traversal loop: one array
-  // read per recorded edge instead of a hash probe (index_ stays for the
-  // PositionOf API). Entries are only meaningful at matched nodes.
+  // read per recorded edge. Entries are only meaningful at matched nodes.
   std::vector<uint32_t> pos(g.NumNodes());
   for (uint32_t i = 0; i < nodes_.size(); ++i) pos[nodes_[i]] = i;
-
-  // For every source match, one bounded BFS up to the node's largest
-  // out-bound discovers all shortest distances to potential targets; an edge
-  // is recorded when any pattern edge admits the visited target. Every
-  // derivation of the same (v, v') carries the identical weight — the BFS
-  // visits each target once at its shortest nonempty distance — so
-  // duplicates (same source matching several pattern nodes) are eliminated
-  // by one sort+unique pass instead of a per-visit hash probe.
-  struct RawEdge {
-    uint64_t key;  // (src pos << 32) | dst pos — sorts into adjacency order
-    double weight;
-    bool operator<(const RawEdge& other) const { return key < other.key; }
+  // Hoisted per-out-edge state of each pattern node: bound + target
+  // membership row.
+  struct EdgeRef {
+    Distance bound;
+    DenseBitset::ConstRow dst_member;
   };
-  std::vector<RawEdge> raw;
+  std::vector<std::vector<EdgeRef>> erefs(q.NumNodes());
   for (PatternNodeId u = 0; u < q.NumNodes(); ++u) {
-    const auto& out_edges = q.OutEdges(u);
-    if (out_edges.empty()) continue;
-    Distance depth = q.MaxOutBound(u);
-    // Hoisted per-edge state: bound + target membership row.
-    struct EdgeRef {
-      Distance bound;
-      DenseBitset::ConstRow dst_member;
-    };
-    std::vector<EdgeRef> erefs;
-    erefs.reserve(out_edges.size());
-    for (uint32_t e : out_edges) {
+    for (uint32_t e : q.OutEdges(u)) {
       const PatternEdge& pe = q.edges()[e];
-      erefs.push_back({pe.bound, member.Row(pe.dst)});
+      erefs[u].push_back({pe.bound, member.Row(pe.dst)});
     }
-    auto record = [&](uint64_t vkey, NodeId w, Distance d) {
-      for (const EdgeRef& er : erefs) {
+  }
+  // For every match, one bounded BFS up to its pattern node's largest
+  // out-bound discovers all shortest distances to potential targets; an edge
+  // is recorded when any pattern edge admits the visited target.
+  Assemble(m, [&](PatternNodeId u, size_t k, auto& add) {
+    if (erefs[u].empty()) return;
+    VisitBall(ball, csr, m.MatchesOf(u)[k], q.MaxOutBound(u), buf, [&](NodeId w, Distance d) {
+      for (const EdgeRef& er : erefs[u]) {
         if (d > er.bound || !er.dst_member[w]) continue;
-        raw.push_back({vkey | pos[w], static_cast<double>(d)});
+        add(pos[w], d);
         break;
       }
-    };
-    for (NodeId v : m.MatchesOf(u)) {
-      uint64_t vkey = static_cast<uint64_t>(pos[v]) << 32;
-      VisitBall<true>(ball, csr, v, depth, buf,
-                      [&](NodeId w, Distance d) { record(vkey, w, d); });
+    });
+  });
+}
+
+template <typename Targets>
+void ResultGraph::Assemble(const MatchRelation& m, Targets&& targets) {
+  // Every derivation of the same edge carries the identical weight (the
+  // shortest nonempty distance), so duplicates — a source matching several
+  // pattern nodes, a target reached over several pattern edges — are
+  // dropped by one sort+unique pass over the source's derivations.
+  std::vector<std::pair<uint32_t, Distance>> found;
+  auto add = [&found](uint32_t b, Distance d) { found.emplace_back(b, d); };
+  std::vector<size_t> next(m.NumPatternNodes(), 0);  // each node's next match
+  std::vector<uint32_t> in_deg(nodes_.size(), 0);
+  for (uint32_t a = 0; a < nodes_.size(); ++a) {
+    found.clear();
+    for (PatternNodeId u = 0; u < m.NumPatternNodes(); ++u) {
+      const auto& matches = m.MatchesOf(u);
+      if (next[u] < matches.size() && matches[next[u]] == nodes_[a]) {
+        targets(u, next[u]++, add);
+      }
     }
-  }
-  // Counting-sort by source position instead of one global sort: buckets
-  // hold a handful of targets each (the result out-degree), so the
-  // per-bucket sorts are effectively linear, and exact reserves kill the
-  // realloc churn of growing ten thousand small adjacency vectors.
-  const size_t nn = nodes_.size();
-  std::vector<uint32_t> bucket_off(nn + 1, 0);
-  for (const RawEdge& e : raw) ++bucket_off[(e.key >> 32) + 1];
-  for (size_t i = 0; i < nn; ++i) bucket_off[i + 1] += bucket_off[i];
-  std::vector<RawEdge> bucketed(raw.size());
-  {
-    std::vector<uint32_t> cursor(bucket_off.begin(), bucket_off.end() - 1);
-    for (const RawEdge& e : raw) bucketed[cursor[e.key >> 32]++] = e;
-  }
-  std::vector<uint32_t> in_deg(nn, 0);
-  for (uint32_t a = 0; a < nn; ++a) {
-    auto begin = bucketed.begin() + bucket_off[a];
-    auto end = bucketed.begin() + bucket_off[a + 1];
-    if (begin == end) continue;
-    std::sort(begin, end);  // keys share the high word, so this sorts by b
-    auto& out_list = out_[a];
-    out_list.reserve(static_cast<size_t>(end - begin));
-    uint64_t prev_key = ~uint64_t{0};
-    for (auto it = begin; it != end; ++it) {
-      if (it->key == prev_key) continue;  // duplicate derivation, same weight
-      prev_key = it->key;
-      uint32_t b = static_cast<uint32_t>(it->key);
-      out_list.emplace_back(b, it->weight);
-      ++in_deg[b];
-      ++num_edges_;
+    if (found.empty()) continue;
+    std::sort(found.begin(), found.end());
+    auto& out = out_[a];
+    out.reserve(found.size());
+    for (size_t i = 0; i < found.size(); ++i) {
+      if (i > 0 && found[i].first == found[i - 1].first) continue;
+      out.emplace_back(found[i].first, static_cast<double>(found[i].second));
+      ++in_deg[found[i].first];
     }
+    num_edges_ += out.size();
   }
   // Mirror into in_: iterating sources ascending appends ascending, so the
   // per-target lists come out sorted without a sort pass.
-  for (uint32_t b = 0; b < nn; ++b) in_[b].reserve(in_deg[b]);
-  for (uint32_t a = 0; a < nn; ++a) {
+  for (uint32_t b = 0; b < nodes_.size(); ++b) in_[b].reserve(in_deg[b]);
+  for (uint32_t a = 0; a < nodes_.size(); ++a) {
     for (const auto& [b, w] : out_[a]) in_[b].emplace_back(a, w);
   }
 }
 
 std::optional<uint32_t> ResultGraph::PositionOf(NodeId v) const {
-  auto it = index_.find(v);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
+  auto it = std::lower_bound(nodes_.begin(), nodes_.end(), v);
+  if (it == nodes_.end() || *it != v) return std::nullopt;
+  return static_cast<uint32_t>(it - nodes_.begin());
 }
 
 }  // namespace expfinder

@@ -31,6 +31,8 @@ struct PendingQuery {
   QueryRequest request;
   /// QueryCacheKey of the compiled pattern and the request's semantics.
   uint64_t key = 0;
+  /// The ranking the request asks for, as its answer's memo keys it.
+  RankedListKey rank_key;
   std::shared_ptr<TicketState> ticket;
   /// Started at Submit; measures queue wait and anchors the request's
   /// time budget (which covers queue time by design).

@@ -38,13 +38,6 @@ ServiceOptions ClampOptions(ServiceOptions options) {
   return options;
 }
 
-/// The ranking a request asks for, as its answer's memo keys it. (Submit's
-/// Validate guarantees the output node.)
-RankedListKey RankKeyOf(const QueryRequest& request) {
-  return MakeRankedListKey(request.pattern.output_node().value_or(0), request.metric,
-                           request.topic_terms);
-}
-
 }  // namespace
 
 ExpFinderService::ContextLease::ContextLease(ExpFinderService* service)
@@ -273,6 +266,10 @@ QueryTicket ExpFinderService::Submit(QueryRequest request) {
     request.pattern = CompileTopicTerms(request.pattern, request.topic_terms);
   }
   const uint64_t key = QueryCacheKey(request.pattern, request.semantics);
+  // Validate guaranteed the output node; a topic-fusion key tokenizes the
+  // terms, once, here.
+  RankedListKey rank_key = MakeRankedListKey(request.pattern.output_node().value_or(0),
+                                             request.metric, request.topic_terms);
   // A cache hit needs no worker: when the answer is cached at the version a
   // worker would read (the primary epoch, once it meets min_version; with
   // replicas too, since a hit evaluates nothing) and its memo covers top_k,
@@ -284,7 +281,7 @@ QueryTicket ExpFinderService::Submit(QueryRequest request) {
     QueryResponse response;
     response.graph_version = version();
     if (response.graph_version >= request.min_version.value_or(0) &&
-        FromCache(request, key, &response)) {
+        FromCache(request, key, rank_key, &response)) {
       Count<&ServiceStats::snapshot_acquires>();
       queue_latency_[0].fetch_add(1, std::memory_order_relaxed);
       response.eval_ms = submitted.ElapsedMillis();
@@ -295,6 +292,7 @@ QueryTicket ExpFinderService::Submit(QueryRequest request) {
   auto pending = std::make_unique<PendingQuery>();
   pending->request = std::move(request);
   pending->key = key;
+  pending->rank_key = std::move(rank_key);
   pending->ticket = state;
   pending->submitted = submitted;
   if (Status st = queue_.TryPush(std::move(pending)); !st.ok()) {
@@ -450,11 +448,15 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
   response.queue_ms = queue_ms;
   response.graph_version = snap->version;
 
-  const bool complete = use_cache && FromCache(request, pending.key, &response);
+  const bool complete =
+      use_cache && FromCache(request, pending.key, pending.rank_key, &response);
   if (response.answer == nullptr) {
     MatchRelation matches;
     ContextLease lease(this);
     MatchContext& ctx = lease.ctx();
+    // A direct run's support pairs: its result graph is assembled from
+    // them. Maintained and compressed answers scan for theirs.
+    const SupportPairs* pairs = nullptr;
     if (const MatchRelation* maintained = snap->Maintained(pending.key)) {
       response.path = ServingPath::kMaintained;
       matches = *maintained;  // the snapshot's copy is frozen; ours mutates
@@ -476,14 +478,15 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
       const size_t hits0 = ctx.posting_hits();
       const size_t falls0 = ctx.seed_scan_fallbacks();
       auto evaluated = core_.Evaluate(*snap, pattern, request.semantics, overrides,
-                                      &ctx, &response.path);
+                                      &ctx, &response.path, &pairs);
       Count<&ServiceStats::topic_index_builds>(ctx.topic_index_builds() - builds0);
       Count<&ServiceStats::posting_hits>(ctx.posting_hits() - hits0);
       Count<&ServiceStats::seed_scan_fallbacks>(ctx.seed_scan_fallbacks() - falls0);
       if (!evaluated.ok()) return evaluated.status();
       matches = std::move(evaluated).value();
     }
-    ResultGraph rg(snap->graph, pattern, matches, &ctx);
+    ResultGraph rg = pairs != nullptr ? ResultGraph(pattern, matches, *pairs)
+                                      : ResultGraph(snap->graph, pattern, matches, &ctx);
     response.answer = std::make_shared<const QueryAnswer>(
         QueryAnswer{std::move(matches), std::move(rg)});
     if (use_cache) {
@@ -517,7 +520,7 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
                               request.metric);
     if (!ranked.ok()) return ranked.status();
     response.ranked = std::move(ranked).value();
-    response.answer->ranked_lists.Store(RankKeyOf(request), *request.top_k,
+    response.answer->ranked_lists.Store(pending.rank_key, *request.top_k,
                                         response.ranked);
   }
   response.eval_ms = timer.ElapsedMillis();
@@ -525,6 +528,7 @@ Result<QueryResponse> ExpFinderService::Serve(const PendingQuery& pending,
 }
 
 bool ExpFinderService::FromCache(const QueryRequest& request, uint64_t key,
+                                 const RankedListKey& rank_key,
                                  QueryResponse* response) {
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
@@ -533,7 +537,7 @@ bool ExpFinderService::FromCache(const QueryRequest& request, uint64_t key,
   if (response->answer == nullptr) return false;
   response->path = ServingPath::kCache;
   return !request.top_k.has_value() ||
-         response->answer->ranked_lists.Find(RankKeyOf(request), *request.top_k,
+         response->answer->ranked_lists.Find(rank_key, *request.top_k,
                                              &response->ranked);
 }
 

@@ -364,9 +364,11 @@ class ExpFinderService {
 
   /// The cache step of every read, in Submit and in Serve: on a hit for
   /// `key` at `response->graph_version`, sets the answer and the kCache
-  /// path and, for a ranked request, copies the answer's memoized top-k
-  /// when it covers k. Returns whether that completed the response.
-  bool FromCache(const QueryRequest& request, uint64_t key, QueryResponse* response);
+  /// path and, for a ranked request, copies the answer's top-k memoized
+  /// under `rank_key` when it covers k. Returns whether that completed the
+  /// response.
+  bool FromCache(const QueryRequest& request, uint64_t key,
+                 const RankedListKey& rank_key, QueryResponse* response);
 
   /// Whether the service is paused (start_paused and no Resume() yet).
   bool Paused();

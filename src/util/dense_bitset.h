@@ -33,6 +33,8 @@ class DenseBitset {
    public:
     ConstRow() = default;
     bool operator[](size_t c) const { return (words_[c >> 6] >> (c & 63)) & 1u; }
+    /// The 64-bit word holding columns [64 i, 64 i + 64).
+    uint64_t Word(size_t i) const { return words_[i]; }
 
    private:
     friend class DenseBitset;

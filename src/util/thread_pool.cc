@@ -25,8 +25,8 @@ ThreadPool::~ThreadPool() {
 
 size_t ThreadPool::ResolveThreads(uint32_t requested) {
   if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  static const size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return hw;
 }
 
 void ThreadPool::Submit(std::function<void()> task) {

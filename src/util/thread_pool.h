@@ -77,7 +77,8 @@ class ThreadPool {
   }
 
   /// Resolves a requested thread count: 0 means hardware_concurrency
-  /// (at least 1), anything else is taken literally.
+  /// (at least 1), read once per process, since each read costs a system
+  /// call; anything else is taken literally.
   static size_t ResolveThreads(uint32_t requested);
 
  private:

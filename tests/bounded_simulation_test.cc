@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/generator/generators.h"
 #include "src/graph/shortest_paths.h"
 #include "src/matching/bounded_simulation.h"
 #include "src/matching/dual_simulation.h"
+#include "src/matching/match_context.h"
+#include "src/matching/result_graph.h"
 #include "src/matching/simulation.h"
 
 namespace expfinder {
@@ -184,6 +189,85 @@ void PrintTo(const SweepParam& p, std::ostream* os) {
 
 class MatcherSweep : public ::testing::TestWithParam<SweepParam> {};
 
+/// The oracle of a row's semantics: bound-1 patterns (graph simulation)
+/// check against ComputeSimulationNaive.
+MatchRelation OracleOf(const Graph& g, const Pattern& q, MatchSemantics semantics) {
+  if (semantics == kDual) return ComputeDualSimulationNaive(g, q);
+  return q.IsSimulationPattern() ? ComputeSimulationNaive(g, q)
+                                 : ComputeBoundedSimulationNaive(g, q);
+}
+
+// --- One ball scan feeds the whole evaluation ---------------------------
+//
+// Seeding records every support pair its forward ball scans find; the
+// fixpoint refines over them and ResultGraph's pair form assembles the
+// result graph from them, with no further traversal. Under every ball-index
+// setting (eager, off, capped so that some balls fall back to BFS) and at 1
+// and 4 seeding threads, the relation must equal the oracle's, and the
+// result graph assembled from the pairs must equal the scan-built one
+// (nodes, out and in adjacency, weights).
+
+struct IndexSetting {
+  const char* name;
+  BallIndexOptions options;
+};
+
+std::vector<IndexSetting> IndexSettings() {
+  BallIndexOptions eager;
+  eager.build_after_uses = 1;
+  BallIndexOptions off;
+  off.enabled = false;
+  BallIndexOptions capped = eager;
+  capped.max_ball_nodes = 4;
+  return {{"eager", eager}, {"off", off}, {"capped", capped}};
+}
+
+/// Traversals the eager index served and the capped index sent to BFS,
+/// so a sweep can assert it ran both paths.
+struct TraversalTally {
+  size_t eager_hits = 0;
+  size_t capped_fallbacks = 0;
+};
+
+/// `ctx` carries over from run to run, as a serving worker's does, so no
+/// run may read another's pairs or counters.
+void ExpectPairsMatchOracleAndScan(const Graph& g, const Pattern& q,
+                                   MatchSemantics semantics, const MatchRelation& oracle,
+                                   MatchContext* ctx, TraversalTally* tally) {
+  for (const IndexSetting& index : IndexSettings()) {
+    for (uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string("index ") + index.name + ", " + std::to_string(threads) +
+                   " threads, pattern\n" + q.ToText());
+      MatchOptions options;
+      options.ball_index = index.options;
+      options.num_threads = threads;
+      // A fresh snapshot per setting, so each builds its own index.
+      SnapshotPtr snap = GraphSnapshot::Capture(g);
+      const size_t hits0 = ctx->ball_hits(), falls0 = ctx->bfs_fallbacks();
+      MatchRelation m = ComputeBoundedSimulation(snap, q, options, ctx, semantics);
+      EXPECT_TRUE(m == oracle);
+      // One traversal per seeded candidate, none after seeding.
+      const size_t hits = ctx->ball_hits() - hits0, falls = ctx->bfs_fallbacks() - falls0;
+      size_t seeded = 0;
+      for (PatternNodeId u = 0; u < q.NumNodes(); ++u) {
+        if (!q.OutEdges(u).empty()) seeded += ctx->Pairs().candidates[u].size();
+      }
+      if (index.options.enabled) {
+        EXPECT_EQ(hits + falls, seeded);
+      }
+      if (index.name == std::string_view("eager")) tally->eager_hits += hits;
+      if (index.name == std::string_view("capped")) tally->capped_fallbacks += falls;
+      ResultGraph assembled(q, m, ctx->Pairs());
+      MatchContext scan_ctx;
+      ResultGraph scanned(snap, q, m, &scan_ctx);
+      EXPECT_TRUE(assembled == scanned)
+          << "pairs: " << assembled.NumNodes() << " nodes, " << assembled.NumEdges()
+          << " edges; scan: " << scanned.NumNodes() << " nodes, " << scanned.NumEdges()
+          << " edges";
+    }
+  }
+}
+
 TEST_P(MatcherSweep, MatchesNaiveOracle) {
   const SweepParam p = GetParam();
   const bool dual = p.semantics == kDual;
@@ -195,13 +279,29 @@ TEST_P(MatcherSweep, MatchesNaiveOracle) {
     Pattern q = gen::RandomPattern(p.qn, p.qm, p.max_bound, 0.4,
                                    p.seed * (dual ? 67 : 53) + i, common);
     MatchRelation fast = ComputeBoundedSimulation(g, q, {}, p.semantics);
-    MatchRelation naive = dual                 ? ComputeDualSimulationNaive(g, q)
-                          : p.max_bound == 1 ? ComputeSimulationNaive(g, q)
-                                             : ComputeBoundedSimulationNaive(g, q);
+    MatchRelation naive = OracleOf(g, q, p.semantics);
     EXPECT_TRUE(fast == naive) << "pattern " << i << "\n" << q.ToText();
     nonempty += !naive.IsEmpty();
   }
   EXPECT_GT(2 * nonempty, p.patterns) << "most instances must match something";
+}
+
+TEST_P(MatcherSweep, SupportPairsMatchOracleAndScanAcrossIndexAndThreads) {
+  const SweepParam p = GetParam();
+  const bool dual = p.semantics == kDual;
+  Graph g = gen::ErdosRenyi(p.n, p.m, p.seed);
+  gen::LabelModel common = gen::DefaultExpertiseModel();
+  common.labels.resize(3);
+  MatchContext ctx;
+  TraversalTally tally;
+  for (int i = 0; i < p.patterns; ++i) {
+    Pattern q = gen::RandomPattern(p.qn, p.qm, p.max_bound, 0.4,
+                                   p.seed * (dual ? 67 : 53) + i, common);
+    ExpectPairsMatchOracleAndScan(g, q, p.semantics, OracleOf(g, q, p.semantics), &ctx,
+                                  &tally);
+  }
+  EXPECT_GT(tally.eager_hits, 0u);
+  EXPECT_GT(tally.capped_fallbacks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -228,6 +328,86 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{3, 70, 840, 4, 5, 1, kDual, 4},
         SweepParam{4, 40, 240, 4, 5, 4, kDual, 4},
         SweepParam{5, 60, 360, 4, 5, 2, kDual, 4}));
+
+// The shapes random patterns rarely draw: an unbounded (reachability)
+// edge, a self-loop, and parallel edges of different bounds. Pattern
+// refuses a second edge between the same two nodes, so the parallel pair
+// runs from one source to two nodes of the same label, one data pair then
+// supporting both edges, beside an antiparallel edge back.
+TEST(SupportPairsTest, UnboundedSelfLoopAndParallelEdgesMatchOracleAndScan) {
+  std::vector<Pattern> patterns;
+  {
+    PatternBuilder b;
+    auto sd = b.Node("SD", "sd").Output();
+    auto st = b.Node("ST", "st");
+    auto ba = b.Node("BA", "ba");
+    b.Edge(sd, st, kUnboundedEdge).Edge(st, ba, 2);
+    patterns.push_back(b.Build().value());
+  }
+  {
+    PatternBuilder b;
+    auto sd = b.Node("SD", "sd").Output();
+    auto st = b.Node("ST", "st");
+    b.Edge(sd, sd, 2).Edge(sd, st, 1);
+    patterns.push_back(b.Build().value());
+  }
+  {
+    PatternBuilder b;
+    auto sd = b.Node("SD", "sd").Output();
+    auto near = b.Node("ST", "near");
+    auto far = b.Node("ST", "far");
+    b.Edge(sd, near, 1).Edge(sd, far, 3).Edge(far, sd, 2);
+    patterns.push_back(b.Build().value());
+  }
+  int checked = 0, nonempty = 0;
+  MatchContext ctx;
+  TraversalTally tally;
+  for (uint64_t seed : {3, 4}) {
+    Graph g = gen::ErdosRenyi(60, 150, seed);
+    for (const Pattern& q : patterns) {
+      for (MatchSemantics semantics : {kBounded, kDual}) {
+        MatchRelation oracle = OracleOf(g, q, semantics);
+        ExpectPairsMatchOracleAndScan(g, q, semantics, oracle, &ctx, &tally);
+        ++checked;
+        nonempty += !oracle.IsEmpty();
+      }
+    }
+  }
+  EXPECT_EQ(nonempty, checked) << "every instance must match something";
+  EXPECT_GT(tally.eager_hits, 0u);
+  EXPECT_GT(tally.capped_fallbacks, 0u);
+}
+
+// An idle context keeps O(|V|) words of pair capacity: unbinding frees the
+// pairs of a large evaluation, and a small one's stay for reuse.
+TEST(SupportPairsTest, UnbindTrimsPairCapacityToTheGraphSize) {
+  Graph g = gen::ErdosRenyi(200, 1600, 5);
+  PatternBuilder b;
+  auto sd = b.Node("SD", "sd").Output();
+  auto st = b.Node("ST", "st");
+  b.Edge(sd, st, kUnboundedEdge).Edge(st, sd, kUnboundedEdge);
+  const Pattern reach = b.Build().value();
+  const size_t cap = MatchContext::kIdlePairWordsPerNode * g.NumNodes();
+
+  MatchContext ctx;
+  SnapshotPtr snap = GraphSnapshot::Capture(g);
+  MatchRelation m = ComputeBoundedSimulation(snap, reach, {}, &ctx);
+  ASSERT_FALSE(m.IsEmpty());
+  ASSERT_GT(ctx.Pairs().CapacityWords(), cap);  // reachability: every pair
+  ctx.BindSnapshot(nullptr);
+  EXPECT_LE(ctx.Pairs().CapacityWords(), cap);
+
+  Graph sparse = gen::ErdosRenyi(200, 300, 5);
+  PatternBuilder small;
+  small.Edge(small.Node("SD", "sd").Output(), small.Node("ST", "st"), 1);
+  ComputeBoundedSimulation(GraphSnapshot::Capture(sparse), small.Build().value(), {},
+                           &ctx);
+  const size_t kept = ctx.Pairs().CapacityWords();
+  ASSERT_GT(kept, 0u);
+  ASSERT_LE(kept, cap);
+  ctx.BindSnapshot(nullptr);
+  EXPECT_EQ(ctx.Pairs().CapacityWords(), kept);
+}
 
 // Collaboration networks exercise the label skew + team structure.
 class BoundedCollabSweep : public ::testing::TestWithParam<uint64_t> {};

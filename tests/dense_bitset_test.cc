@@ -171,17 +171,5 @@ TEST(MatchContextTest, SeedWorkersPolicy) {
   EXPECT_EQ(ctx.SeedWorkers(7, 0), 1u);
 }
 
-TEST(MatchContextTest, CountersZeroedOnAcquire) {
-  MatchContext ctx;
-  auto& cnt = ctx.Counters(0, 2, 8);
-  cnt[0][3] = 42;
-  auto& again = ctx.Counters(0, 2, 8);
-  EXPECT_EQ(&again, &cnt);
-  EXPECT_EQ(again[0][3], 0);
-  // The second family is independent.
-  auto& other = ctx.Counters(1, 2, 8);
-  EXPECT_NE(&other, &cnt);
-}
-
 }  // namespace
 }  // namespace expfinder

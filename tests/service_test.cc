@@ -1054,6 +1054,38 @@ TEST_F(ServiceFixture, IdleContextsPinNoRetiredSnapshot) {
   EXPECT_TRUE(v0.expired());
 }
 
+// A direct read assembles its result graph from the matcher run's support
+// pairs; it must equal the graph the scan form builds for the same answer,
+// under both semantics, with and without the ball index.
+TEST(ServiceResultGraphTest, DirectReadAssemblesTheScanBuiltResultGraph) {
+  for (bool ball_index : {true, false}) {
+    Graph g = gen::CollaborationNetwork({.num_people = 600, .num_teams = 85, .seed = 5});
+    ServiceOptions opts;
+    opts.engine.ball_index.enabled = ball_index;
+    opts.engine.ball_index.build_after_uses = 1;
+    ExpFinderService service(&g, opts);
+    SnapshotPtr snap = ExpFinderServiceTestPeer::EpochGraph(service).lock();
+    ASSERT_NE(snap, nullptr);
+    for (MatchSemantics semantics :
+         {MatchSemantics::kBoundedSimulation, MatchSemantics::kDualSimulation}) {
+      for (int team = 0; team < 2; ++team) {
+        QueryRequest req;
+        req.pattern = gen::TeamQuery(team);
+        req.semantics = semantics;
+        auto resp = service.Query(req);
+        ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+        ASSERT_EQ(resp->path, ServingPath::kDirect);
+        const QueryAnswer& answer = *resp->answer;
+        ASSERT_FALSE(answer.matches.IsEmpty());
+        MatchContext ctx;
+        EXPECT_TRUE(answer.result_graph == ResultGraph(snap, req.pattern, answer.matches, &ctx))
+            << "team " << team << ", ball index " << ball_index;
+        EXPECT_GT(answer.result_graph.NumEdges(), 0u);
+      }
+    }
+  }
+}
+
 /// Two nodes labelled `a` and `b` without an edge a -> b.
 std::pair<NodeId, NodeId> AbsentEdge(const Graph& g, std::string_view a, std::string_view b) {
   for (NodeId x = 0; x < g.NumNodes(); ++x) {
